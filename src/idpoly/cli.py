@@ -6,7 +6,8 @@ fixpoint), verify (check a witness file).  Input files ending in .mat
 are vertex matrices; anything else parses as an ideal file.  Reports go
 to stdout, warnings to stderr.  Exit code 0 means the run completed
 with a verdict (an invalid witness is still a completed verification),
-2 means bad input, 3 means budgets ran out before any verdict.
+2 means bad input, 3 means no verdict: budgets ran out, or a negative
+witness failed re-verification and was demoted to unknown.
 """
 
 from __future__ import annotations
@@ -114,7 +115,14 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         status, rule = NOT_NORMAL, RULE_ORACLE
         witness = verdict.witness
         if not args.no_verify:
-            verified = verify_witness(polytope, witness).valid
+            check = verify_witness(polytope, witness)
+            if check.valid:
+                verified = True
+            else:
+                status, rule, witness = UNKNOWN, None, None
+                diagnostics = (
+                    (RULE_ORACLE, f"demoted: witness failed verification: {check.reason}"),
+                )
     else:
         status, rule = UNKNOWN, None
         diagnostics = (

@@ -147,27 +147,23 @@ class MinorHit:
 
 def _detect_on_minor(
     minor: LabeledHypergraph, rule: str, config: EngineConfig
-) -> tuple[Witness | None, TorsionCertificate | None]:
-    """Run one negative detector; only not-normal outcomes count here."""
+) -> Witness | None:
+    """Run one witness-producing detector; only not-normal outcomes count."""
     if rule == RULE_CONNECTED_ODD:
         outcome = decide_connected_odd(minor)
         if outcome.status == NOT_NORMAL:
-            return outcome.witness, None
-    elif rule == RULE_TORSION:
-        certificate = torsion_check(polytope_from_ideal(ideal_of(minor)).vertices)
-        if certificate is not None:
-            return None, certificate
+            return outcome.witness
     elif rule == RULE_BICOLOR:
         found = bicolor_obstruction(minor)
         if found is not None:
-            return found[1], None
+            return found[1]
     elif rule == RULE_PAIR:
         pair = find_exceptional_pair(
             minor, relaxed=config.relaxed_connection, budget=config.pair_budget
         )
         if pair is not None:
-            return exceptional_witness(minor, pair), None
-    return None, None
+            return exceptional_witness(minor, pair)
+    return None
 
 
 def _search_minors(
@@ -189,11 +185,11 @@ def _search_minors(
         if minor.num_vertices == 0:
             continue
         for rule in rules:
-            witness, certificate = _detect_on_minor(minor, rule, config)
-            if witness is None and certificate is None:
-                continue
-            if certificate is not None:
+            if rule == RULE_TORSION:
                 minor_points = polytope_from_ideal(ideal_of(minor)).vertices
+                certificate = torsion_check(minor_points)
+                if certificate is None:
+                    continue
                 if config.verify and not verify_torsion_certificate(
                     certificate, minor_points
                 ):
@@ -202,6 +198,9 @@ def _search_minors(
                     )
                     continue
                 return MinorHit(trace, rule, None, certificate), examined, tuple(notes)
+            witness = _detect_on_minor(minor, rule, config)
+            if witness is None:
+                continue
             lifted = lift_witness(trace, witness)
             if config.verify:
                 if host_polytope is None:
@@ -218,14 +217,6 @@ def _search_minors(
                     continue
             return MinorHit(trace, rule, lifted, None), examined, tuple(notes)
     return None, examined, tuple(notes)
-
-
-def minor_search(
-    hypergraph: LabeledHypergraph, config: EngineConfig | None = None
-) -> MinorHit | None:
-    """First minor, in canonical order, that a negative detector condemns."""
-    hit, _, _ = _search_minors(hypergraph, config or EngineConfig())
-    return hit
 
 
 def analyze(

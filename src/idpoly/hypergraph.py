@@ -9,7 +9,10 @@ rules combinatorial statements about edges, cycles and vertex parity.
 
 Everything in this module is pure and deterministic: edges are kept in a
 fixed canonical order (smallest vertex, then size, then lexicographic),
-and all searches enumerate candidates in that order.
+and all searches enumerate candidates in that order.  A LabeledHypergraph
+is frozen, so the structure derived from it (edges, separation, simple
+edges, 1-skeleton) is computed once per object and shared by every
+caller; none of it may be mutated.
 """
 
 from __future__ import annotations
@@ -94,7 +97,11 @@ class SkeletonComponent:
 
 
 class Skeleton:
-    """The ordinary graph formed by the 2-vertex edges of a hypergraph."""
+    """The ordinary graph formed by the 2-vertex edges of a hypergraph.
+
+    LabeledHypergraph.one_skeleton hands every caller the same instance,
+    so the adjacency is read-only.
+    """
 
     def __init__(self, num_vertices: int, edges: Sequence[tuple[int, int]]):
         self.num_vertices = num_vertices
@@ -238,13 +245,23 @@ class LabeledHypergraph:
 
     def separation_violation(self) -> tuple[int, int] | None:
         """Lexicographically least ordered pair no edge splits, if any."""
-        images = [img for _, img in self.labels if img]
+        return self._separation_violation
+
+    @cached_property
+    def _separation_violation(self) -> tuple[int, int] | None:
+        # bit i of mask[v] is set when v lies on the i-th nonempty image, so
+        # v is not split from w exactly when mask[v] is a subset of mask[w]
+        mask = [0] * (self.num_vertices + 1)
+        bit = 1
+        for _, img in self.labels:
+            if img:
+                for v in img:
+                    mask[v] |= bit
+                bit <<= 1
         for v in self.vertices:
-            containing = [img for img in images if v in img]
+            mv = mask[v]
             for w in self.vertices:
-                if v == w:
-                    continue
-                if all(w in img for img in containing):
+                if v != w and mv & mask[w] == mv:
                     return (v, w)
         return None
 
@@ -261,6 +278,10 @@ class LabeledHypergraph:
 
     def simple_edges(self) -> tuple[Edge, ...]:
         """Edges containing no other edge as a proper subset."""
+        return self._simple_edges
+
+    @cached_property
+    def _simple_edges(self) -> tuple[Edge, ...]:
         out = []
         for e in self.edges:
             es = frozenset(e)
@@ -269,6 +290,10 @@ class LabeledHypergraph:
         return tuple(out)
 
     def one_skeleton(self) -> Skeleton:
+        return self._one_skeleton
+
+    @cached_property
+    def _one_skeleton(self) -> Skeleton:
         pairs = [e for e in self.edges if len(e) == 2]
         return Skeleton(self.num_vertices, pairs)  # type: ignore[arg-type]
 

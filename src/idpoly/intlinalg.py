@@ -2,14 +2,17 @@
 
 Everything here works on plain ``list[list[int]]`` rows with arbitrary
 precision Python integers.  The matrices involved never exceed a few dozen
-rows or columns, so the textbook algorithms are used without any effort at
-asymptotic cleverness.  What matters instead is determinism: pivot choices
-are fixed so that certificates are reproducible byte for byte.
+rows or columns, so the textbook algorithms are used; the one economy is
+that torsion_check screens with the gcd of maximal minors, read off two
+column echelon forms, and runs the Smith normal form only on the rare
+input that has torsion.  What matters above speed is determinism: pivot
+choices are fixed so that certificates are reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Sequence
 
 IntMatrix = list[list[int]]
@@ -213,27 +216,33 @@ class TorsionCertificate:
 
 def _homogenized_columns(points: Sequence[Sequence[int]]) -> IntMatrix:
     """Matrix whose columns are the points with a 1 appended."""
-    vecs = [list(pt) + [1] for pt in points]
-    return transpose(vecs)
+    return [list(row) for row in zip(*points)] + [[1] * len(points)]
 
 
 def torsion_check(points: Sequence[Sequence[int]]) -> TorsionCertificate | None:
     """Detect torsion in Z^{n+1} modulo the lattice of homogenized points.
 
-    Returns None when the quotient is torsion-free.  Otherwise returns a
-    self-verified certificate: the vector is the preimage of the standard
-    basis vector at the first invariant factor exceeding 1, reduced to a
-    canonical coset representative.
+    Returns None when the quotient is torsion-free.  With r the rank of the
+    homogenized matrix, the torsion subgroup has order d_r, the gcd of its
+    r x r minors.  The column echelon form gives a lattice basis B, and the
+    echelon form of B read as rows is triangular with pivot product d_r,
+    so a quotient with d_r == 1 is settled without the Smith normal form.
+    Otherwise the result is a self-verified certificate: the vector is the
+    preimage of the standard basis vector at the first invariant factor
+    exceeding 1, reduced to a canonical coset representative.
     """
     if not points:
         return None
     mat = _homogenized_columns(points)
+    ech = column_echelon(mat)
+    dual, pivot_rows = column_echelon(ech[0])
+    if prod(col[row] for col, row in zip(dual, pivot_rows)) == 1:
+        return None
     diag, u_inv = smith_normal_form(mat)
     factors = tuple(d for d in diag if d)
     k = next((i for i, d in enumerate(diag) if d > 1), None)
     if k is None:
-        return None
-    ech = column_echelon(mat)
+        raise AssertionError("maximal minors share a factor but no invariant factor exceeds 1")
     u = reduce_mod_lattice([u_inv[r][k] for r in range(len(mat))], ech)
     cert = TorsionCertificate(u=tuple(u), m=diag[k], invariant_factors=factors)
     if not verify_torsion_certificate(cert, points):

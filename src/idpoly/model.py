@@ -133,11 +133,6 @@ def generator_degrees(ideal: SquarefreeIdeal) -> tuple[int, ...]:
     return tuple(len(g) for g in ideal.generators)
 
 
-def degrees_uniform(ideal: SquarefreeIdeal) -> bool:
-    degrees = generator_degrees(ideal)
-    return len(set(degrees)) == 1
-
-
 @dataclass(frozen=True)
 class ZeroOnePolytope:
     """Convex hull of distinct 0-1 vectors, stored by its vertex list.
@@ -186,7 +181,3 @@ class ZeroOnePolytope:
 def polytope_from_ideal(ideal: SquarefreeIdeal) -> ZeroOnePolytope:
     """Vertex i is the exponent vector of generator i, in variable order."""
     return ZeroOnePolytope(ideal.exponent_matrix())
-
-
-def affine_dimension(polytope: ZeroOnePolytope) -> int:
-    return polytope.affine_dimension

@@ -260,6 +260,37 @@ def test_oracle_truncation_exit_code(run_cli):
     assert payload["rule"] is None
 
 
+def test_oracle_demotes_witness_that_fails_verification(run_cli, monkeypatch):
+    from dataclasses import replace
+
+    from idpoly import cli
+    from idpoly.certificates import Witness
+
+    real = cli.decide_normal_bruteforce
+
+    def bad_witness(polytope, **kwargs):
+        verdict = real(polytope, **kwargs)
+        w = verdict.witness
+        wrong_point = Witness(w.coefficients, w.degree, (0,) * len(w.point))
+        return replace(verdict, witness=wrong_point)
+
+    monkeypatch.setattr(cli, "decide_normal_bruteforce", bad_witness)
+    code, out, _ = run_cli("oracle", data_path("rem32.mat"), "--format", "json")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["verdict"] == "unknown"
+    assert payload["rule"] is None
+    assert payload["witness"] is None
+    assert payload["verified"] is False
+    assert payload["stats"]["diagnostics"] == [
+        [
+            "oracle",
+            "demoted: witness failed verification: "
+            "declared point does not match the coefficient combination",
+        ]
+    ]
+
+
 def test_matrix_with_dominated_row_warns_and_proceeds(run_cli, tmp_path):
     mat = tmp_path / "dominated.mat"
     mat.write_text("2 3\n110\n100\n")

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idpoly.hypergraph import (
     BudgetExceeded,
@@ -93,6 +95,44 @@ def test_separation_violation_detected():
     assert not h.is_separated
     with pytest.raises(NotSeparatedError, match="every edge containing vertex 1"):
         ideal_of(h)
+
+
+def quadratic_separation_violation(h: LabeledHypergraph) -> tuple[int, int] | None:
+    """Reference scan: the first (v, w) such that every image holding v holds w."""
+    images = [img for _, img in h.labels if img]
+    for v in h.vertices:
+        containing = [img for img in images if v in img]
+        for w in h.vertices:
+            if v != w and all(w in img for img in containing):
+                return (v, w)
+    return None
+
+
+@st.composite
+def small_hypergraphs(draw):
+    s = draw(st.integers(1, 7))
+    images = draw(
+        st.lists(st.frozensets(st.integers(1, s), max_size=s), max_size=6)
+    )
+    uncovered = frozenset(range(1, s + 1)).difference(*images)
+    if uncovered:
+        images.append(uncovered)
+    labels = tuple((f"x{i}", img) for i, img in enumerate(images, start=1))
+    return LabeledHypergraph(s, labels)
+
+
+@settings(max_examples=400, deadline=None)
+@given(h=small_hypergraphs())
+def test_separation_violation_matches_quadratic_scan(h):
+    assert h.separation_violation() == quadratic_separation_violation(h)
+
+
+def test_derived_structure_is_computed_once(load_ideal):
+    h = build_from_ideal(load_ideal("fig1.ideal"))
+    assert h.one_skeleton() is h.one_skeleton()
+    assert h.simple_edges() is h.simple_edges()
+    merged = LabeledHypergraph(2, (("a", frozenset({1, 2})), ("b", frozenset({1, 2}))))
+    assert merged.separation_violation() is merged.separation_violation()
 
 
 def test_ideal_hypergraph_round_trip(load_ideal):

@@ -4,6 +4,8 @@ import random
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from idpoly.intlinalg import (
     TorsionCertificate,
@@ -17,6 +19,7 @@ from idpoly.intlinalg import (
     transpose,
     verify_torsion_certificate,
 )
+from idpoly import intlinalg
 from idpoly.model import polytope_from_ideal
 
 
@@ -197,3 +200,52 @@ def test_torsion_check_random_self_verifies():
             assert any(d > 1 for d in inv)
     # the sample is big enough that torsion shows up at least once
     assert hits > 0
+
+
+def _has_torsion_by_snf(points) -> bool:
+    diag, _ = smith_normal_form(transpose([list(p) + [1] for p in points]))
+    return any(d > 1 for d in diag)
+
+
+@st.composite
+def zero_one_point_sets(draw):
+    n = draw(st.integers(1, 7))
+    return draw(
+        st.lists(
+            st.tuples(*[st.integers(0, 1)] * n),
+            min_size=1,
+            max_size=min(9, 2**n),
+            unique=True,
+        )
+    )
+
+
+# vertex rows of rem32.mat (factor 2) and solv3.ideal (factor 3)
+REM32 = [
+    (1, 1, 0, 0, 0, 0, 0), (1, 0, 1, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0, 1),
+    (0, 0, 0, 1, 1, 0, 0), (0, 0, 0, 1, 0, 1, 0), (0, 0, 0, 0, 1, 1, 1),
+]
+SOLV3 = [
+    (1, 0, 0, 0, 0, 1, 1), (1, 1, 0, 0, 0, 0, 0), (0, 1, 1, 0, 0, 1, 0),
+    (0, 0, 1, 1, 0, 0, 0), (0, 0, 0, 1, 1, 1, 0), (0, 0, 0, 0, 1, 0, 1),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=zero_one_point_sets())
+@example(points=REM32)
+@example(points=SOLV3)
+def test_torsion_screen_agrees_with_smith_form(points):
+    cert = torsion_check(points)
+    assert (cert is None) == (not _has_torsion_by_snf(points))
+    if cert is not None:
+        assert verify_torsion_certificate(cert, points)
+
+
+def test_torsion_free_input_skips_smith_form(load_ideal, monkeypatch):
+    def forbidden(rows):
+        raise AssertionError("smith_normal_form ran on a torsion-free input")
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", forbidden)
+    for name in ("tri.ideal", "fourcyc.ideal", "fig1.ideal", "bowtie.ideal"):
+        assert torsion_check(polytope_from_ideal(load_ideal(name)).vertices) is None
