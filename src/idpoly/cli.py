@@ -189,6 +189,17 @@ _HANDLERS = {
 }
 
 
+def _count(text: str) -> int:
+    """Argument type of the budgets and degree caps: an integer N >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"N cannot be negative, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "file",
@@ -223,13 +234,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-oracle", action="store_true", help="disable the brute-force fallback")
     p.add_argument(
         "--oracle-max-degree",
-        type=int,
+        type=_count,
         metavar="N",
         help="truncate the oracle scan at degree N",
     )
     p.add_argument("--no-minors", action="store_true", help="disable the minor search")
     p.add_argument(
-        "--minor-budget", type=int, metavar="N", help="examine at most N minors"
+        "--minor-budget", type=_count, metavar="N", help="examine at most N minors"
     )
     p.add_argument(
         "--relaxed-connection",
@@ -246,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument(
         "--oracle-max-degree",
-        type=int,
+        type=_count,
         metavar="N",
         help="truncate the scan at degree N",
     )

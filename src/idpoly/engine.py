@@ -34,6 +34,7 @@ from .hypergraph import (
     build_from_ideal,
     enumerate_minors,
     ideal_of,
+    incidence_matrix,
     reduce_closed_fixpoint,
 )
 from .intlinalg import TorsionCertificate, torsion_check, verify_torsion_certificate
@@ -174,6 +175,9 @@ def _search_minors(
     Witness hits are lifted to the searched hypergraph and, when
     verification is on, checked against its polytope before being
     accepted; torsion hits are checked against the minor's own lattice.
+    A minor's points are the rows of its label-expanded incidence matrix,
+    which is the exponent matrix of its ideal: a minor of a separated
+    hypergraph is separated, so that ideal is always a valid one.
     """
     rules = [r for r in (RULE_CONNECTED_ODD, RULE_TORSION, RULE_BICOLOR, RULE_PAIR)
              if r in config.minor_rules]
@@ -186,7 +190,7 @@ def _search_minors(
             continue
         for rule in rules:
             if rule == RULE_TORSION:
-                minor_points = polytope_from_ideal(ideal_of(minor)).vertices
+                minor_points = incidence_matrix(minor, expand_labels=True)
                 certificate = torsion_check(minor_points)
                 if certificate is None:
                     continue

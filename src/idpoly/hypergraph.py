@@ -227,9 +227,17 @@ class LabeledHypergraph:
         return range(1, self.num_vertices + 1)
 
     @cached_property
+    def _labels_by_image(self) -> dict[frozenset[int], tuple[str, ...]]:
+        # each distinct image with the names mapping to it, in label order
+        grouped: dict[frozenset[int], list[str]] = {}
+        for name, img in self.labels:
+            grouped.setdefault(img, []).append(name)
+        return {img: tuple(names) for img, names in grouped.items()}
+
+    @cached_property
     def edges(self) -> tuple[tuple[int, ...], ...]:
-        distinct = {frozenset(img) for _, img in self.labels if img}
-        return tuple(sorted((tuple(sorted(e)) for e in distinct), key=edge_sort_key))
+        distinct = (tuple(sorted(img)) for img in self._labels_by_image if img)
+        return tuple(sorted(distinct, key=edge_sort_key))
 
     @cached_property
     def _edge_set(self) -> frozenset[frozenset[int]]:
@@ -237,8 +245,7 @@ class LabeledHypergraph:
 
     def labels_of(self, edge: Iterable[int]) -> tuple[str, ...]:
         """Names mapping to exactly this edge, in label order."""
-        target = frozenset(edge)
-        return tuple(name for name, img in self.labels if img == target)
+        return self._labels_by_image.get(frozenset(edge), ())
 
     def edge_views(self) -> tuple[Edge, ...]:
         return tuple(Edge(e, self.labels_of(e)) for e in self.edges)
@@ -282,11 +289,12 @@ class LabeledHypergraph:
 
     @cached_property
     def _simple_edges(self) -> tuple[Edge, ...]:
+        images = self._labels_by_image
         out = []
         for e in self.edges:
             es = frozenset(e)
-            if not any(f < es for f in self._edge_set if f != es):
-                out.append(Edge(e, self.labels_of(e)))
+            if not any(f < es for f in images if f):
+                out.append(Edge(e, images[es]))
         return tuple(out)
 
     def one_skeleton(self) -> Skeleton:
@@ -413,36 +421,26 @@ def enumerate_minors(
     """
     if budget is not None and budget <= 0:
         return
-    full = frozenset(hypergraph.vertices)
-    start = tuple(sorted(full))
-    # parent pointer per discovered state, for reconstructing deletion paths
-    origin: dict[tuple[int, ...], tuple[tuple[int, ...] | None, tuple[int, ...] | None]] = {
-        start: (None, None)
-    }
+    start = tuple(hypergraph.vertices)
+    # deletion path per discovered state, in the parent's vertex ids
+    paths: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {start: ()}
     heap: list[tuple[int, tuple[int, ...]]] = [(-len(start), start)]
     yielded = 0
     while heap:
         _, state = heapq.heappop(heap)
         sub, mapping = induced_subhypergraph(hypergraph, state)
-        path: list[tuple[int, ...]] = []
-        cursor = state
-        while True:
-            prev, edge = origin[cursor]
-            if prev is None:
-                break
-            path.append(edge)  # type: ignore[arg-type]
-            cursor = prev
-        path.reverse()
-        yield sub, MinorTrace(hypergraph, tuple(path), state)
+        path = paths[state]
+        yield sub, MinorTrace(hypergraph, path, state)
         yielded += 1
         if budget is not None and yielded >= budget:
             return
-        back = dict(enumerate(mapping, start=1))
         for edge in sub.edges:
-            original_edge = tuple(sorted(back[v] for v in edge))
-            child = tuple(v for v in state if v not in set(original_edge))
-            if child not in origin:
-                origin[child] = (state, original_edge)
+            # mapping is increasing, so the original edge stays sorted
+            original_edge = tuple(mapping[v - 1] for v in edge)
+            gone = set(original_edge)
+            child = tuple(v for v in state if v not in gone)
+            if child not in paths:
+                paths[child] = path + (original_edge,)
                 heapq.heappush(heap, (-len(child), child))
 
 

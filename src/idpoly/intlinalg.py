@@ -2,18 +2,19 @@
 
 Everything here works on plain ``list[list[int]]`` rows with arbitrary
 precision Python integers.  The matrices involved never exceed a few dozen
-rows or columns, so the textbook algorithms are used; the one economy is
-that torsion_check screens with the gcd of maximal minors, read off two
-column echelon forms, and runs the Smith normal form only on the rare
-input that has torsion.  What matters above speed is determinism: pivot
-choices are fixed so that certificates are reproducible byte for byte.
+rows or columns, so the textbook algorithms are used.  The one economy is
+torsion_check's screen: fraction-free (Bareiss) elimination gives the
+rank and one nonzero maximal minor, a rank count modulo each prime of that
+minor settles torsion-freeness, and only the rare input with torsion
+reaches the Smith normal form.  What matters above speed is determinism:
+pivot choices are fixed so that certificates are reproducible byte for
+byte.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
-from typing import Sequence
+from typing import Iterator, Sequence
 
 IntMatrix = list[list[int]]
 
@@ -28,9 +29,62 @@ def transpose(rows: Sequence[Sequence[int]]) -> IntMatrix:
     return [[row[j] for row in rows] for j in range(len(rows[0]))]
 
 
-def matrix_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals, computed by integer cross-multiplication."""
+def bareiss_rank(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Rank of an integer matrix and one nonzero maximal minor.
+
+    Fraction-free Gaussian elimination (Bareiss 1968): each row update
+    ``(p*a - f*b) // prev`` divides exactly by the previous pivot, and every
+    entry is itself a minor of the input.  The last pivot is the
+    determinant of the r x r submatrix on the pivot rows and columns,
+    returned as the minor (1 for the zero matrix).
+    """
     a = [list(row) for row in rows]
+    m = len(a)
+    n = len(a[0]) if a else 0
+    r = 0
+    prev = 1
+    for col in range(n):
+        pivot = next((i for i in range(r, m) if a[i][col]), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        top = a[r]
+        p = top[col]
+        for i in range(r + 1, m):
+            row = a[i]
+            f = row[col]
+            if f:
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+            elif prev != p:
+                a[i] = [p * x // prev for x in row]
+        prev = p
+        r += 1
+        if r == m:
+            break
+    return r, prev
+
+
+def matrix_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over the rationals."""
+    return bareiss_rank(rows)[0]
+
+
+def rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Rank over the field with ``p`` elements, ``p`` prime."""
+    if p == 2:
+        # rows as bitmasks; min(x, x ^ b) clears b's leading bit from x, so
+        # each kept row lacks the leading bits of the rows kept before it
+        basis: list[int] = []
+        for row in rows:
+            x = 0
+            for entry in row:
+                x = (x << 1) | (entry & 1)
+            for b in basis:
+                x = min(x, x ^ b)
+            if x:
+                basis.append(x)
+        return len(basis)
+    a = [[x % p for x in row] for row in rows]
     m = len(a)
     n = len(a[0]) if a else 0
     r = 0
@@ -39,14 +93,29 @@ def matrix_rank(rows: Sequence[Sequence[int]]) -> int:
         if pivot is None:
             continue
         a[r], a[pivot] = a[pivot], a[r]
+        inv = pow(a[r][col], -1, p)
+        top = [x * inv % p for x in a[r]]
         for i in range(r + 1, m):
-            if a[i][col]:
-                f1, f2 = a[r][col], a[i][col]
-                a[i] = [f1 * x - f2 * y for x, y in zip(a[i], a[r])]
+            f = a[i][col]
+            if f:
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], top)]
         r += 1
         if r == m:
             break
     return r
+
+
+def prime_factors(n: int) -> Iterator[int]:
+    """The distinct primes dividing ``n`` > 0, ascending, by trial division."""
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            yield p
+            while n % p == 0:
+                n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        yield n
 
 
 def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[list[int], IntMatrix]:
@@ -224,26 +293,29 @@ def torsion_check(points: Sequence[Sequence[int]]) -> TorsionCertificate | None:
 
     Returns None when the quotient is torsion-free.  With r the rank of the
     homogenized matrix, the torsion subgroup has order d_r, the gcd of its
-    r x r minors.  The column echelon form gives a lattice basis B, and the
-    echelon form of B read as rows is triangular with pivot product d_r,
-    so a quotient with d_r == 1 is settled without the Smith normal form.
-    Otherwise the result is a self-verified certificate: the vector is the
-    preimage of the standard basis vector at the first invariant factor
-    exceeding 1, reduced to a canonical coset representative.
+    r x r minors.  Bareiss elimination gives r and one nonzero r x r minor
+    D, which d_r divides; a prime p divides d_r exactly when the rank
+    modulo p drops below r.  So the quotient is torsion-free when |D| == 1,
+    or when the rank modulo every prime of D is r, and the Smith normal
+    form runs only when d_r > 1.  Its result is a self-verified
+    certificate: the vector is the preimage of the standard basis vector
+    at the first invariant factor exceeding 1, reduced to a canonical coset
+    representative.
     """
     if not points:
         return None
-    mat = _homogenized_columns(points)
-    ech = column_echelon(mat)
-    dual, pivot_rows = column_echelon(ech[0])
-    if prod(col[row] for col, row in zip(dual, pivot_rows)) == 1:
+    # rows are the homogenized points: the transpose has the same minors
+    rows = [[*point, 1] for point in points]
+    r, minor = bareiss_rank(rows)
+    if all(rank_mod(rows, p) == r for p in prime_factors(abs(minor))):
         return None
+    mat = _homogenized_columns(points)
     diag, u_inv = smith_normal_form(mat)
     factors = tuple(d for d in diag if d)
     k = next((i for i, d in enumerate(diag) if d > 1), None)
     if k is None:
         raise AssertionError("maximal minors share a factor but no invariant factor exceeds 1")
-    u = reduce_mod_lattice([u_inv[r][k] for r in range(len(mat))], ech)
+    u = reduce_mod_lattice([row[k] for row in u_inv], column_echelon(mat))
     cert = TorsionCertificate(u=tuple(u), m=diag[k], invariant_factors=factors)
     if not verify_torsion_certificate(cert, points):
         raise AssertionError("torsion certificate failed self-verification")

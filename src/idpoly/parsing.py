@@ -141,7 +141,7 @@ def parse_matrix_text(text: str) -> ZeroOnePolytope:
         raise InputError("empty matrix file")
     head_no, head = entries[0]
     tokens = head.split()
-    if len(tokens) != 2 or not all(t.isdigit() for t in tokens):
+    if len(tokens) != 2 or not all(t.isascii() and t.isdigit() for t in tokens):
         raise InputError(
             f"line {head_no}: expected header '<vertices> <dimension>', got {head!r}"
         )

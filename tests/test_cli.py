@@ -310,6 +310,31 @@ def test_bad_matrix_rejected(run_cli, tmp_path):
     assert "duplicate vertex" in err
 
 
+def test_non_ascii_matrix_header_rejected(run_cli, tmp_path):
+    mat = tmp_path / "superscript.mat"
+    mat.write_text("\u00b2 3\n101\n011\n", encoding="utf-8")
+    code, out, err = run_cli("analyze", str(mat))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 1: expected header")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--minor-budget", "-1"),
+        ("analyze", "--oracle-max-degree", "-1"),
+        ("oracle", "--oracle-max-degree", "-1"),
+    ],
+)
+def test_negative_budgets_rejected(run_cli, argv):
+    command, flag, value = argv
+    code, out, err = run_cli(command, data_path("tri.ideal"), flag, value)
+    assert code == 2
+    assert out == ""
+    assert f"error: argument {flag}: N cannot be negative, got -1" in err
+
+
 def test_seed_flag_accepted(run_cli):
     code, _, _ = run_cli("analyze", data_path("tri.ideal"), "--seed", "42")
     assert code == 0

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import heapq
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from idpoly.hypergraph import (
     BudgetExceeded,
     Cycle,
+    Edge,
     LabeledHypergraph,
     NotSeparatedError,
     build_from_ideal,
@@ -22,7 +24,7 @@ from idpoly.hypergraph import (
     is_balanced,
     reduce_closed_fixpoint,
 )
-from idpoly.model import SquarefreeIdeal
+from idpoly.model import SquarefreeIdeal, polytope_from_ideal
 
 from randutil import random_minimal_ideal
 
@@ -125,6 +127,84 @@ def small_hypergraphs(draw):
 @given(h=small_hypergraphs())
 def test_separation_violation_matches_quadratic_scan(h):
     assert h.separation_violation() == quadratic_separation_violation(h)
+
+
+def quadratic_simple_edges(h: LabeledHypergraph) -> tuple[Edge, ...]:
+    """Reference: edges with no other edge strictly inside, labels by a full scan."""
+    edge_set = {frozenset(e) for e in h.edges}
+    return tuple(
+        Edge(e, tuple(name for name, img in h.labels if img == frozenset(e)))
+        for e in h.edges
+        if not any(f < frozenset(e) for f in edge_set if f != frozenset(e))
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(h=small_hypergraphs())
+def test_simple_edges_match_quadratic_scan(h):
+    assert h.simple_edges() == quadratic_simple_edges(h)
+
+
+def pointer_chasing_minors(h: LabeledHypergraph, budget: int | None = None):
+    """Reference walk: a parent pointer per state, chased back on every yield."""
+    if budget is not None and budget <= 0:
+        return
+    start = tuple(h.vertices)
+    origin = {start: (None, None)}
+    heap = [(-len(start), start)]
+    yielded = 0
+    while heap:
+        _, state = heapq.heappop(heap)
+        sub, mapping = induced_subhypergraph(h, state)
+        path = []
+        cursor = state
+        while origin[cursor][0] is not None:
+            cursor, edge = origin[cursor]
+            path.append(edge)
+        yield state, tuple(reversed(path))
+        yielded += 1
+        if budget is not None and yielded >= budget:
+            return
+        back = dict(enumerate(mapping, start=1))
+        for edge in sub.edges:
+            original_edge = tuple(sorted(back[v] for v in edge))
+            child = tuple(v for v in state if v not in set(original_edge))
+            if child not in origin:
+                origin[child] = (state, original_edge)
+                heapq.heappush(heap, (-len(child), child))
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=small_hypergraphs(), budget=st.none() | st.integers(0, 12))
+def test_minor_walk_matches_pointer_chasing(h, budget):
+    walked = [(t.surviving, t.deleted_edges) for _, t in enumerate_minors(h, budget=budget)]
+    assert walked == list(pointer_chasing_minors(h, budget))
+
+
+@st.composite
+def separated_hypergraphs(draw):
+    n = draw(st.integers(1, 6))
+    names = tuple(f"x{i}" for i in range(1, n + 1))
+    supports = draw(
+        st.lists(
+            st.frozensets(st.sampled_from(names), min_size=1),
+            min_size=1,
+            max_size=7,
+            unique=True,
+        )
+    )
+    minimal = [g for g in supports if not any(f < g for f in supports)]
+    return build_from_ideal(SquarefreeIdeal(names, tuple(minimal)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=separated_hypergraphs())
+def test_minor_points_are_the_expanded_incidence_matrix(h):
+    for minor, _ in enumerate_minors(h):
+        if minor.num_vertices == 0:
+            continue
+        points = polytope_from_ideal(ideal_of(minor)).vertices
+        assert incidence_matrix(minor, expand_labels=True) == points
 
 
 def test_derived_structure_is_computed_once(load_ideal):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -9,10 +10,13 @@ from hypothesis import strategies as st
 
 from idpoly.intlinalg import (
     TorsionCertificate,
+    bareiss_rank,
     column_echelon,
     identity_matrix,
     lattice_member,
     matrix_rank,
+    prime_factors,
+    rank_mod,
     reduce_mod_lattice,
     smith_normal_form,
     torsion_check,
@@ -91,6 +95,50 @@ def test_matrix_rank_matches_sympy():
         n = rng.randint(1, 6)
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
         assert matrix_rank(rows) == sympy.Matrix(rows).rank()
+
+
+@st.composite
+def small_int_matrices(draw):
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 5))
+    return draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=m, max_size=m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=small_int_matrices())
+def test_bareiss_minor_is_a_nonzero_maximal_minor(rows):
+    r, minor = bareiss_rank(rows)
+    mat = sympy.Matrix(rows)
+    assert r == mat.rank()
+    if r == 0:
+        assert minor == 1
+        return
+    assert minor != 0
+    assert any(
+        abs(mat.extract(list(rs), list(cs)).det()) == abs(minor)
+        for rs in itertools.combinations(range(mat.rows), r)
+        for cs in itertools.combinations(range(mat.cols), r)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=small_int_matrices(), p=st.sampled_from([2, 3, 5, 7]))
+def test_rank_mod_matches_sympy(rows, p):
+    from sympy.polys.domains import GF
+    from sympy.polys.matrices import DomainMatrix
+
+    expected = DomainMatrix(
+        [[GF(p)(x) for x in row] for row in rows], (len(rows), len(rows[0])), GF(p)
+    ).rank()
+    assert rank_mod(rows, p) == expected
+
+
+def test_prime_factors():
+    assert list(prime_factors(1)) == []
+    assert list(prime_factors(2)) == [2]
+    assert list(prime_factors(360)) == [2, 3, 5]
+    assert list(prime_factors(2 * 49 * 13)) == [2, 7, 13]
+    assert list(prime_factors(97)) == [97]
 
 
 def test_column_echelon_membership():
@@ -229,12 +277,18 @@ SOLV3 = [
     (1, 0, 0, 0, 0, 1, 1), (1, 1, 0, 0, 0, 0, 0), (0, 1, 1, 0, 0, 1, 0),
     (0, 0, 1, 1, 0, 0, 0), (0, 0, 0, 1, 1, 1, 0), (0, 0, 0, 0, 1, 0, 1),
 ]
+# torsion-free, but the Bareiss minor is 2 (the triangle edge ideal) and 3,
+# so the screen decides them by ranks modulo 2 and 3
+TRIANGLE = [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
+MINOR3 = [(0, 0, 1, 1), (0, 1, 1, 0), (1, 0, 1, 0), (1, 1, 0, 1)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(points=zero_one_point_sets())
 @example(points=REM32)
 @example(points=SOLV3)
+@example(points=TRIANGLE)
+@example(points=MINOR3)
 def test_torsion_screen_agrees_with_smith_form(points):
     cert = torsion_check(points)
     assert (cert is None) == (not _has_torsion_by_snf(points))
@@ -249,3 +303,16 @@ def test_torsion_free_input_skips_smith_form(load_ideal, monkeypatch):
     monkeypatch.setattr(intlinalg, "smith_normal_form", forbidden)
     for name in ("tri.ideal", "fourcyc.ideal", "fig1.ideal", "bowtie.ideal"):
         assert torsion_check(polytope_from_ideal(load_ideal(name)).vertices) is None
+
+
+@pytest.mark.parametrize("points,minor", [(TRIANGLE, 2), (MINOR3, 3)])
+def test_torsion_screen_decides_by_rank_mod_p(points, minor, monkeypatch):
+    def forbidden(rows):
+        raise AssertionError("smith_normal_form ran on a torsion-free input")
+
+    rows = [[*p, 1] for p in points]
+    r, found = bareiss_rank(rows)
+    assert abs(found) == minor
+    assert rank_mod(rows, minor) == r
+    monkeypatch.setattr(intlinalg, "smith_normal_form", forbidden)
+    assert torsion_check(points) is None

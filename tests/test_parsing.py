@@ -138,6 +138,8 @@ def test_matrix_comments_and_blanks():
 def test_matrix_header_errors():
     with pytest.raises(InputError, match="expected header '<vertices> <dimension>'"):
         parse_matrix_text("x 2\n")
+    with pytest.raises(InputError, match="line 1: expected header '<vertices> <dimension>'"):
+        parse_matrix_text("\u00b2 3\n101\n011\n")
     with pytest.raises(InputError, match="header counts must be positive"):
         parse_matrix_text("0 2\n")
     with pytest.raises(InputError, match="expected 2 vertex rows after the header, found 1"):
