@@ -36,7 +36,6 @@ from .hypergraph import (
 from .model import (
     InputError,
     SquarefreeIdeal,
-    minimalize_generators,
     polytope_from_ideal,
 )
 from .oracle import (
@@ -54,9 +53,21 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def _load_ideal(path: Path) -> SquarefreeIdeal:
-    """Read an input file; .mat rows become generators over x1..xn."""
-    text = path.read_text(encoding="utf-8")
+    """Read an input file; .mat rows become generators over x1..xn.
+
+    The rows of a .mat file are the vertices themselves, so two comparable
+    rows are an error: dropping the larger one, as ideal files do with a
+    dominated generator, would decide a polytope with fewer vertices.
+    """
+    text = _read_text(path)
     if path.suffix == ".mat":
         polytope = parse_matrix_text(text)
         names = tuple(f"x{k}" for k in range(1, polytope.ambient_dim + 1))
@@ -64,7 +75,15 @@ def _load_ideal(path: Path) -> SquarefreeIdeal:
             frozenset(names[j] for j, bit in enumerate(row) if bit)
             for row in polytope.vertices
         ]
-        return minimalize_generators(names, supports)
+        for i, low in enumerate(supports, start=1):
+            for j, high in enumerate(supports, start=1):
+                if low < high:
+                    raise InputError(
+                        f"rows {i} and {j} are comparable: every 1 of row {i} "
+                        f"is also in row {j}, so they are not the exponents of "
+                        "a minimal generating set"
+                    )
+        return SquarefreeIdeal(names, tuple(supports))
     return parse_ideal_text(text)
 
 
@@ -171,7 +190,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     ideal = _load_ideal(Path(args.file))
     polytope = polytope_from_ideal(ideal)
-    coefficients = parse_witness_text(Path(args.witness).read_text(encoding="utf-8"))
+    coefficients = parse_witness_text(_read_text(Path(args.witness)))
     result = verify_coefficients(polytope, coefficients)
     if args.format == "json":
         print(json.dumps(report.verification_payload(result), indent=2))

@@ -146,10 +146,41 @@ class MinorHit:
     torsion: TorsionCertificate | None
 
 
+def _may_fire(minor: LabeledHypergraph, rule: str) -> bool:
+    """A necessary condition for a witness detector to fire on a minor.
+
+    Each reads ``minor.labels``, whose nonempty images are the edges, and
+    none builds the 1-skeleton:
+
+    - Theorem 4.1 fires only with an even vertex count and no edge of odd
+      size (even dimension);
+    - Theorem 4.5 needs a connected 1-skeleton, so at least s - 1 distinct
+      2-vertex edges on s vertices;
+    - Theorem 4.8 needs a simple edge with at least 3 vertices, and the
+      cheap "some edge has 3 or more vertices" is tested first.
+    """
+    s = minor.num_vertices
+    if rule == RULE_CONNECTED_ODD:
+        return s % 2 == 0 and all(len(img) % 2 == 0 for _, img in minor.labels)
+    if rule == RULE_BICOLOR:
+        return len({img for _, img in minor.labels if len(img) == 2}) >= s - 1
+    if rule == RULE_PAIR:
+        return any(len(img) >= 3 for _, img in minor.labels) and any(
+            len(edge.vertices) >= 3 for edge in minor.simple_edges()
+        )
+    return True
+
+
 def _detect_on_minor(
     minor: LabeledHypergraph, rule: str, config: EngineConfig
 ) -> Witness | None:
-    """Run one witness-producing detector; only not-normal outcomes count."""
+    """Run one witness-producing detector; only not-normal outcomes count.
+
+    The detector runs only where ``_may_fire`` holds, so a minor it could
+    not fire on costs no 1-skeleton, simple-edge scan or cycle search.
+    """
+    if not _may_fire(minor, rule):
+        return None
     if rule == RULE_CONNECTED_ODD:
         outcome = decide_connected_odd(minor)
         if outcome.status == NOT_NORMAL:

@@ -13,6 +13,13 @@ and all searches enumerate candidates in that order.  A LabeledHypergraph
 is frozen, so the structure derived from it (edges, separation, simple
 edges, 1-skeleton) is computed once per object and shared by every
 caller; none of it may be mutated.
+
+Restrictions to a vertex subset (induced subhypergraphs, the reduced
+hypergraph, every minor) are built by one private constructor that skips
+validation, since a restriction of a valid hypergraph is valid.  The
+minor walk keeps each surviving vertex set as a bitmask, with vertex v of
+n stored as bit n - v, so that integer order on masks of one size is the
+reverse of lexicographic order on their vertex tuples.
 """
 
 from __future__ import annotations
@@ -372,13 +379,30 @@ def induced_subhypergraph(
     for v in keep:
         if not 1 <= v <= hypergraph.num_vertices:
             raise ValueError(f"vertex {v} is not in the hypergraph")
-    renumber = {old: new for new, old in enumerate(keep, start=1)}
+    return _restrict(hypergraph, keep), keep
+
+
+def _restrict(
+    hypergraph: LabeledHypergraph, keep: tuple[int, ...]
+) -> LabeledHypergraph:
+    """The restriction to ``keep``, ascending vertices of the hypergraph.
+
+    Every restriction, minors included, is built here, and without
+    __post_init__: label names stay distinct and nonempty, images stay
+    frozensets inside 1..len(keep), and every kept vertex keeps an image,
+    so its checks could never fail.
+    """
+    renumber = {old: new for new, old in enumerate(keep, start=1)}.get
     labels = []
     for name, img in hypergraph.labels:
-        contracted = frozenset(renumber[v] for v in img if v in renumber)
+        # new ids start at 1, so filter(None, ...) drops exactly the lost ones
+        contracted = frozenset(filter(None, map(renumber, img)))
         if contracted:
             labels.append((name, contracted))
-    return LabeledHypergraph(len(keep), tuple(labels)), keep
+    restricted = object.__new__(LabeledHypergraph)
+    object.__setattr__(restricted, "num_vertices", len(keep))
+    object.__setattr__(restricted, "labels", tuple(labels))
+    return restricted
 
 
 @dataclass(frozen=True)
@@ -408,6 +432,16 @@ def delete_edge(
     return sub, trace
 
 
+def _mask_vertices(n: int, mask: int) -> tuple[int, ...]:
+    # the highest set bit is the smallest vertex, so this ascends
+    out = []
+    while mask:
+        bit = mask.bit_length() - 1
+        out.append(n - bit)
+        mask ^= 1 << bit
+    return tuple(out)
+
+
 def enumerate_minors(
     hypergraph: LabeledHypergraph, budget: int | None = None
 ) -> Iterator[tuple[LabeledHypergraph, MinorTrace]]:
@@ -415,33 +449,44 @@ def enumerate_minors(
 
     A minor is determined by its surviving vertex set, so states are
     deduplicated on that; enumeration is largest-first with lexicographic
-    tie-breaks, starting with the hypergraph itself (the empty deletion
-    sequence).  At most ``budget`` minors are yielded when a budget is
-    given.
+    tie-breaks on the surviving tuple, starting with the hypergraph itself
+    (the empty deletion sequence).  At most ``budget`` minors are yielded
+    when a budget is given.
+
+    A state is one int with vertex v of the n vertices stored as bit n - v.
+    Of two surviving sets of one size, the lexicographically smaller
+    tuple holds the smallest vertex where they differ, which is their
+    highest differing bit, so it is the larger int; the heap key
+    (-popcount, -mask) is therefore the tuple order.  The edges of a state
+    are the distinct nonzero ``image & state`` over the images of the
+    hypergraph.  Each deletion path is the first one found, and keys never
+    tie, so the order in which one state's children are pushed cannot
+    change the walk.  Minors are built by ``_restrict``, as in
+    ``induced_subhypergraph``.
     """
     if budget is not None and budget <= 0:
         return
-    start = tuple(hypergraph.vertices)
+    n = hypergraph.num_vertices
+    images = {sum(1 << (n - v) for v in img) for img in hypergraph._labels_by_image if img}
+    start = (1 << n) - 1
     # deletion path per discovered state, in the parent's vertex ids
-    paths: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {start: ()}
-    heap: list[tuple[int, tuple[int, ...]]] = [(-len(start), start)]
+    paths: dict[int, tuple[tuple[int, ...], ...]] = {start: ()}
+    heap: list[tuple[int, int]] = [(-n, -start)]
     yielded = 0
     while heap:
-        _, state = heapq.heappop(heap)
-        sub, mapping = induced_subhypergraph(hypergraph, state)
+        _, negated = heapq.heappop(heap)
+        state = -negated
+        surviving = _mask_vertices(n, state)
         path = paths[state]
-        yield sub, MinorTrace(hypergraph, path, state)
+        yield _restrict(hypergraph, surviving), MinorTrace(hypergraph, path, surviving)
         yielded += 1
         if budget is not None and yielded >= budget:
             return
-        for edge in sub.edges:
-            # mapping is increasing, so the original edge stays sorted
-            original_edge = tuple(mapping[v - 1] for v in edge)
-            gone = set(original_edge)
-            child = tuple(v for v in state if v not in gone)
+        for edge in {img & state for img in images}:
+            child = state ^ edge  # edge 0 gives the state itself, already seen
             if child not in paths:
-                paths[child] = path + (original_edge,)
-                heapq.heappush(heap, (-len(child), child))
+                paths[child] = path + (_mask_vertices(n, edge),)
+                heapq.heappush(heap, (-child.bit_count(), -child))
 
 
 @dataclass(frozen=True)

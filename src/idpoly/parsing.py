@@ -172,7 +172,11 @@ def parse_matrix_text(text: str) -> ZeroOnePolytope:
 
 
 def parse_witness_text(text: str) -> tuple[Fraction, ...]:
-    """Parse a witness file: one rational per line, aligned with generators."""
+    """Parse a witness file: one rational per line, aligned with generators.
+
+    A rational is written in ASCII without digit separators: ``Fraction``
+    alone would also take ``1_0`` and non-ASCII digits such as ``١/٢``.
+    """
     values: list[Fraction] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
@@ -183,6 +187,8 @@ def parse_witness_text(text: str) -> tuple[Fraction, ...]:
                 f"line {line_no}: expected one rational per line, got {raw.strip()!r}"
             )
         try:
+            if not line.isascii() or "_" in line:
+                raise ValueError(line)
             values.append(Fraction(line))
         except (ValueError, ZeroDivisionError):
             raise InputError(f"line {line_no}: cannot parse rational {line!r}") from None

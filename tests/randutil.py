@@ -1,9 +1,12 @@
-"""Random minimal squarefree ideals for the randomized suites."""
+"""Random minimal squarefree ideals and their hypergraphs for the randomized suites."""
 
 from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
+from idpoly.hypergraph import build_from_ideal
 from idpoly.model import SquarefreeIdeal
 
 
@@ -36,3 +39,20 @@ def random_minimal_ideal(
         frozenset(rename[v] for v in sup) for sup in supports
     )
     return SquarefreeIdeal(variables, generators)
+
+
+@st.composite
+def separated_hypergraphs(draw):
+    """Hypergraphs of minimal ideals on at most 6 variables, 7 generators."""
+    n = draw(st.integers(1, 6))
+    names = tuple(f"x{i}" for i in range(1, n + 1))
+    supports = draw(
+        st.lists(
+            st.frozensets(st.sampled_from(names), min_size=1),
+            min_size=1,
+            max_size=7,
+            unique=True,
+        )
+    )
+    minimal = [g for g in supports if not any(f < g for f in supports)]
+    return build_from_ideal(SquarefreeIdeal(names, tuple(minimal)))

@@ -291,15 +291,45 @@ def test_oracle_demotes_witness_that_fails_verification(run_cli, monkeypatch):
     ]
 
 
-def test_matrix_with_dominated_row_warns_and_proceeds(run_cli, tmp_path):
+def test_matrix_with_dominated_row_rejected(run_cli, tmp_path):
     mat = tmp_path / "dominated.mat"
     mat.write_text("2 3\n110\n100\n")
     code, out, err = run_cli("analyze", str(mat), "--format", "json")
-    assert code == 0
-    assert "warning:" in err
-    assert "dropped dominated generator" in err
-    payload = json.loads(out)
-    assert payload["verdict"] == "normal"
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: rows 2 and 1 are comparable")
+
+
+@pytest.mark.parametrize("command", ["analyze", "oracle", "verify"])
+def test_comparable_rows_rejected_by_every_command(run_cli, tmp_path, command):
+    # minimalized, these rows read as normal; the oracle on the four rows as
+    # given finds a degree-2 witness with every coefficient 1/2
+    mat = tmp_path / "comparable.mat"
+    mat.write_text("4 5\n00010\n01100\n10000\n11110\n")
+    witness = tmp_path / "halves.w"
+    witness.write_text("1/2\n1/2\n1/2\n1/2\n")
+    extra = ("--witness", str(witness)) if command == "verify" else ()
+    code, out, err = run_cli(command, str(mat), *extra)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: rows 1 and 4 are comparable: every 1 of row 1 is also in row 4, "
+        "so they are not the exponents of a minimal generating set\n"
+    )
+
+
+@pytest.mark.parametrize("target", ["input", "witness"])
+def test_undecodable_file_rejected(run_cli, tmp_path, target):
+    garbage = tmp_path / "latin1.txt"
+    garbage.write_bytes(b"1/2\n\xe9\n")
+    if target == "input":
+        argv = ("analyze", str(garbage))
+    else:
+        argv = ("verify", data_path("rem32.mat"), "--witness", str(garbage))
+    code, out, err = run_cli(*argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {garbage}: not UTF-8 text (byte 4)\n"
 
 
 def test_bad_matrix_rejected(run_cli, tmp_path):

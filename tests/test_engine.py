@@ -1,9 +1,19 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
+from idpoly import engine
+from idpoly.certificates import (
+    RuleOutcome,
+    Witness,
+    bicolor_obstruction,
+    decide_connected_odd,
+    find_exceptional_pair,
+)
 from idpoly.engine import (
     NORMAL,
     NOT_NORMAL,
@@ -18,11 +28,15 @@ from idpoly.engine import (
     RULE_TORSION,
     UNKNOWN,
     EngineConfig,
+    _may_fire,
     analyze,
     citation_for,
 )
+from idpoly.hypergraph import build_from_ideal, enumerate_minors, reduce_closed_fixpoint
 from idpoly.model import SquarefreeIdeal, polytope_from_ideal
 from idpoly.oracle import decide_normal_bruteforce, verify_witness
+
+from randutil import separated_hypergraphs
 
 HALF = Fraction(1, 2)
 
@@ -358,3 +372,137 @@ def test_unreduced_and_reduced_verdicts_match(load_ideal):
     )
     padded = analyze(ideal)
     assert plain.status == padded.status == NOT_NORMAL
+
+
+GUARDED_RULES = (RULE_CONNECTED_ODD, RULE_BICOLOR, RULE_PAIR)
+
+
+def unguarded_fires(minor, rule):
+    """Whether the detector itself fires, without the engine's guard."""
+    if rule == RULE_CONNECTED_ODD:
+        return decide_connected_odd(minor).status == NOT_NORMAL
+    if rule == RULE_BICOLOR:
+        return bicolor_obstruction(minor) is not None
+    return any(
+        find_exceptional_pair(minor, relaxed=relaxed) is not None
+        for relaxed in (False, True)
+    )
+
+
+def guarded_minor_rules_that_fire(h, budget=None):
+    fired = set()
+    for minor, _ in enumerate_minors(h, budget=budget):
+        if minor.num_vertices == 0:
+            continue
+        for rule in GUARDED_RULES:
+            if unguarded_fires(minor, rule):
+                assert _may_fire(minor, rule), (rule, minor)
+                fired.add(rule)
+    return fired
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=separated_hypergraphs())
+def test_minor_guards_hold_wherever_a_detector_fires(h):
+    guarded_minor_rules_that_fire(h)
+
+
+def test_minor_guards_hold_on_fixture_minors(load_ideal):
+    from conftest import DATA
+
+    fired = set()
+    for path in sorted(DATA.glob("*.ideal")) + [DATA / "rem32.mat"]:
+        ideal = mat_ideal(path.name) if path.suffix == ".mat" else load_ideal(path.name)
+        reduced, _ = reduce_closed_fixpoint(build_from_ideal(ideal))
+        fired |= guarded_minor_rules_that_fire(reduced, budget=200)
+    assert fired == set(GUARDED_RULES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=separated_hypergraphs())
+def test_minor_guards_are_their_stated_conditions(h):
+    for minor, _ in enumerate_minors(h):
+        s = minor.num_vertices
+        if s == 0:
+            continue
+        even = s % 2 == 0 and all(len(e) % 2 == 0 for e in minor.edges)
+        assert _may_fire(minor, RULE_CONNECTED_ODD) == even
+        connectable = len(minor.one_skeleton().edges) >= s - 1
+        assert _may_fire(minor, RULE_BICOLOR) == connectable
+        fat_simple = any(len(e.vertices) >= 3 for e in minor.simple_edges())
+        assert _may_fire(minor, RULE_PAIR) == fat_simple
+
+
+def zero_witness(num_vertices, num_labels):
+    """Well-formed but invalid: the zero point at degree 0 decomposes trivially."""
+    return Witness((Fraction(0),) * num_vertices, 0, (0,) * num_labels)
+
+
+NO_STRUCTURAL_RULES = dict(
+    use_connected_odd=False,
+    use_balanced_uniform=False,
+    use_torsion=False,
+    use_bicolor=False,
+    use_exceptional_pair=False,
+)
+
+
+def test_demoted_structural_candidate_falls_through(monkeypatch):
+    def planted(h):
+        return RuleOutcome(NOT_NORMAL, "planted", zero_witness(h.num_vertices, len(h.labels)))
+
+    monkeypatch.setattr(engine, "decide_connected_odd", planted)
+    report = analyze(mat_ideal("rem32.mat"))
+    assert report.status == NOT_NORMAL
+    assert report.rule == RULE_TORSION
+    assert report.torsion.m == 2
+    assert report.verified
+    assert report.diagnostics[0] == (RULE_CONNECTED_ODD, "not_normal: planted")
+    assert report.diagnostics[-1][0] == RULE_CONNECTED_ODD
+    assert report.diagnostics[-1][1].startswith("demoted: witness failed verification: ")
+
+
+def test_demoted_minor_witness_goes_on_to_the_oracle(load_ideal, monkeypatch):
+    real = engine._search_minors
+
+    def planted(hypergraph, config):
+        hit, examined, notes = real(hypergraph, config)
+        assert hit.rule == RULE_CONNECTED_ODD
+        bad = zero_witness(hypergraph.num_vertices, len(hypergraph.labels))
+        return replace(hit, witness=bad), examined, notes
+
+    monkeypatch.setattr(engine, "_search_minors", planted)
+    report = analyze(load_ideal("hex6.ideal"), EngineConfig(**NO_STRUCTURAL_RULES))
+    assert report.status == NOT_NORMAL
+    assert report.rule == RULE_ORACLE
+    assert report.minor is None
+    assert report.witness.degree == 3
+    assert report.verified
+    assert report.stats["oracle_degrees"] == [2, 3]
+    rules = [rule for rule, _ in report.diagnostics]
+    assert rules == [RULE_MINOR]
+    assert report.diagnostics[0][1].startswith(
+        "demoted: lifted witness failed verification: "
+    )
+
+
+def test_demoted_oracle_witness_is_unknown_at_once(load_ideal, monkeypatch):
+    real = engine.decide_normal_bruteforce
+
+    def planted(polytope, **kwargs):
+        verdict = real(polytope, **kwargs)
+        bad = zero_witness(polytope.num_vertices, polytope.ambient_dim)
+        return replace(verdict, witness=bad)
+
+    monkeypatch.setattr(engine, "decide_normal_bruteforce", planted)
+    config = EngineConfig(use_minors=False, **NO_STRUCTURAL_RULES)
+    report = analyze(load_ideal("hex6.ideal"), config)
+    assert report.status == UNKNOWN
+    assert report.rule is None
+    assert report.witness is None
+    assert not report.verified
+    assert report.stats["oracle_degrees"] == [2, 3]
+    assert len(report.diagnostics) == 1
+    rule, message = report.diagnostics[0]
+    assert rule == RULE_ORACLE
+    assert message.startswith("demoted: witness failed verification: ")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -48,4 +47,3 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name in INPUTS:
         (GOLDEN / f"{name}.json").write_text(report_without_stats(name), encoding="utf-8")
-    sys.exit(0)

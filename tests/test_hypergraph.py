@@ -26,7 +26,7 @@ from idpoly.hypergraph import (
 )
 from idpoly.model import SquarefreeIdeal, polytope_from_ideal
 
-from randutil import random_minimal_ideal
+from randutil import random_minimal_ideal, separated_hypergraphs
 
 
 def test_rem32_label_images():
@@ -116,6 +116,29 @@ def small_hypergraphs(draw):
     images = draw(
         st.lists(st.frozensets(st.integers(1, s), max_size=s), max_size=6)
     )
+    return _covering(s, images)
+
+
+@st.composite
+def wide_hypergraphs(draw):
+    """8 to 12 vertices and images of at least half of them.
+
+    Vertex 1 is the top bit of the minor walk's masks, so these are the
+    inputs where a bit-order or tie-break slip would show.
+    """
+    s = draw(st.integers(8, 12))
+    images = draw(
+        st.lists(
+            st.frozensets(st.integers(1, s), min_size=s // 2, max_size=s),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    narrow = draw(st.lists(st.frozensets(st.integers(1, s), max_size=3), max_size=3))
+    return _covering(s, images + narrow)
+
+
+def _covering(s: int, images: list) -> LabeledHypergraph:
     uncovered = frozenset(range(1, s + 1)).difference(*images)
     if uncovered:
         images.append(uncovered)
@@ -175,26 +198,23 @@ def pointer_chasing_minors(h: LabeledHypergraph, budget: int | None = None):
 
 
 @settings(max_examples=300, deadline=None)
-@given(h=small_hypergraphs(), budget=st.none() | st.integers(0, 12))
+@given(
+    h=small_hypergraphs() | wide_hypergraphs(),
+    budget=st.none() | st.integers(0, 12) | st.integers(100, 400),
+)
 def test_minor_walk_matches_pointer_chasing(h, budget):
     walked = [(t.surviving, t.deleted_edges) for _, t in enumerate_minors(h, budget=budget)]
     assert walked == list(pointer_chasing_minors(h, budget))
 
 
-@st.composite
-def separated_hypergraphs(draw):
-    n = draw(st.integers(1, 6))
-    names = tuple(f"x{i}" for i in range(1, n + 1))
-    supports = draw(
-        st.lists(
-            st.frozensets(st.sampled_from(names), min_size=1),
-            min_size=1,
-            max_size=7,
-            unique=True,
-        )
-    )
-    minimal = [g for g in supports if not any(f < g for f in supports)]
-    return build_from_ideal(SquarefreeIdeal(names, tuple(minimal)))
+@settings(max_examples=150, deadline=None)
+@given(h=small_hypergraphs() | wide_hypergraphs())
+def test_minors_are_validated_restrictions(h):
+    for minor, trace in enumerate_minors(h, budget=300):
+        assert trace.parent is h
+        assert minor == induced_subhypergraph(h, trace.surviving)[0]
+        # the walk skips validation; the checked constructor must agree
+        assert LabeledHypergraph(minor.num_vertices, minor.labels) == minor
 
 
 @settings(max_examples=200, deadline=None)

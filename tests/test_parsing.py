@@ -165,3 +165,17 @@ def test_witness_files():
         parse_witness_text("1 2\n")
     with pytest.raises(InputError, match="witness file has no coefficients"):
         parse_witness_text("# empty\n")
+
+
+@pytest.mark.parametrize("text", ["١/٢", "1_0", "１/2"])
+def test_witness_rationals_are_ascii(text):
+    with pytest.raises(InputError, match=f"line 1: cannot parse rational {text!r}"):
+        parse_witness_text(text + "\n")
+
+
+def test_witness_ascii_forms_still_parse():
+    assert parse_witness_text("-1/2\n+3\n0.25\n") == (
+        Fraction(-1, 2),
+        Fraction(3),
+        Fraction(1, 4),
+    )
