@@ -30,7 +30,7 @@ from .hypergraph import (
 )
 from .oracle import OracleVerdict, decide_normal_bruteforce, verify_witness
 from .certificates import Witness
-from .engine import EngineConfig, VerdictReport, analyze
+from .engine import EngineConfig, VerdictReport, analyze, oracle_report
 
 __version__ = "0.1.0"
 
@@ -53,6 +53,7 @@ __all__ = [
     "generator_degrees",
     "ideal_of",
     "minimalize_generators",
+    "oracle_report",
     "polytope_from_ideal",
     "reduce_closed_fixpoint",
     "verify_witness",

@@ -16,6 +16,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .hypergraph import (
+    CYCLE_BUDGET,
     BudgetExceeded,
     Cycle,
     LabeledHypergraph,
@@ -31,6 +32,9 @@ NORMAL = "normal"
 NOT_NORMAL = "not_normal"
 INAPPLICABLE = "inapplicable"
 BUDGET_EXCEEDED = "budget_exceeded"
+
+# path-search node budget of the exceptional-pair search
+PAIR_BUDGET = 200_000
 
 RED = "red"
 BLUE = "blue"
@@ -260,7 +264,7 @@ def decide_connected_odd(hypergraph: LabeledHypergraph) -> RuleOutcome:
 
 
 def balanced_uniform_rule(
-    hypergraph: LabeledHypergraph, budget: int = 10**6
+    hypergraph: LabeledHypergraph, budget: int = CYCLE_BUDGET
 ) -> RuleOutcome:
     """Normal when generators share one degree and no special odd cycle exists.
 
@@ -455,7 +459,7 @@ def _connection_between(
 
 
 def find_exceptional_pair(
-    hypergraph: LabeledHypergraph, relaxed: bool = False, budget: int = 200_000
+    hypergraph: LabeledHypergraph, relaxed: bool = False, budget: int = PAIR_BUDGET
 ) -> ExceptionalPair | None:
     """Search for two connected odd cycles forming an obstruction pattern.
 

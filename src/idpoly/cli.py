@@ -2,12 +2,15 @@
 
 Subcommands: analyze (full pipeline), oracle (brute force only),
 hypergraph (dump the labeled hypergraph), reduce (closed-vertex
-fixpoint), verify (check a witness file).  Input files ending in .mat
-are vertex matrices; anything else parses as an ideal file.  Reports go
-to stdout, warnings to stderr.  Exit code 0 means the run completed
-with a verdict (an invalid witness is still a completed verification),
-2 means bad input, 3 means no verdict: budgets ran out, or a negative
-witness failed re-verification and was demoted to unknown.
+fixpoint), verify (check a witness file).  analyze and oracle are views
+over one engine call each, ``engine.analyze`` and ``engine.oracle_report``:
+load the input, call the engine, print its report, return the exit code.
+Input files ending in .mat are vertex matrices; anything else parses as
+an ideal file.  Reports go to stdout, warnings to stderr.  Exit code 0
+means the run completed with a verdict (an invalid witness is still a
+completed verification), 2 means bad input, 3 means no verdict: budgets
+ran out, or a negative witness failed re-verification and was demoted
+to unknown.
 """
 
 from __future__ import annotations
@@ -15,36 +18,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 import warnings
 from pathlib import Path
 
-from .engine import (
-    RULE_ORACLE,
-    UNKNOWN,
-    EngineConfig,
-    VerdictReport,
-    analyze,
-    citation_for,
-)
-from .hypergraph import (
-    NotSeparatedError,
-    ReductionTrace,
-    build_from_ideal,
-    reduce_closed_fixpoint,
-)
-from .model import (
-    InputError,
-    SquarefreeIdeal,
-    polytope_from_ideal,
-)
-from .oracle import (
-    NORMAL,
-    NOT_NORMAL,
-    decide_normal_bruteforce,
-    verify_coefficients,
-    verify_witness,
-)
+from .engine import UNKNOWN, EngineConfig, VerdictReport, analyze, oracle_report
+from .hypergraph import NotSeparatedError, build_from_ideal, reduce_closed_fixpoint
+from .model import InputError, SquarefreeIdeal, polytope_from_ideal
+from .oracle import verify_coefficients
 from .parsing import parse_ideal_text, parse_matrix_text, parse_witness_text
 from . import report
 
@@ -87,11 +67,13 @@ def _load_ideal(path: Path) -> SquarefreeIdeal:
     return parse_ideal_text(text)
 
 
-def _print_report(result: VerdictReport, fmt: str) -> None:
+def _print_report(result: VerdictReport, fmt: str) -> int:
+    """Print the report and return the exit code: 3 when there is no verdict."""
     if fmt == "json":
         print(report.render_json(result))
     else:
         print(report.render_text(result), end="")
+    return EXIT_BUDGET if result.status == UNKNOWN else EXIT_OK
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -106,64 +88,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         kwargs["minor_budget"] = args.minor_budget
     if args.oracle_max_degree is not None:
         kwargs["oracle_max_degree"] = args.oracle_max_degree
-    result = analyze(ideal, EngineConfig(**kwargs))
-    _print_report(result, args.format)
-    return EXIT_BUDGET if result.status == UNKNOWN else EXIT_OK
+    return _print_report(analyze(ideal, EngineConfig(**kwargs)), args.format)
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    """Brute force on the input polytope itself: no reduction, no rules."""
     ideal = _load_ideal(Path(args.file))
-    polytope = polytope_from_ideal(ideal)
-    hypergraph = build_from_ideal(ideal)
-    started = time.perf_counter()
-    verdict = decide_normal_bruteforce(polytope, max_degree=args.oracle_max_degree)
-    stats = {
-        "elapsed_ms": round((time.perf_counter() - started) * 1000, 3),
-        "oracle_degrees": list(verdict.degrees_checked),
-        "oracle_points": verdict.points_examined,
-        "bound": verdict.bound,
-    }
-    diagnostics: tuple[tuple[str, str], ...] = ()
-    witness = None
-    verified = False
-    if verdict.status == NORMAL:
-        status, rule = NORMAL, RULE_ORACLE
-        verified = True
-    elif verdict.status == NOT_NORMAL:
-        status, rule = NOT_NORMAL, RULE_ORACLE
-        witness = verdict.witness
-        if not args.no_verify:
-            check = verify_witness(polytope, witness)
-            if check.valid:
-                verified = True
-            else:
-                status, rule, witness = UNKNOWN, None, None
-                diagnostics = (
-                    (RULE_ORACLE, f"demoted: witness failed verification: {check.reason}"),
-                )
-    else:
-        status, rule = UNKNOWN, None
-        diagnostics = (
-            (RULE_ORACLE, f"inconclusive: scan truncated at degree {verdict.max_degree}"),
-        )
-    stats["diagnostics"] = [list(d) for d in diagnostics]
-    result = VerdictReport(
-        status,
-        rule,
-        citation_for(rule, status) if rule is not None else None,
-        witness,
-        None,
-        None,
-        ReductionTrace(hypergraph, (), tuple(hypergraph.vertices)),
-        None,
-        None,
-        verified,
-        diagnostics,
-        stats,
+    result = oracle_report(
+        ideal, max_degree=args.oracle_max_degree, verify=not args.no_verify
     )
-    _print_report(result, args.format)
-    return EXIT_BUDGET if status == UNKNOWN else EXIT_OK
+    return _print_report(result, args.format)
 
 
 def _cmd_hypergraph(args: argparse.Namespace) -> int:

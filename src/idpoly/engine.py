@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator, NamedTuple
 
 from .certificates import (
     NORMAL,
     NOT_NORMAL,
-    RuleOutcome,
     Witness,
     balanced_uniform_rule,
     bicolor_obstruction,
@@ -39,7 +39,7 @@ from .hypergraph import (
 )
 from .intlinalg import TorsionCertificate, torsion_check, verify_torsion_certificate
 from .model import SquarefreeIdeal, ZeroOnePolytope, polytope_from_ideal
-from .oracle import decide_normal_bruteforce, verify_witness
+from .oracle import INCONCLUSIVE, decide_normal_bruteforce, verify_witness
 
 UNKNOWN = "unknown"
 
@@ -81,14 +81,19 @@ def citation_for(rule: str, status: str) -> str:
     return CITATIONS[rule]
 
 
+# analyze runs the oracle only on a reduced instance within these caps,
+# since past them its scan cannot finish in reasonable time
+ORACLE_MAX_VERTICES = 8
+ORACLE_MAX_DIM = 12
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Which rules run, and how hard they are allowed to try.
 
     minor_rules selects the detectors replayed on each minor; it is
     independent of the top-level enable flags so minors stay useful when
-    a top-level rule is switched off.  The oracle size caps keep the
-    brute force from being launched on instances it cannot finish.
+    a top-level rule is switched off.
     """
 
     use_connected_odd: bool = True
@@ -102,18 +107,13 @@ class EngineConfig:
     minor_rules: frozenset[str] = frozenset(
         (RULE_CONNECTED_ODD, RULE_TORSION, RULE_BICOLOR, RULE_PAIR)
     )
-    oracle_max_vertices: int = 8
-    oracle_max_dim: int = 12
     oracle_max_degree: int | None = None
     relaxed_connection: bool = False
     verify: bool = True
-    cycle_budget: int = 10**6
-    pair_budget: int = 200_000
 
     def __post_init__(self) -> None:
-        for name in ("minor_budget", "cycle_budget", "pair_budget"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} cannot be negative")
+        if self.minor_budget < 0:
+            raise ValueError("minor_budget cannot be negative")
         if self.oracle_max_degree is not None and self.oracle_max_degree < 0:
             raise ValueError("oracle_max_degree cannot be negative")
 
@@ -190,9 +190,7 @@ def _detect_on_minor(
         if found is not None:
             return found[1]
     elif rule == RULE_PAIR:
-        pair = find_exceptional_pair(
-            minor, relaxed=config.relaxed_connection, budget=config.pair_budget
-        )
+        pair = find_exceptional_pair(minor, relaxed=config.relaxed_connection)
         if pair is not None:
             return exceptional_witness(minor, pair)
     return None
@@ -254,80 +252,128 @@ def _search_minors(
     return None, examined, tuple(notes)
 
 
-def analyze(
-    ideal: SquarefreeIdeal, config: EngineConfig | None = None
-) -> VerdictReport:
-    """Decide normality of the ideal's polytope with a replayable report.
+class _Candidate(NamedTuple):
+    """A verdict one rule proposes; it stands once ``_settle`` re-checks it.
 
-    Pipeline: closed-vertex reduction, then the structural rules in
-    priority order (all of them run; the first conclusive one is
-    reported), then negative detectors over minors, then the exact oracle
-    when the reduced instance fits its size caps.  Witnesses found on
-    reduced or minor hypergraphs are lifted back and verified against the
-    original polytope.
+    ``lattice`` holds the points a torsion certificate is re-checked
+    against; a certificate found on a minor was checked there and has none.
     """
-    cfg = config or EngineConfig()
-    started = time.perf_counter()
-    hypergraph = build_from_ideal(ideal)
-    violation = hypergraph.separation_violation()
-    if violation is not None:
-        raise NotSeparatedError(violation)
-    original = polytope_from_ideal(ideal)
-    reduced, reduction = reduce_closed_fixpoint(hypergraph)
 
-    diagnostics: list[tuple[str, str]] = []
-    stats: dict = {}
+    rule: str | None
+    status: str = NOT_NORMAL
+    witness: Witness | None = None
+    torsion: TorsionCertificate | None = None
+    torsion_scope: str | None = None
+    lattice: tuple[tuple[int, ...], ...] | None = None
+    minor: MinorTrace | None = None
+    minor_rule: str | None = None
 
-    def finish(
-        status: str,
-        rule: str | None,
-        *,
-        witness: Witness | None = None,
-        torsion: TorsionCertificate | None = None,
-        torsion_scope: str | None = None,
-        minor: MinorTrace | None = None,
-        minor_rule: str | None = None,
-        verified: bool = False,
-    ) -> VerdictReport:
-        stats["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 3)
-        stats["diagnostics"] = list(diagnostics)
-        paper = citation_for(rule, status) if rule is not None else None
-        return VerdictReport(
-            status,
-            rule,
-            paper,
-            witness,
-            torsion,
-            torsion_scope,
-            reduction,
-            minor,
-            minor_rule,
-            verified,
-            tuple(diagnostics),
-            stats,
+
+def _settle(
+    candidates: Iterable[_Candidate],
+    polytope: ZeroOnePolytope,
+    reduction: ReductionTrace,
+    verify: bool,
+    diagnostics: list[tuple[str, str]],
+    stats: dict,
+    started: float,
+) -> VerdictReport:
+    """Report the first candidate that survives re-verification, else unknown.
+
+    A witness is lifted through the reduction when that removed vertices
+    (otherwise it is checked exactly as found) and, when ``verify`` is on,
+    checked against ``polytope``; a torsion certificate is re-checked
+    against its lattice.  A candidate that fails is demoted with a
+    diagnostic and the next one is drawn, so a later rule runs only when
+    every earlier candidate fell.
+    """
+    for candidate in candidates:
+        if candidate.witness is not None:
+            witness = candidate.witness
+            if reduction.removed:
+                witness = lift_witness(reduction, witness)
+            check = verify_witness(polytope, witness) if verify else None
+            if check is None or check.valid:
+                settled = candidate._replace(witness=witness)
+                break
+            found = "witness" if candidate.minor is None else "lifted witness"
+            diagnostics.append(
+                (candidate.rule, f"demoted: {found} failed verification: {check.reason}")
+            )
+        elif (
+            verify
+            and candidate.lattice is not None
+            and not verify_torsion_certificate(candidate.torsion, candidate.lattice)
+        ):
+            diagnostics.append((candidate.rule, "demoted: certificate failed re-check"))
+        else:
+            settled = candidate
+            break
+    else:
+        settled = _Candidate(None, UNKNOWN)
+    stats["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 3)
+    stats["diagnostics"] = list(diagnostics)
+    rule, status = settled.rule, settled.status
+    return VerdictReport(
+        status,
+        rule,
+        None if rule is None else citation_for(rule, status),
+        settled.witness,
+        settled.torsion,
+        settled.torsion_scope,
+        reduction,
+        settled.minor,
+        settled.minor_rule,
+        status == NORMAL or (status == NOT_NORMAL and verify),
+        tuple(diagnostics),
+        stats,
+    )
+
+
+def _oracle_candidates(
+    polytope: ZeroOnePolytope,
+    max_degree: int | None,
+    diagnostics: list[tuple[str, str]],
+    stats: dict,
+) -> Iterator[_Candidate]:
+    """The exact oracle's verdict on the polytope as given, unless truncated."""
+    verdict = decide_normal_bruteforce(polytope, max_degree=max_degree)
+    stats["oracle_degrees"] = list(verdict.degrees_checked)
+    stats["oracle_points"] = verdict.points_examined
+    stats["bound"] = verdict.bound
+    if verdict.status == INCONCLUSIVE:
+        diagnostics.append(
+            (RULE_ORACLE, f"inconclusive: scan truncated at degree {verdict.max_degree}")
         )
+    else:
+        yield _Candidate(RULE_ORACLE, verdict.status, verdict.witness)
 
-    stats["reduction_rounds"] = len(reduction.rounds)
-    if reduced.num_vertices == 0:
-        return finish(NORMAL, RULE_EMPTY, verified=True)
-    if reduced.num_vertices == 1:
-        return finish(NORMAL, RULE_SINGLE, verified=True)
 
+def _candidates(
+    reduced: LabeledHypergraph,
+    reduction: ReductionTrace,
+    cfg: EngineConfig,
+    diagnostics: list[tuple[str, str]],
+    stats: dict,
+) -> Iterator[_Candidate]:
+    """Candidate verdicts on the reduced instance, drawn lazily in priority order.
+
+    The structural rules all run before their first candidate is drawn;
+    the minor search runs only when none of those stood, and the oracle
+    only when the minors gave nothing that stood either.
+    """
     reduced_polytope = polytope_from_ideal(ideal_of(reduced))
-    torsion_scope = "reduced" if reduction.removed else "original"
-
-    # structural rules; everything runs, candidates queue up in priority order
-    candidates: list[tuple[str, RuleOutcome | TorsionCertificate]] = []
+    structural: list[_Candidate] = []
     if cfg.use_connected_odd:
         outcome = decide_connected_odd(reduced)
         diagnostics.append((RULE_CONNECTED_ODD, f"{outcome.status}: {outcome.reason}"))
         if outcome.is_conclusive:
-            candidates.append((RULE_CONNECTED_ODD, outcome))
+            structural.append(_Candidate(RULE_CONNECTED_ODD, outcome.status, outcome.witness))
     if cfg.use_balanced_uniform:
-        outcome = balanced_uniform_rule(reduced, budget=cfg.cycle_budget)
+        outcome = balanced_uniform_rule(reduced)
         diagnostics.append((RULE_BALANCED, f"{outcome.status}: {outcome.reason}"))
         if outcome.is_conclusive:
-            candidates.append((RULE_BALANCED, outcome))
+            structural.append(_Candidate(RULE_BALANCED, outcome.status, outcome.witness))
     if cfg.use_torsion:
         certificate = torsion_check(reduced_polytope.vertices)
         if certificate is None:
@@ -336,7 +382,15 @@ def analyze(
             diagnostics.append(
                 (RULE_TORSION, f"not_normal: invariant factor {certificate.m}")
             )
-            candidates.append((RULE_TORSION, certificate))
+            scope = "reduced" if reduction.removed else "original"
+            structural.append(
+                _Candidate(
+                    RULE_TORSION,
+                    torsion=certificate,
+                    torsion_scope=scope,
+                    lattice=reduced_polytope.vertices,
+                )
+            )
     if cfg.use_bicolor:
         found = bicolor_obstruction(reduced)
         if found is None:
@@ -351,13 +405,9 @@ def analyze(
                     f"has {r} red / {b} blue",
                 )
             )
-            candidates.append(
-                (RULE_BICOLOR, RuleOutcome(NOT_NORMAL, "unbalanced simple edge", witness))
-            )
+            structural.append(_Candidate(RULE_BICOLOR, witness=witness))
     if cfg.use_exceptional_pair:
-        pair = find_exceptional_pair(
-            reduced, relaxed=cfg.relaxed_connection, budget=cfg.pair_budget
-        )
+        pair = find_exceptional_pair(reduced, relaxed=cfg.relaxed_connection)
         if pair is None:
             diagnostics.append((RULE_PAIR, "inapplicable: no exceptional pair found"))
         else:
@@ -368,112 +418,97 @@ def analyze(
                     f"{pair.cycle_two.vertices}",
                 )
             )
-            candidates.append(
-                (
-                    RULE_PAIR,
-                    RuleOutcome(NOT_NORMAL, "exceptional pair", exceptional_witness(reduced, pair)),
-                )
+            structural.append(
+                _Candidate(RULE_PAIR, witness=exceptional_witness(reduced, pair))
             )
-
-    for rule, payload in candidates:
-        if isinstance(payload, TorsionCertificate):
-            if cfg.verify:
-                if not verify_torsion_certificate(payload, reduced_polytope.vertices):
-                    diagnostics.append((rule, "demoted: certificate failed re-check"))
-                    continue
-                verified = True
-            else:
-                verified = False
-            return finish(
-                NOT_NORMAL,
-                RULE_TORSION,
-                torsion=payload,
-                torsion_scope=torsion_scope,
-                verified=verified,
-            )
-        if payload.status == NORMAL:
-            return finish(NORMAL, rule, verified=True)
-        lifted = lift_witness(reduction, payload.witness)
-        if cfg.verify:
-            check = verify_witness(original, lifted)
-            if not check.valid:
-                diagnostics.append((rule, f"demoted: witness failed verification: {check.reason}"))
-                continue
-            verified = True
-        else:
-            verified = False
-        return finish(NOT_NORMAL, rule, witness=lifted, verified=verified)
+    yield from structural
 
     if cfg.use_minors and cfg.minor_rules and cfg.minor_budget > 0:
         hit, examined, notes = _search_minors(reduced, cfg)
         stats["minors_examined"] = examined
         diagnostics.extend(notes)
-        if hit is not None:
-            if hit.torsion is not None:
-                return finish(
-                    NOT_NORMAL,
-                    RULE_MINOR,
-                    torsion=hit.torsion,
-                    torsion_scope="minor",
-                    minor=hit.trace,
-                    minor_rule=hit.rule,
-                    verified=cfg.verify,
-                )
-            lifted = lift_witness(reduction, hit.witness)
-            if cfg.verify:
-                check = verify_witness(original, lifted)
-                if not check.valid:
-                    diagnostics.append(
-                        (RULE_MINOR, f"demoted: lifted witness failed verification: {check.reason}")
-                    )
-                    lifted = None
-            if lifted is not None:
-                return finish(
-                    NOT_NORMAL,
-                    RULE_MINOR,
-                    witness=lifted,
-                    minor=hit.trace,
-                    minor_rule=hit.rule,
-                    verified=cfg.verify,
-                )
-        else:
+        if hit is None:
             diagnostics.append((RULE_MINOR, f"no minor hit within budget ({examined} examined)"))
-
-    if cfg.use_oracle:
-        if (
-            reduced_polytope.num_vertices <= cfg.oracle_max_vertices
-            and reduced_polytope.ambient_dim <= cfg.oracle_max_dim
-        ):
-            verdict = decide_normal_bruteforce(
-                reduced_polytope, max_degree=cfg.oracle_max_degree
-            )
-            stats["oracle_degrees"] = list(verdict.degrees_checked)
-            stats["oracle_points"] = verdict.points_examined
-            if verdict.status == NORMAL:
-                return finish(NORMAL, RULE_ORACLE, verified=True)
-            if verdict.status == NOT_NORMAL:
-                lifted = lift_witness(reduction, verdict.witness)
-                if cfg.verify:
-                    check = verify_witness(original, lifted)
-                    if not check.valid:
-                        diagnostics.append(
-                            (RULE_ORACLE, f"demoted: witness failed verification: {check.reason}")
-                        )
-                        return finish(UNKNOWN, None)
-                    verified = True
-                else:
-                    verified = False
-                return finish(NOT_NORMAL, RULE_ORACLE, witness=lifted, verified=verified)
-            diagnostics.append(
-                (RULE_ORACLE, f"inconclusive: scan truncated at degree {verdict.max_degree}")
-            )
         else:
-            diagnostics.append(
-                (
-                    RULE_ORACLE,
-                    f"skipped: instance size ({reduced_polytope.num_vertices} vertices, "
-                    f"dimension {reduced_polytope.ambient_dim}) exceeds the oracle caps",
-                )
+            yield _Candidate(
+                RULE_MINOR,
+                witness=hit.witness,
+                torsion=hit.torsion,
+                torsion_scope=None if hit.torsion is None else "minor",
+                minor=hit.trace,
+                minor_rule=hit.rule,
             )
 
-    return finish(UNKNOWN, None)
+    if not cfg.use_oracle:
+        return
+    if (
+        reduced_polytope.num_vertices <= ORACLE_MAX_VERTICES
+        and reduced_polytope.ambient_dim <= ORACLE_MAX_DIM
+    ):
+        yield from _oracle_candidates(
+            reduced_polytope, cfg.oracle_max_degree, diagnostics, stats
+        )
+    else:
+        diagnostics.append(
+            (
+                RULE_ORACLE,
+                f"skipped: instance size ({reduced_polytope.num_vertices} vertices, "
+                f"dimension {reduced_polytope.ambient_dim}) exceeds the oracle caps",
+            )
+        )
+
+
+def analyze(
+    ideal: SquarefreeIdeal, config: EngineConfig | None = None
+) -> VerdictReport:
+    """Decide normality of the ideal's polytope with a replayable report.
+
+    Pipeline: closed-vertex reduction, then the structural rules in
+    priority order (all of them run; the first conclusive one is
+    reported), then negative detectors over minors, then the exact oracle
+    when the reduced instance fits its size caps.  Every candidate goes
+    through ``_settle``: witnesses found on reduced or minor hypergraphs
+    are lifted back and verified against the original polytope, and one
+    that fails falls through to the next candidate.
+    """
+    cfg = config or EngineConfig()
+    started = time.perf_counter()
+    hypergraph = build_from_ideal(ideal)
+    violation = hypergraph.separation_violation()
+    if violation is not None:
+        raise NotSeparatedError(violation)
+    original = polytope_from_ideal(ideal)
+    reduced, reduction = reduce_closed_fixpoint(hypergraph)
+    diagnostics: list[tuple[str, str]] = []
+    stats: dict = {"reduction_rounds": len(reduction.rounds)}
+    if reduced.num_vertices <= 1:
+        rule = RULE_EMPTY if reduced.num_vertices == 0 else RULE_SINGLE
+        candidates: Iterable[_Candidate] = (_Candidate(rule, NORMAL),)
+    else:
+        candidates = _candidates(reduced, reduction, cfg, diagnostics, stats)
+    return _settle(candidates, original, reduction, cfg.verify, diagnostics, stats, started)
+
+
+def oracle_report(
+    ideal: SquarefreeIdeal, *, max_degree: int | None = None, verify: bool = True
+) -> VerdictReport:
+    """The exact oracle alone on the ideal's polytope: no reduction, no rules.
+
+    The scan runs on the polytope as given, with no size caps, and its
+    verdict is settled like a candidate of ``analyze``: a witness that
+    fails re-verification is demoted, and the verdict is then unknown.
+    """
+    started = time.perf_counter()
+    hypergraph = build_from_ideal(ideal)
+    polytope = polytope_from_ideal(ideal)
+    diagnostics: list[tuple[str, str]] = []
+    stats: dict = {}
+    return _settle(
+        _oracle_candidates(polytope, max_degree, diagnostics, stats),
+        polytope,
+        ReductionTrace(hypergraph, (), tuple(hypergraph.vertices)),
+        verify,
+        diagnostics,
+        stats,
+        started,
+    )

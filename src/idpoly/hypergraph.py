@@ -52,6 +52,10 @@ class BudgetExceeded(RuntimeError):
     """A bounded search ran out of its node budget before resolving."""
 
 
+# node budget of the special-odd-cycle search behind balancedness
+CYCLE_BUDGET = 10**6
+
+
 def edge_sort_key(edge: Iterable[int]) -> tuple[int, int, tuple[int, ...]]:
     tup = tuple(sorted(edge))
     return (tup[0], len(tup), tup)
@@ -540,7 +544,7 @@ def reduce_closed_fixpoint(
 
 
 def find_special_odd_cycle(
-    hypergraph: LabeledHypergraph, budget: int = 10**6
+    hypergraph: LabeledHypergraph, budget: int = CYCLE_BUDGET
 ) -> Cycle | None:
     """Search for an odd cycle whose edges each meet it in exactly 2 vertices.
 
@@ -595,6 +599,6 @@ def find_special_odd_cycle(
     return None
 
 
-def is_balanced(hypergraph: LabeledHypergraph, budget: int = 10**6) -> bool:
+def is_balanced(hypergraph: LabeledHypergraph, budget: int = CYCLE_BUDGET) -> bool:
     """True when the hypergraph has no special odd cycle."""
     return find_special_odd_cycle(hypergraph, budget=budget) is None

@@ -136,16 +136,14 @@ def render_text(report: VerdictReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _balancedness(hypergraph: LabeledHypergraph, budget: int) -> bool | None:
+def _balancedness(hypergraph: LabeledHypergraph) -> bool | None:
     try:
-        return is_balanced(hypergraph, budget=budget)
+        return is_balanced(hypergraph)
     except BudgetExceeded:
         return None
 
 
-def hypergraph_payload(
-    hypergraph: LabeledHypergraph, cycle_budget: int = 10**6
-) -> dict:
+def hypergraph_payload(hypergraph: LabeledHypergraph) -> dict:
     skeleton = hypergraph.one_skeleton()
     return {
         "vertices": hypergraph.num_vertices,
@@ -161,11 +159,11 @@ def hypergraph_payload(
             "connected": skeleton.is_connected,
             "bipartite": skeleton.is_bipartite,
         },
-        "balanced": _balancedness(hypergraph, cycle_budget),
+        "balanced": _balancedness(hypergraph),
     }
 
 
-def hypergraph_text(hypergraph: LabeledHypergraph, cycle_budget: int = 10**6) -> str:
+def hypergraph_text(hypergraph: LabeledHypergraph) -> str:
     views = hypergraph.edge_views()
     skeleton = hypergraph.one_skeleton()
     lines = [f"vertices: {hypergraph.num_vertices}", f"edges: {len(views)}"]
@@ -180,7 +178,7 @@ def hypergraph_text(hypergraph: LabeledHypergraph, cycle_budget: int = 10**6) ->
     )
     lines.append(f"skeleton connected: {'yes' if skeleton.is_connected else 'no'}")
     lines.append(f"skeleton bipartite: {'yes' if skeleton.is_bipartite else 'no'}")
-    balanced = _balancedness(hypergraph, cycle_budget)
+    balanced = _balancedness(hypergraph)
     lines.append(
         "balanced: " + ("unknown" if balanced is None else "yes" if balanced else "no")
     )

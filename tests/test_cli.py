@@ -260,13 +260,14 @@ def test_oracle_truncation_exit_code(run_cli):
     assert payload["rule"] is None
 
 
-def test_oracle_demotes_witness_that_fails_verification(run_cli, monkeypatch):
+def plant_wrong_oracle_point(monkeypatch):
+    """Make the oracle's witness declare the zero point, which fails re-checking."""
     from dataclasses import replace
 
-    from idpoly import cli
+    from idpoly import engine
     from idpoly.certificates import Witness
 
-    real = cli.decide_normal_bruteforce
+    real = engine.decide_normal_bruteforce
 
     def bad_witness(polytope, **kwargs):
         verdict = real(polytope, **kwargs)
@@ -274,7 +275,11 @@ def test_oracle_demotes_witness_that_fails_verification(run_cli, monkeypatch):
         wrong_point = Witness(w.coefficients, w.degree, (0,) * len(w.point))
         return replace(verdict, witness=wrong_point)
 
-    monkeypatch.setattr(cli, "decide_normal_bruteforce", bad_witness)
+    monkeypatch.setattr(engine, "decide_normal_bruteforce", bad_witness)
+
+
+def test_oracle_demotes_witness_that_fails_verification(run_cli, monkeypatch):
+    plant_wrong_oracle_point(monkeypatch)
     code, out, _ = run_cli("oracle", data_path("rem32.mat"), "--format", "json")
     assert code == 3
     payload = json.loads(out)
@@ -289,6 +294,38 @@ def test_oracle_demotes_witness_that_fails_verification(run_cli, monkeypatch):
             "declared point does not match the coefficient combination",
         ]
     ]
+
+
+def test_oracle_no_verify_rem32(run_cli):
+    code, out, _ = run_cli(
+        "oracle", data_path("rem32.mat"), "--no-verify", "--format", "json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "not_normal"
+    assert payload["rule"] == "oracle"
+    assert payload["witness"]["coefficients"] == ["1/2"] * 6
+    assert payload["witness"]["point"] == [1] * 7
+    assert payload["verified"] is False
+    assert payload["stats"]["diagnostics"] == []
+
+
+def test_oracle_no_verify_keeps_witness_as_given(run_cli, monkeypatch):
+    plant_wrong_oracle_point(monkeypatch)
+    code, out, _ = run_cli(
+        "oracle", data_path("rem32.mat"), "--no-verify", "--format", "json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "not_normal"
+    assert payload["rule"] == "oracle"
+    assert payload["witness"] == {
+        "coefficients": ["1/2"] * 6,
+        "degree": 3,
+        "point": [0] * 7,
+    }
+    assert payload["verified"] is False
+    assert payload["stats"]["diagnostics"] == []
 
 
 def test_matrix_with_dominated_row_rejected(run_cli, tmp_path):

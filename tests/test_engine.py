@@ -33,6 +33,7 @@ from idpoly.engine import (
     citation_for,
 )
 from idpoly.hypergraph import build_from_ideal, enumerate_minors, reduce_closed_fixpoint
+from idpoly.intlinalg import TorsionCertificate
 from idpoly.model import SquarefreeIdeal, polytope_from_ideal
 from idpoly.oracle import decide_normal_bruteforce, verify_witness
 
@@ -506,3 +507,21 @@ def test_demoted_oracle_witness_is_unknown_at_once(load_ideal, monkeypatch):
     rule, message = report.diagnostics[0]
     assert rule == RULE_ORACLE
     assert message.startswith("demoted: witness failed verification: ")
+
+
+def test_demoted_torsion_certificate_goes_on_to_the_oracle(load_ideal, monkeypatch):
+    def planted(points):
+        # u = 0 lies in every lattice, so the re-check must reject it
+        return TorsionCertificate((0,) * (len(points[0]) + 1), 2, (2,))
+
+    monkeypatch.setattr(engine, "torsion_check", planted)
+    config = EngineConfig(use_minors=False, **{**NO_STRUCTURAL_RULES, "use_torsion": True})
+    report = analyze(load_ideal("hex6.ideal"), config)
+    assert report.status == NOT_NORMAL
+    assert report.rule == RULE_ORACLE
+    assert report.torsion is None
+    assert report.verified
+    assert report.diagnostics == (
+        (RULE_TORSION, "not_normal: invariant factor 2"),
+        (RULE_TORSION, "demoted: certificate failed re-check"),
+    )
