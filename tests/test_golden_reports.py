@@ -35,7 +35,7 @@ GOLDEN_TEXT = GOLDEN / "text"
 GOLDEN_ORACLE = GOLDEN / "oracle"
 INPUTS = sorted(p.name for p in DATA.iterdir() if p.suffix in (".ideal", ".mat"))
 ORACLE_TRUNCATED = frozenset(
-    ("ih1.ideal", "ih2.ideal", "veiled.ideal", "veiled_minor10.ideal")
+    ("edge65.ideal", "ih1.ideal", "ih2.ideal", "veiled.ideal", "veiled_minor10.ideal")
 )
 
 
