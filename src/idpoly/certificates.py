@@ -26,6 +26,7 @@ from .hypergraph import (
     find_special_odd_cycle,
     ideal_of,
 )
+from .intlinalg import prime_factors
 from .model import generator_degrees
 
 NORMAL = "normal"
@@ -38,19 +39,6 @@ PAIR_BUDGET = 200_000
 
 RED = "red"
 BLUE = "blue"
-
-
-def smallest_prime_factor(n: int) -> int:
-    if n < 2:
-        raise ValueError("need an integer >= 2")
-    if n % 2 == 0:
-        return 2
-    p = 3
-    while p * p <= n:
-        if n % p == 0:
-            return p
-        p += 2
-    return n
 
 
 @dataclass(frozen=True)
@@ -104,8 +92,6 @@ class RuleOutcome:
     status: str
     reason: str
     witness: Witness | None = None
-    coloring: "TwoColoring | None" = None
-    pair: "ExceptionalPair | None" = None
 
     @property
     def is_conclusive(self) -> bool:
@@ -133,7 +119,7 @@ class TwoColoring:
             if c not in (RED, BLUE):
                 raise ValueError(f"unknown color {c!r}")
         p = self.prime
-        if p < 2 or smallest_prime_factor(p) != p:
+        if p < 2 or next(prime_factors(p)) != p:
             raise ValueError(f"{p} is not prime")
         for edge, r, b in self.edge_counts:
             if (r - b) % p:
@@ -144,9 +130,6 @@ class TwoColoring:
             _, r, b = self.designated
             if r == b:
                 raise ValueError("designated edge must be unbalanced")
-
-    def color_of(self, vertex: int) -> str:
-        return self.colors[vertex - 1]
 
 
 @dataclass(frozen=True)
@@ -324,7 +307,7 @@ def two_solvable_certificate(hypergraph: LabeledHypergraph) -> TwoColoring | Non
     g = gcd(g, abs(totals[0] - totals[1]))
     if g == 1:
         return None
-    prime = 2 if g == 0 else smallest_prime_factor(g)
+    prime = 2 if g == 0 else next(prime_factors(g))
     return TwoColoring(colors, tuple(edge_counts), totals, prime)
 
 

@@ -2,11 +2,14 @@
 
 Rules run in a fixed priority order (exact rules first, sufficient-only
 rules next, brute force last) and the first conclusive one names the
-verdict; everything that ran is kept as diagnostics.  Every negative
-verdict is re-verified against the original polytope before being
-reported, so a bug in a structural detector can cost completeness but
-never soundness.  When nothing conclusive fits within budget the answer
-is unknown, never a guess.
+verdict; everything that ran is kept as diagnostics.  One dispatcher,
+``_detect``, runs a rule on the reduced hypergraph and on each minor
+alike.  Every candidate verdict, a minor hit included, goes through one
+settle site, ``_settle``, which lifts its evidence and re-verifies it
+against the original polytope before it is reported, so a bug in a
+structural detector can cost completeness but never soundness.  When
+nothing conclusive fits within budget the answer is unknown, never a
+guess.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .hypergraph import (
     ReductionTrace,
     build_from_ideal,
     enumerate_minors,
-    ideal_of,
     incidence_matrix,
     reduce_closed_fixpoint,
 )
@@ -60,6 +62,8 @@ STRUCTURAL_RULES = (
     RULE_BICOLOR,
     RULE_PAIR,
 )
+# the rules that can fire on a minor, in the order they run on each one
+MINOR_RULES = (RULE_CONNECTED_ODD, RULE_TORSION, RULE_BICOLOR, RULE_PAIR)
 
 CITATIONS = {
     RULE_EMPTY: "Proposition 3.3: closed-vertex reduction empties the hypergraph",
@@ -136,16 +140,6 @@ class VerdictReport:
     stats: dict = field(compare=False)
 
 
-@dataclass(frozen=True)
-class MinorHit:
-    """A negative detector firing on a minor, with the lifted evidence."""
-
-    trace: MinorTrace
-    rule: str
-    witness: Witness | None
-    torsion: TorsionCertificate | None
-
-
 def _may_fire(minor: LabeledHypergraph, rule: str) -> bool:
     """A necessary condition for a witness detector to fire on a minor.
 
@@ -171,107 +165,67 @@ def _may_fire(minor: LabeledHypergraph, rule: str) -> bool:
     return True
 
 
-def _detect_on_minor(
-    minor: LabeledHypergraph, rule: str, config: EngineConfig
-) -> Witness | None:
-    """Run one witness-producing detector; only not-normal outcomes count.
-
-    The detector runs only where ``_may_fire`` holds, so a minor it could
-    not fire on costs no 1-skeleton, simple-edge scan or cycle search.
-    """
-    if not _may_fire(minor, rule):
-        return None
-    if rule == RULE_CONNECTED_ODD:
-        outcome = decide_connected_odd(minor)
-        if outcome.status == NOT_NORMAL:
-            return outcome.witness
-    elif rule == RULE_BICOLOR:
-        found = bicolor_obstruction(minor)
-        if found is not None:
-            return found[1]
-    elif rule == RULE_PAIR:
-        pair = find_exceptional_pair(minor, relaxed=config.relaxed_connection)
-        if pair is not None:
-            return exceptional_witness(minor, pair)
-    return None
-
-
-def _search_minors(
-    hypergraph: LabeledHypergraph, config: EngineConfig
-) -> tuple[MinorHit | None, int, tuple[tuple[str, str], ...]]:
-    """Scan minors in canonical order for any enabled negative detector.
-
-    Witness hits are lifted to the searched hypergraph and, when
-    verification is on, checked against its polytope before being
-    accepted; torsion hits are checked against the minor's own lattice.
-    A minor's points are the rows of its label-expanded incidence matrix,
-    which is the exponent matrix of its ideal: a minor of a separated
-    hypergraph is separated, so that ideal is always a valid one.
-    """
-    rules = [r for r in (RULE_CONNECTED_ODD, RULE_TORSION, RULE_BICOLOR, RULE_PAIR)
-             if r in config.minor_rules]
-    notes: list[tuple[str, str]] = []
-    examined = 0
-    host_polytope: ZeroOnePolytope | None = None
-    for minor, trace in enumerate_minors(hypergraph, budget=config.minor_budget):
-        examined += 1
-        if minor.num_vertices == 0:
-            continue
-        for rule in rules:
-            if rule == RULE_TORSION:
-                minor_points = incidence_matrix(minor, expand_labels=True)
-                certificate = torsion_check(minor_points)
-                if certificate is None:
-                    continue
-                if config.verify and not verify_torsion_certificate(
-                    certificate, minor_points
-                ):
-                    notes.append(
-                        (rule, f"torsion certificate failed on minor {trace.surviving}")
-                    )
-                    continue
-                return MinorHit(trace, rule, None, certificate), examined, tuple(notes)
-            witness = _detect_on_minor(minor, rule, config)
-            if witness is None:
-                continue
-            lifted = lift_witness(trace, witness)
-            if config.verify:
-                if host_polytope is None:
-                    host_polytope = polytope_from_ideal(ideal_of(hypergraph))
-                check = verify_witness(host_polytope, lifted)
-                if not check.valid:
-                    notes.append(
-                        (
-                            rule,
-                            f"lifted witness from minor {trace.surviving} failed "
-                            f"verification: {check.reason}",
-                        )
-                    )
-                    continue
-            return MinorHit(trace, rule, lifted, None), examined, tuple(notes)
-    return None, examined, tuple(notes)
-
-
 class _Candidate(NamedTuple):
     """A verdict one rule proposes; it stands once ``_settle`` re-checks it.
 
-    ``lattice`` holds the points a torsion certificate is re-checked
-    against; a certificate found on a minor was checked there and has none.
+    A witness is on the hypergraph the rule ran on: the minor when
+    ``minor`` is set, else the reduced hypergraph.  ``lattice`` holds the
+    points a torsion certificate is re-checked against.
     """
 
     rule: str | None
     status: str = NOT_NORMAL
     witness: Witness | None = None
     torsion: TorsionCertificate | None = None
-    torsion_scope: str | None = None
     lattice: tuple[tuple[int, ...], ...] | None = None
     minor: MinorTrace | None = None
     minor_rule: str | None = None
 
 
+def _detect(
+    rule: str, hypergraph: LabeledHypergraph, cfg: EngineConfig
+) -> tuple[str, _Candidate | None]:
+    """Run one structural rule: its diagnostic, and its verdict if conclusive."""
+    if rule == RULE_TORSION:
+        points = incidence_matrix(hypergraph, expand_labels=True)
+        certificate = torsion_check(points)
+        if certificate is None:
+            return "inapplicable: lattice quotient torsion-free", None
+        return (
+            f"not_normal: invariant factor {certificate.m}",
+            _Candidate(rule, torsion=certificate, lattice=points),
+        )
+    if rule == RULE_BICOLOR:
+        found = bicolor_obstruction(hypergraph)
+        if found is None:
+            return "inapplicable: no unbalanced simple edge", None
+        coloring, witness = found
+        edge, r, b = coloring.designated
+        return (
+            f"not_normal: p={coloring.prime}, simple edge {edge} has {r} red / {b} blue",
+            _Candidate(rule, witness=witness),
+        )
+    if rule == RULE_PAIR:
+        pair = find_exceptional_pair(hypergraph, relaxed=cfg.relaxed_connection)
+        if pair is None:
+            return "inapplicable: no exceptional pair found", None
+        return (
+            f"not_normal: cycles {pair.cycle_one.vertices} and {pair.cycle_two.vertices}",
+            _Candidate(rule, witness=exceptional_witness(hypergraph, pair)),
+        )
+    if rule == RULE_CONNECTED_ODD:
+        outcome = decide_connected_odd(hypergraph)
+    else:
+        outcome = balanced_uniform_rule(hypergraph)
+    diagnostic = f"{outcome.status}: {outcome.reason}"
+    if not outcome.is_conclusive:
+        return diagnostic, None
+    return diagnostic, _Candidate(rule, outcome.status, outcome.witness)
+
+
 def _settle(
     candidates: Iterable[_Candidate],
-    polytope: ZeroOnePolytope,
+    ideal: SquarefreeIdeal,
     reduction: ReductionTrace,
     verify: bool,
     diagnostics: list[tuple[str, str]],
@@ -280,49 +234,71 @@ def _settle(
 ) -> VerdictReport:
     """Report the first candidate that survives re-verification, else unknown.
 
-    A witness is lifted through the reduction when that removed vertices
-    (otherwise it is checked exactly as found) and, when ``verify`` is on,
-    checked against ``polytope``; a torsion certificate is re-checked
-    against its lattice.  A candidate that fails is demoted with a
-    diagnostic and the next one is drawn, so a later rule runs only when
-    every earlier candidate fell.
+    This is the one place that lifts and re-checks evidence, whichever
+    rule found it.  A witness is lifted through its minor, if any, and
+    through the reduction when that removed vertices (otherwise it is
+    checked exactly as found); when ``verify`` is on it is then checked
+    against the original polytope, built on first use.  A torsion
+    certificate is re-checked against its lattice.  A candidate that fails
+    is demoted with a diagnostic and the next one is drawn, so a later
+    rule, or a later minor, runs only when every earlier candidate fell.
     """
+    original: ZeroOnePolytope | None = None
     for candidate in candidates:
+        minor = candidate.minor
         if candidate.witness is not None:
             witness = candidate.witness
+            if minor is not None:
+                witness = lift_witness(minor, witness)
             if reduction.removed:
                 witness = lift_witness(reduction, witness)
-            check = verify_witness(polytope, witness) if verify else None
-            if check is None or check.valid:
-                settled = candidate._replace(witness=witness)
-                break
-            found = "witness" if candidate.minor is None else "lifted witness"
-            diagnostics.append(
-                (candidate.rule, f"demoted: {found} failed verification: {check.reason}")
-            )
-        elif (
+            if verify:
+                if original is None:
+                    original = polytope_from_ideal(ideal)
+                check = verify_witness(original, witness)
+                if not check.valid:
+                    diagnostics.append(
+                        (candidate.rule, f"demoted: witness failed verification: {check.reason}")
+                        if minor is None
+                        else (
+                            candidate.minor_rule,
+                            f"lifted witness from minor {minor.surviving} failed "
+                            f"verification: {check.reason}",
+                        )
+                    )
+                    continue
+            settled = candidate._replace(witness=witness)
+            break
+        if (
             verify
-            and candidate.lattice is not None
+            and candidate.torsion is not None
             and not verify_torsion_certificate(candidate.torsion, candidate.lattice)
         ):
-            diagnostics.append((candidate.rule, "demoted: certificate failed re-check"))
-        else:
-            settled = candidate
-            break
+            diagnostics.append(
+                (candidate.rule, "demoted: certificate failed re-check")
+                if minor is None
+                else (RULE_TORSION, f"torsion certificate failed on minor {minor.surviving}")
+            )
+            continue
+        settled = candidate
+        break
     else:
         settled = _Candidate(None, UNKNOWN)
     stats["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 3)
     stats["diagnostics"] = list(diagnostics)
-    rule, status = settled.rule, settled.status
+    rule, status, minor = settled.rule, settled.status, settled.minor
+    scope = None
+    if settled.torsion is not None:
+        scope = "minor" if minor else "reduced" if reduction.removed else "original"
     return VerdictReport(
         status,
         rule,
         None if rule is None else citation_for(rule, status),
         settled.witness,
         settled.torsion,
-        settled.torsion_scope,
+        scope,
         reduction,
-        settled.minor,
+        minor,
         settled.minor_rule,
         status == NORMAL or (status == NOT_NORMAL and verify),
         tuple(diagnostics),
@@ -349,9 +325,38 @@ def _oracle_candidates(
         yield _Candidate(RULE_ORACLE, verdict.status, verdict.witness)
 
 
+def _minor_candidates(
+    hypergraph: LabeledHypergraph,
+    cfg: EngineConfig,
+    diagnostics: list[tuple[str, str]],
+    stats: dict,
+) -> Iterator[_Candidate]:
+    """Not-normal verdicts of the minor detectors, minor by minor (Theorem 3.8).
+
+    Minors come in canonical order, and on each one the rules of
+    ``cfg.minor_rules`` run in a fixed order, each only where ``_may_fire``
+    holds.  Nothing is checked here: every hit goes to ``_settle`` like a
+    top-level candidate, and the walk resumes only if it was demoted.
+    """
+    rules = [r for r in MINOR_RULES if r in cfg.minor_rules]
+    examined = 0
+    for minor, trace in enumerate_minors(hypergraph, budget=cfg.minor_budget):
+        examined += 1
+        if minor.num_vertices == 0:
+            continue
+        for rule in rules:
+            if not _may_fire(minor, rule):
+                continue
+            _, found = _detect(rule, minor, cfg)
+            if found is not None and found.status == NOT_NORMAL:
+                stats["minors_examined"] = examined
+                yield found._replace(rule=RULE_MINOR, minor=trace, minor_rule=rule)
+    stats["minors_examined"] = examined
+    diagnostics.append((RULE_MINOR, f"no minor hit within budget ({examined} examined)"))
+
+
 def _candidates(
     reduced: LabeledHypergraph,
-    reduction: ReductionTrace,
     cfg: EngineConfig,
     diagnostics: list[tuple[str, str]],
     stats: dict,
@@ -359,101 +364,41 @@ def _candidates(
     """Candidate verdicts on the reduced instance, drawn lazily in priority order.
 
     The structural rules all run before their first candidate is drawn;
-    the minor search runs only when none of those stood, and the oracle
-    only when the minors gave nothing that stood either.
+    the minor walk runs only when none of those stood, and the oracle
+    only when no minor hit stood either.
     """
-    reduced_polytope = polytope_from_ideal(ideal_of(reduced))
+    enabled = {
+        RULE_CONNECTED_ODD: cfg.use_connected_odd,
+        RULE_BALANCED: cfg.use_balanced_uniform,
+        RULE_TORSION: cfg.use_torsion,
+        RULE_BICOLOR: cfg.use_bicolor,
+        RULE_PAIR: cfg.use_exceptional_pair,
+    }
     structural: list[_Candidate] = []
-    if cfg.use_connected_odd:
-        outcome = decide_connected_odd(reduced)
-        diagnostics.append((RULE_CONNECTED_ODD, f"{outcome.status}: {outcome.reason}"))
-        if outcome.is_conclusive:
-            structural.append(_Candidate(RULE_CONNECTED_ODD, outcome.status, outcome.witness))
-    if cfg.use_balanced_uniform:
-        outcome = balanced_uniform_rule(reduced)
-        diagnostics.append((RULE_BALANCED, f"{outcome.status}: {outcome.reason}"))
-        if outcome.is_conclusive:
-            structural.append(_Candidate(RULE_BALANCED, outcome.status, outcome.witness))
-    if cfg.use_torsion:
-        certificate = torsion_check(reduced_polytope.vertices)
-        if certificate is None:
-            diagnostics.append((RULE_TORSION, "inapplicable: lattice quotient torsion-free"))
-        else:
-            diagnostics.append(
-                (RULE_TORSION, f"not_normal: invariant factor {certificate.m}")
-            )
-            scope = "reduced" if reduction.removed else "original"
-            structural.append(
-                _Candidate(
-                    RULE_TORSION,
-                    torsion=certificate,
-                    torsion_scope=scope,
-                    lattice=reduced_polytope.vertices,
-                )
-            )
-    if cfg.use_bicolor:
-        found = bicolor_obstruction(reduced)
-        if found is None:
-            diagnostics.append((RULE_BICOLOR, "inapplicable: no unbalanced simple edge"))
-        else:
-            coloring, witness = found
-            edge, r, b = coloring.designated
-            diagnostics.append(
-                (
-                    RULE_BICOLOR,
-                    f"not_normal: p={coloring.prime}, simple edge {edge} "
-                    f"has {r} red / {b} blue",
-                )
-            )
-            structural.append(_Candidate(RULE_BICOLOR, witness=witness))
-    if cfg.use_exceptional_pair:
-        pair = find_exceptional_pair(reduced, relaxed=cfg.relaxed_connection)
-        if pair is None:
-            diagnostics.append((RULE_PAIR, "inapplicable: no exceptional pair found"))
-        else:
-            diagnostics.append(
-                (
-                    RULE_PAIR,
-                    f"not_normal: cycles {pair.cycle_one.vertices} and "
-                    f"{pair.cycle_two.vertices}",
-                )
-            )
-            structural.append(
-                _Candidate(RULE_PAIR, witness=exceptional_witness(reduced, pair))
-            )
+    for rule in STRUCTURAL_RULES:
+        if enabled[rule]:
+            diagnostic, found = _detect(rule, reduced, cfg)
+            diagnostics.append((rule, diagnostic))
+            if found is not None:
+                structural.append(found)
     yield from structural
 
     if cfg.use_minors and cfg.minor_rules and cfg.minor_budget > 0:
-        hit, examined, notes = _search_minors(reduced, cfg)
-        stats["minors_examined"] = examined
-        diagnostics.extend(notes)
-        if hit is None:
-            diagnostics.append((RULE_MINOR, f"no minor hit within budget ({examined} examined)"))
-        else:
-            yield _Candidate(
-                RULE_MINOR,
-                witness=hit.witness,
-                torsion=hit.torsion,
-                torsion_scope=None if hit.torsion is None else "minor",
-                minor=hit.trace,
-                minor_rule=hit.rule,
-            )
+        yield from _minor_candidates(reduced, cfg, diagnostics, stats)
 
     if not cfg.use_oracle:
         return
-    if (
-        reduced_polytope.num_vertices <= ORACLE_MAX_VERTICES
-        and reduced_polytope.ambient_dim <= ORACLE_MAX_DIM
-    ):
+    points = incidence_matrix(reduced, expand_labels=True)
+    if len(points) <= ORACLE_MAX_VERTICES and len(points[0]) <= ORACLE_MAX_DIM:
         yield from _oracle_candidates(
-            reduced_polytope, cfg.oracle_max_degree, diagnostics, stats
+            ZeroOnePolytope(points), cfg.oracle_max_degree, diagnostics, stats
         )
     else:
         diagnostics.append(
             (
                 RULE_ORACLE,
-                f"skipped: instance size ({reduced_polytope.num_vertices} vertices, "
-                f"dimension {reduced_polytope.ambient_dim}) exceeds the oracle caps",
+                f"skipped: instance size ({len(points)} vertices, "
+                f"dimension {len(points[0])}) exceeds the oracle caps",
             )
         )
 
@@ -466,10 +411,10 @@ def analyze(
     Pipeline: closed-vertex reduction, then the structural rules in
     priority order (all of them run; the first conclusive one is
     reported), then negative detectors over minors, then the exact oracle
-    when the reduced instance fits its size caps.  Every candidate goes
-    through ``_settle``: witnesses found on reduced or minor hypergraphs
-    are lifted back and verified against the original polytope, and one
-    that fails falls through to the next candidate.
+    when the reduced instance fits its size caps.  Every candidate, minor
+    hits included, goes through ``_settle``: witnesses found on reduced or
+    minor hypergraphs are lifted back and verified against the original
+    polytope, and one that fails falls through to the next candidate.
     """
     cfg = config or EngineConfig()
     started = time.perf_counter()
@@ -477,7 +422,6 @@ def analyze(
     violation = hypergraph.separation_violation()
     if violation is not None:
         raise NotSeparatedError(violation)
-    original = polytope_from_ideal(ideal)
     reduced, reduction = reduce_closed_fixpoint(hypergraph)
     diagnostics: list[tuple[str, str]] = []
     stats: dict = {"reduction_rounds": len(reduction.rounds)}
@@ -485,8 +429,8 @@ def analyze(
         rule = RULE_EMPTY if reduced.num_vertices == 0 else RULE_SINGLE
         candidates: Iterable[_Candidate] = (_Candidate(rule, NORMAL),)
     else:
-        candidates = _candidates(reduced, reduction, cfg, diagnostics, stats)
-    return _settle(candidates, original, reduction, cfg.verify, diagnostics, stats, started)
+        candidates = _candidates(reduced, cfg, diagnostics, stats)
+    return _settle(candidates, ideal, reduction, cfg.verify, diagnostics, stats, started)
 
 
 def oracle_report(
@@ -505,7 +449,7 @@ def oracle_report(
     stats: dict = {}
     return _settle(
         _oracle_candidates(polytope, max_degree, diagnostics, stats),
-        polytope,
+        ideal,
         ReductionTrace(hypergraph, (), tuple(hypergraph.vertices)),
         verify,
         diagnostics,

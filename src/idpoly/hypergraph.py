@@ -94,17 +94,11 @@ class Cycle:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def is_special_in(self, cycle_vertices: frozenset[int] | None = None) -> bool:
-        """True when no cycle edge contains more than two cycle vertices."""
-        verts = cycle_vertices or frozenset(self.vertices)
-        return all(len(verts.intersection(e)) <= 2 for e in self.edges)
-
 
 @dataclass(frozen=True)
 class SkeletonComponent:
     vertices: tuple[int, ...]
     coloring: tuple[tuple[int, int], ...] | None
-    odd_cycle: tuple[int, ...] | None
 
 
 class Skeleton:
@@ -131,42 +125,20 @@ class Skeleton:
             if start in seen:
                 continue
             color = {start: 0}
-            parent: dict[int, int | None] = {start: None}
-            order = [start]
             queue = [start]
-            odd_cycle: tuple[int, ...] | None = None
+            bipartite = True
             while queue:
                 v = queue.pop(0)
                 for w in self.adjacency[v]:
                     if w not in color:
                         color[w] = 1 - color[v]
-                        parent[w] = v
-                        order.append(w)
                         queue.append(w)
-                    elif color[w] == color[v] and odd_cycle is None:
-                        odd_cycle = self._cycle_through(parent, v, w)
+                    elif color[w] == color[v]:
+                        bipartite = False
             seen.update(color)
-            verts = tuple(sorted(color))
-            if odd_cycle is None:
-                coloring = tuple(sorted(color.items()))
-                out.append(SkeletonComponent(verts, coloring, None))
-            else:
-                out.append(SkeletonComponent(verts, None, odd_cycle))
+            coloring = tuple(sorted(color.items())) if bipartite else None
+            out.append(SkeletonComponent(tuple(sorted(color)), coloring))
         return tuple(out)
-
-    @staticmethod
-    def _cycle_through(parent: dict[int, int | None], v: int, w: int) -> tuple[int, ...]:
-        path_v = [v]
-        while parent[path_v[-1]] is not None:
-            path_v.append(parent[path_v[-1]])  # type: ignore[arg-type]
-        path_w = [w]
-        while parent[path_w[-1]] is not None:
-            path_w.append(parent[path_w[-1]])  # type: ignore[arg-type]
-        ancestors_v = set(path_v)
-        meet = next(u for u in path_w if u in ancestors_v)
-        up = path_v[: path_v.index(meet) + 1]
-        down = path_w[: path_w.index(meet)]
-        return tuple(up + list(reversed(down)))
 
     @property
     def is_connected(self) -> bool:
@@ -175,12 +147,6 @@ class Skeleton:
     @property
     def is_bipartite(self) -> bool:
         return all(c.coloring is not None for c in self.components)
-
-    def first_odd_cycle(self) -> tuple[int, ...] | None:
-        for comp in self.components:
-            if comp.odd_cycle is not None:
-                return comp.odd_cycle
-        return None
 
     def connected_coloring(self) -> dict[int, int] | None:
         """Proper 2-coloring of a connected bipartite skeleton, else None.
@@ -509,10 +475,6 @@ class ReductionTrace:
     @property
     def removed(self) -> tuple[int, ...]:
         return tuple(v for rnd in self.rounds for v, _ in rnd)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.rounds
 
 
 def reduce_closed_fixpoint(

@@ -15,12 +15,10 @@ from fractions import Fraction
 from math import ceil, floor
 from typing import Sequence
 
-from .certificates import Witness
+from .certificates import NORMAL, NOT_NORMAL, Witness
 from .model import ZeroOnePolytope
 from .simplex import solve_lp
 
-NORMAL = "normal"
-NOT_NORMAL = "not_normal"
 INCONCLUSIVE = "inconclusive"
 
 

@@ -16,7 +16,6 @@ from idpoly.certificates import (
     exceptional_witness,
     find_exceptional_pair,
     lift_witness,
-    smallest_prime_factor,
     two_solvable_certificate,
 )
 from idpoly.hypergraph import (
@@ -28,13 +27,6 @@ from idpoly.model import SquarefreeIdeal, polytope_from_ideal
 from idpoly.oracle import decide_normal_bruteforce, verify_witness
 
 HALF = Fraction(1, 2)
-
-
-def test_smallest_prime_factor():
-    assert smallest_prime_factor(2) == 2
-    assert smallest_prime_factor(9) == 3
-    assert smallest_prime_factor(35) == 5
-    assert smallest_prime_factor(97) == 97
 
 
 def test_witness_validation():

@@ -463,28 +463,46 @@ def test_demoted_structural_candidate_falls_through(monkeypatch):
     assert report.diagnostics[-1][1].startswith("demoted: witness failed verification: ")
 
 
-def test_demoted_minor_witness_goes_on_to_the_oracle(load_ideal, monkeypatch):
-    real = engine._search_minors
+def plant_zero_witness_on_connected_odd(monkeypatch):
+    def planted(h):
+        return RuleOutcome(NOT_NORMAL, "planted", zero_witness(h.num_vertices, len(h.labels)))
 
-    def planted(hypergraph, config):
-        hit, examined, notes = real(hypergraph, config)
-        assert hit.rule == RULE_CONNECTED_ODD
-        bad = zero_witness(hypergraph.num_vertices, len(hypergraph.labels))
-        return replace(hit, witness=bad), examined, notes
+    monkeypatch.setattr(engine, "decide_connected_odd", planted)
 
-    monkeypatch.setattr(engine, "_search_minors", planted)
+
+def test_demoted_minor_witness_continues_the_walk(load_ideal, monkeypatch):
+    plant_zero_witness_on_connected_odd(monkeypatch)
     report = analyze(load_ideal("hex6.ideal"), EngineConfig(**NO_STRUCTURAL_RULES))
+    assert report.status == NOT_NORMAL
+    assert report.rule == RULE_MINOR
+    assert report.minor_rule == RULE_TORSION
+    assert report.minor.surviving == (1, 2, 3, 4, 5, 6)
+    assert report.verified
+    rule, message = report.diagnostics[0]
+    assert rule == RULE_CONNECTED_ODD
+    assert message.startswith(
+        "lifted witness from minor (1, 2, 3, 4, 5, 6) failed verification:"
+    )
+
+
+def test_demoted_minor_witness_goes_on_to_the_oracle(load_ideal, monkeypatch):
+    plant_zero_witness_on_connected_odd(monkeypatch)
+    config = EngineConfig(minor_rules=frozenset((RULE_CONNECTED_ODD,)), **NO_STRUCTURAL_RULES)
+    report = analyze(load_ideal("hex6.ideal"), config)
     assert report.status == NOT_NORMAL
     assert report.rule == RULE_ORACLE
     assert report.minor is None
     assert report.witness.degree == 3
     assert report.verified
     assert report.stats["oracle_degrees"] == [2, 3]
-    rules = [rule for rule, _ in report.diagnostics]
-    assert rules == [RULE_MINOR]
-    assert report.diagnostics[0][1].startswith(
-        "demoted: lifted witness failed verification: "
+    assert report.stats["minors_examined"] == 32
+    rules = {rule for rule, _ in report.diagnostics[:-1]}
+    assert rules == {RULE_CONNECTED_ODD}
+    assert all(
+        message.startswith("lifted witness from minor ")
+        for _, message in report.diagnostics[:-1]
     )
+    assert report.diagnostics[-1] == (RULE_MINOR, "no minor hit within budget (32 examined)")
 
 
 def test_demoted_oracle_witness_is_unknown_at_once(load_ideal, monkeypatch):

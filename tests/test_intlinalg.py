@@ -136,6 +136,8 @@ def test_rank_mod_matches_sympy(rows, p):
 def test_prime_factors():
     assert list(prime_factors(1)) == []
     assert list(prime_factors(2)) == [2]
+    assert list(prime_factors(9)) == [3]
+    assert list(prime_factors(35)) == [5, 7]
     assert list(prime_factors(360)) == [2, 3, 5]
     assert list(prime_factors(2 * 49 * 13)) == [2, 7, 13]
     assert list(prime_factors(97)) == [97]
