@@ -23,10 +23,20 @@ from idpoly.hypergraph import (
     delete_edge,
     reduce_closed_fixpoint,
 )
+from idpoly.intlinalg import prime_factors
 from idpoly.model import SquarefreeIdeal, polytope_from_ideal
 from idpoly.oracle import decide_normal_bruteforce, verify_witness
 
 HALF = Fraction(1, 2)
+
+
+def test_smallest_prime_factor():
+    # The certificates take the smallest prime of a gcd as the first
+    # prime that ``prime_factors`` yields.
+    assert next(prime_factors(2)) == 2
+    assert next(prime_factors(9)) == 3
+    assert next(prime_factors(35)) == 5
+    assert next(prime_factors(97)) == 97
 
 
 def test_witness_validation():
