@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .certificates import NORMAL, NOT_NORMAL, Witness
 from .model import ZeroOnePolytope
-from .simplex import solve_lp
+from .simplex import objective_range, solve_lp
 
 INCONCLUSIVE = "inconclusive"
 
@@ -109,8 +109,11 @@ def enumerate_lattice_points(
     """All integer points of the dilation degree·P, lexicographically.
 
     Coordinates are fixed left to right; each coordinate's admissible
-    integers come from exact minimum/maximum feasibility subproblems, so
-    no candidate box scan and no rounding is involved.
+    integers lie between the exact minimum and maximum of that coordinate
+    over the points of degree·P that share the fixed prefix, so no
+    candidate box scan and no rounding is involved.  Both bounds come
+    from one objective_range call, which runs a single feasibility phase
+    per prefix; an infeasible prefix ends its branch.
     """
     if degree < 0:
         raise ValueError("degree cannot be negative")
@@ -129,11 +132,11 @@ def enumerate_lattice_points(
             rows.append([polytope.vertices[i][k] for i in range(s)])
             rhs.append(prefix[k])
         objective = [polytope.vertices[i][j] for i in range(s)]
-        low = solve_lp(rows, rhs, objective)
-        if not low.is_feasible:
+        bounds = objective_range(rows, rhs, objective)
+        if bounds is None:
             return
-        high = solve_lp(rows, rhs, [-c for c in objective])
-        for value in range(ceil(low.objective), floor(-high.objective) + 1):
+        low, high = bounds
+        for value in range(ceil(low), floor(high) + 1):
             descend(prefix + [value])
 
     descend([])

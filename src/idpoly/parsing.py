@@ -145,7 +145,10 @@ def parse_matrix_text(text: str) -> ZeroOnePolytope:
         raise InputError(
             f"line {head_no}: expected header '<vertices> <dimension>', got {head!r}"
         )
-    count, dim = int(tokens[0]), int(tokens[1])
+    try:
+        count, dim = int(tokens[0]), int(tokens[1])
+    except ValueError:  # past the interpreter's limit on digits per int
+        raise InputError(f"line {head_no}: header count too long") from None
     if count < 1 or dim < 1:
         raise InputError(f"line {head_no}: header counts must be positive")
     if len(entries) - 1 != count:
@@ -174,8 +177,10 @@ def parse_matrix_text(text: str) -> ZeroOnePolytope:
 def parse_witness_text(text: str) -> tuple[Fraction, ...]:
     """Parse a witness file: one rational per line, aligned with generators.
 
-    A rational is written in ASCII without digit separators: ``Fraction``
-    alone would also take ``1_0`` and non-ASCII digits such as ``١/٢``.
+    A rational is written in ASCII without digit separators or an
+    exponent: ``Fraction`` alone would also take ``1_0``, non-ASCII digits
+    such as ``١/٢``, and ``1e999999999``, whose power of ten it would
+    build in full.
     """
     values: list[Fraction] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -187,7 +192,7 @@ def parse_witness_text(text: str) -> tuple[Fraction, ...]:
                 f"line {line_no}: expected one rational per line, got {raw.strip()!r}"
             )
         try:
-            if not line.isascii() or "_" in line:
+            if not line.isascii() or "_" in line or "e" in line.lower():
                 raise ValueError(line)
             values.append(Fraction(line))
         except (ValueError, ZeroDivisionError):

@@ -10,6 +10,12 @@ integer row.  Bland's rule (always the least eligible index) makes it
 immune to cycling, and every comparison is exact, so "infeasible" and
 "unbounded" are definitive answers rather than numerical judgments.
 
+Phase one (find a feasible basis, pivot the artificials out, drop
+redundant rows) is one private routine with two callers: solve_lp runs
+one phase two from its basis, and objective_range runs two, one per
+direction of the objective, so a minimum and a maximum over the same
+rows cost a single phase one.
+
 Integer input goes straight into the tableau.  A row with Fraction
 entries, or a fractional objective, is first scaled by the least common
 multiple of its denominators; only the reported solution and objective
@@ -116,17 +122,12 @@ def _minimize(
     return status, denom
 
 
-def solve_lp(
+def _columns(
     rows: Sequence[Sequence[object]],
     rhs: Sequence[object],
-    objective: Sequence[object] | None = None,
-) -> LPResult:
-    """Minimize objective · x subject to rows · x = rhs, x ≥ 0.
-
-    With objective=None this is a pure feasibility test (objective 0).
-    The returned solution is the basic feasible vertex the pivoting ends
-    on, which is deterministic for fixed input.
-    """
+    objective: Sequence[object] | None,
+) -> int:
+    """The column count of rows · x = rhs, after checking every shape."""
     m = len(rows)
     n = len(rows[0]) if m else (len(objective) if objective else 0)
     if any(len(row) != n for row in rows):
@@ -135,38 +136,37 @@ def solve_lp(
         raise ValueError("right-hand side length does not match row count")
     if objective is not None and len(objective) != n:
         raise ValueError("objective length does not match column count")
+    return n
 
-    body: list[list[int]] = []
-    for row, beta in zip(rows, rhs):
+
+def _feasible_basis(
+    rows: Sequence[Sequence[object]], rhs: Sequence[object], n: int
+) -> tuple[list[list[int]], list[int], int] | None:
+    """A basic feasible solution of rows · x = rhs, x ≥ 0, or None if there is none.
+
+    Phase one starts from an artificial basis and minimizes the sum of
+    the artificials.  Artificials still basic at level zero are pivoted
+    out, and rows in which no original column can replace them are
+    redundant constraints and get dropped.  Returns the tableau over the
+    n original columns plus the right-hand side, its basis and its
+    denominator.
+    """
+    m = len(rows)
+    tableau: list[list[int]] = []
+    for i, (row, beta) in enumerate(zip(rows, rhs)):
         r, _ = _integral([*row, beta])
         if r[-1] < 0:
             r = [-x for x in r]
-        body.append(r)
-    if objective is not None:
-        cost, cost_scale = _integral(objective)
-    else:
-        cost, cost_scale = [0] * n, 1
-
-    if m == 0:
-        if any(c < 0 for c in cost):
-            return LPResult(UNBOUNDED)
-        return LPResult(OPTIMAL, Fraction(0), tuple(Fraction(0) for _ in range(n)))
-
-    # phase one: artificial basis, minimize the sum of artificials
-    tableau = [
-        row[:-1] + [1 if j == i else 0 for j in range(m)] + [row[-1]]
-        for i, row in enumerate(body)
-    ]
+        tableau.append(r[:-1] + [1 if j == i else 0 for j in range(m)] + [r[-1]])
     basis = list(range(n, n + m))
     phase1_cost = [0] * n + [1] * m + [0]
     status, denom = _minimize(tableau, basis, phase1_cost, n + m, 1)
     assert status == OPTIMAL, "phase one is always bounded below by zero"
     if any(tableau[i][-1] for i in range(m) if basis[i] >= n):
-        return LPResult(INFEASIBLE)
+        return None
 
-    # drive leftover artificials out of the basis; rows that cannot be
-    # pivoted are redundant constraints and get dropped.  A negative pivot
-    # would leave a negative denominator, so the tableau is negated.
+    # A negative pivot would leave a negative denominator, so the tableau
+    # is negated.
     drop: set[int] = set()
     for i in range(m):
         if basis[i] < n:
@@ -182,16 +182,69 @@ def solve_lp(
     if drop:
         tableau = [row for i, row in enumerate(tableau) if i not in drop]
         basis = [b for i, b in enumerate(basis) if i not in drop]
-    tableau = [row[:n] + [row[-1]] for row in tableau]
+    return [row[:n] + [row[-1]] for row in tableau], basis, denom
 
+
+def _basic_cost(
+    tableau: list[list[int]], basis: list[int], cost: list[int]
+) -> int:
+    """cost · x times the tableau's denominator, at the basic solution."""
+    return sum(cost[b] * tableau[i][-1] for i, b in enumerate(basis))
+
+
+def solve_lp(
+    rows: Sequence[Sequence[object]],
+    rhs: Sequence[object],
+    objective: Sequence[object] | None = None,
+) -> LPResult:
+    """Minimize objective · x subject to rows · x = rhs, x ≥ 0.
+
+    With objective=None this is a pure feasibility test (objective 0).
+    The returned solution is the basic feasible vertex the pivoting ends
+    on, which is deterministic for fixed input.
+    """
+    n = _columns(rows, rhs, objective)
+    start = _feasible_basis(rows, rhs, n)
+    if start is None:
+        return LPResult(INFEASIBLE)
+    tableau, basis, denom = start
     if objective is not None:
+        cost, cost_scale = _integral(objective)
         status, denom = _minimize(tableau, basis, cost + [0], n, denom)
         if status == UNBOUNDED:
             return LPResult(UNBOUNDED)
+    else:
+        cost, cost_scale = [0] * n, 1
 
     values = {b: tableau[i][-1] for i, b in enumerate(basis)}
     solution = tuple(Fraction(values.get(j, 0), denom) for j in range(n))
-    value = Fraction(
-        sum(cost[b] * v for b, v in values.items()), denom * cost_scale
-    )
+    value = Fraction(_basic_cost(tableau, basis, cost), denom * cost_scale)
     return LPResult(OPTIMAL, value, solution)
+
+
+def objective_range(
+    rows: Sequence[Sequence[object]],
+    rhs: Sequence[object],
+    objective: Sequence[object],
+) -> tuple[Fraction, Fraction] | None:
+    """The least and greatest objective · x over rows · x = rhs, x ≥ 0.
+
+    None means the system is infeasible.  One phase one finds a feasible
+    basis; the minimization of objective starts from it, and the
+    maximization (a minimization of -objective) starts from that
+    minimum's optimal basis.  The feasible set must be bounded, as it is
+    when one row fixes the sum of the variables.
+    """
+    n = _columns(rows, rhs, objective)
+    start = _feasible_basis(rows, rhs, n)
+    if start is None:
+        return None
+    tableau, basis, denom = start
+    cost, scale = _integral(objective)
+    bounds = []
+    for signed in (cost, [-c for c in cost]):
+        status, denom = _minimize(tableau, basis, signed + [0], n, denom)
+        assert status == OPTIMAL, "the feasible set is bounded"
+        bounds.append(Fraction(_basic_cost(tableau, basis, signed), denom * scale))
+    low, high = bounds
+    return low, -high

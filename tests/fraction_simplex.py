@@ -3,7 +3,8 @@
 This is the textbook form of idpoly.simplex: the same two phases, the
 same Bland's rule and tie-break, but every entry is a Fraction and every
 pivot divides the pivot row through.  The differential tests check that
-the integer tableau in idpoly.simplex gives the same answers.
+the integer tableau in idpoly.simplex gives the same answers.  Its
+objective_range is two independent solves, with no shared phase one.
 """
 
 from __future__ import annotations
@@ -126,3 +127,17 @@ def solve_lp(
     solution = tuple(values.get(j, zero) for j in range(n))
     value = sum((cost[j] * solution[j] for j in range(n)), zero)
     return LPResult(OPTIMAL, value, solution)
+
+
+def objective_range(
+    rows: Sequence[Sequence[object]],
+    rhs: Sequence[object],
+    objective: Sequence[object],
+) -> tuple[Fraction, Fraction] | None:
+    """Least and greatest objective · x from two solves, None if infeasible."""
+    low = solve_lp(rows, rhs, objective)
+    if low.status == INFEASIBLE:
+        return None
+    high = solve_lp(rows, rhs, [-Fraction(c) for c in objective])
+    assert low.status == high.status == OPTIMAL
+    return low.objective, -high.objective

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from idpoly.certificates import Witness
-from idpoly.model import polytope_from_ideal
+from idpoly.model import ZeroOnePolytope, polytope_from_ideal
 from idpoly.oracle import (
     INCONCLUSIVE,
     NORMAL,
@@ -18,6 +21,7 @@ from idpoly.oracle import (
     verify_coefficients,
     verify_witness,
 )
+from idpoly.simplex import objective_range
 
 
 def poly(load_ideal, name):
@@ -69,24 +73,56 @@ def test_enumerate_triangle_dilation(load_ideal):
     assert enumerate_lattice_points(p, 1) == sorted(p.vertices)
 
 
-def test_enumeration_matches_box_filter(load_ideal):
-    # cross-check the LP-guided enumeration against the naive box scan
-    p = poly(load_ideal, "fourcyc.ideal")
-    degree = 3
-    fancy = set(enumerate_lattice_points(p, degree))
-    naive = set()
-    n = p.ambient_dim
+@st.composite
+def zero_one_polytopes(draw):
+    """Distinct 0-1 vertices: at most 6 of them, in dimension 1 to 5."""
+    n = draw(st.integers(1, 5))
+    vertices = draw(
+        st.lists(
+            st.tuples(*[st.integers(0, 1)] * n), min_size=1, max_size=6, unique=True
+        )
+    )
+    return ZeroOnePolytope(tuple(vertices))
 
-    def boxes(prefix):
-        if len(prefix) == n:
-            if lp_membership(p, prefix, degree) is not None:
-                naive.add(tuple(prefix))
-            return
-        for v in range(degree + 1):
-            boxes(prefix + [v])
 
-    boxes([])
-    assert fancy == naive
+FOURCYC = ZeroOnePolytope(((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=zero_one_polytopes(), degree=st.integers(0, 3))
+@example(p=FOURCYC, degree=3)
+def test_enumeration_matches_box_filter(p, degree):
+    # cross-check the LP-guided enumeration against the naive box scan:
+    # every coordinate of degree·P lies in 0..degree, and membership is
+    # a solve_lp feasibility test, which the descent does not use
+    naive = [
+        point
+        for point in product(range(degree + 1), repeat=p.ambient_dim)
+        if lp_membership(p, point, degree) is not None
+    ]
+    assert enumerate_lattice_points(p, degree) == naive
+
+
+def test_enumeration_needs_no_solve_lp(monkeypatch):
+    # the descent gets both bounds of a coordinate from one
+    # objective_range call per prefix, never from solve_lp
+    import idpoly.oracle
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return objective_range(*args)
+
+    def forbidden(*args):
+        raise AssertionError("the descent called solve_lp")
+
+    monkeypatch.setattr(idpoly.oracle, "objective_range", counted)
+    monkeypatch.setattr(idpoly.oracle, "solve_lp", forbidden)
+    points = enumerate_lattice_points(FOURCYC, 2)
+    assert len(points) == 9
+    prefixes = {point[:k] for point in points for k in range(FOURCYC.ambient_dim)}
+    assert len(calls) == len(prefixes)
 
 
 def test_membership_unique_combination(load_ideal):
@@ -249,13 +285,15 @@ def test_verify_witness_degree_mismatch_unreachable_via_witness(load_ideal):
 
 
 def test_oracle_matches_fraction_reference(load_ideal, monkeypatch):
-    from fraction_simplex import solve_lp as reference_solve_lp
-
+    import fraction_simplex
     import idpoly.oracle
 
     p = poly(load_ideal, "hex6.ideal")
     ours = decide_normal_bruteforce(p)
-    monkeypatch.setattr(idpoly.oracle, "solve_lp", reference_solve_lp)
+    # the descent bounds coordinates with objective_range and the witness
+    # comes from solve_lp: both are replaced by the reference
+    for name in ("solve_lp", "objective_range"):
+        monkeypatch.setattr(idpoly.oracle, name, getattr(fraction_simplex, name))
     ref = decide_normal_bruteforce(p)
     assert ours.status == ref.status == NOT_NORMAL
     assert ours == ref

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from idpoly.model import DroppedGeneratorWarning, InputError
+from idpoly.model import DroppedGeneratorWarning, InputError, SquarefreeIdeal
 from idpoly.parsing import (
     parse_ideal_text,
     parse_matrix_text,
@@ -115,11 +118,69 @@ def test_print_ideal_round_trip():
     assert parse_ideal_text(text) == ideal
 
 
-def test_print_ideal_round_trip_random():
+_IDENT_START = "abcxyzABCXYZ_"
+
+
+@st.composite
+def ideals(draw):
+    """Minimal ideals over 1 to 8 variable names in the file format's identifier syntax."""
+    names = draw(
+        st.lists(
+            st.builds(
+                str.__add__,
+                st.sampled_from(_IDENT_START),
+                st.text(_IDENT_START + "0123456789", max_size=4),
+            ),
+            min_size=1,
+            max_size=8,
+            unique=True,
+        )
+    )
+    supports = draw(
+        st.lists(
+            st.frozensets(st.sampled_from(names), min_size=1),
+            min_size=1,
+            max_size=7,
+            unique=True,
+        )
+    )
+    minimal = [g for g in supports if not any(f < g for f in supports)]
+    return SquarefreeIdeal(tuple(names), tuple(minimal))
+
+
+def _seeded_examples(test):
+    # the 40 ideals of the earlier seeded loop stay as explicit cases
     rng = random.Random(515)
     for _ in range(40):
-        ideal = random_minimal_ideal(rng)
-        assert parse_ideal_text(print_ideal(ideal)) == ideal
+        test = example(ideal=random_minimal_ideal(rng))(test)
+    return test
+
+
+@settings(max_examples=100, deadline=None)
+@given(ideal=ideals())
+@_seeded_examples
+def test_print_ideal_round_trip_random(ideal):
+    assert parse_ideal_text(print_ideal(ideal)) == ideal
+
+
+_INPUT_ALPHABET = "01 23456789\t\n#,*:/.-+_eEvarsxyz\u00b2\u0661"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(max_size=40) | st.text(_INPUT_ALPHABET, max_size=40))
+@example(text="1" * 5000 + " 1\n1\n")
+@example(text="1e999999999999\n")
+@example(text="vars: a\na*b, b, a*b\n")
+def test_parsers_raise_only_input_error(text):
+    # arbitrary text is either parsed or rejected with an InputError,
+    # never a crash or a runaway computation
+    for parse in (parse_ideal_text, parse_matrix_text, parse_witness_text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DroppedGeneratorWarning)
+            try:
+                parse(text)
+            except InputError:
+                pass
 
 
 def test_matrix_spaced_and_contiguous_rows():
@@ -140,6 +201,8 @@ def test_matrix_header_errors():
         parse_matrix_text("x 2\n")
     with pytest.raises(InputError, match="line 1: expected header '<vertices> <dimension>'"):
         parse_matrix_text("\u00b2 3\n101\n011\n")
+    with pytest.raises(InputError, match="line 1: header count too long"):
+        parse_matrix_text("1" * 5000 + " 1\n1\n")
     with pytest.raises(InputError, match="header counts must be positive"):
         parse_matrix_text("0 2\n")
     with pytest.raises(InputError, match="expected 2 vertex rows after the header, found 1"):
@@ -179,3 +242,9 @@ def test_witness_ascii_forms_still_parse():
         Fraction(3),
         Fraction(1, 4),
     )
+
+
+@pytest.mark.parametrize("text", ["5e-1", "1E999999999999"])
+def test_witness_rationals_have_no_exponent(text):
+    with pytest.raises(InputError, match=f"line 1: cannot parse rational {text!r}"):
+        parse_witness_text(text + "\n")

@@ -3,10 +3,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from idpoly.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from idpoly.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, objective_range, solve_lp
 
 from fraction_simplex import solve_lp as reference_solve_lp
 
@@ -245,3 +245,61 @@ def test_degenerate_tie_break_matches_reference():
     res = solve_lp(rows, rhs)
     assert res == reference_solve_lp(rows, rhs)
     assert res.solution == (6, 12, 0, 2, Fraction(11, 2))
+
+
+@st.composite
+def bounded_systems(draw):
+    """Integer equality systems with a row sum(x) = k, so every objective is bounded.
+
+    The sum row sits at a random position among random rows.  Some systems
+    are feasible by construction from a point with zero entries (phase one
+    then ends degenerate), others get a random right-hand side and are
+    often infeasible; some carry a redundant row.  Half of the objectives
+    are a combination of the rows, constant on the feasible set, so the
+    minimum equals the maximum.
+    """
+    n = draw(st.integers(min_value=1, max_value=5))
+    entry = st.integers(min_value=-4, max_value=4)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=3))
+    rows.insert(draw(st.integers(0, len(rows))), [1] * n)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows) - 1))
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows.append([a * u + b * v for u, v in zip(rows[i], rows[j])])
+    if draw(st.booleans()):
+        x = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        rhs = [sum(a * v for a, v in zip(row, x)) for row in rows]
+    else:
+        rhs = [
+            draw(st.integers(0, 6)) if row == [1] * n else draw(st.integers(-6, 6))
+            for row in rows
+        ]
+    if draw(st.booleans()):
+        objective = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    else:
+        weights = draw(
+            st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows))
+        )
+        objective = [
+            sum(w * row[j] for w, row in zip(weights, rows)) for j in range(n)
+        ]
+    return rows, rhs, objective
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=bounded_systems())
+@example(system=([[1, 1], [1, -1]], [2, 4], [1, 0]))  # infeasible
+@example(system=([[1, 1, 1], [2, 2, 2]], [3, 6], [1, 2, 3]))  # redundant row
+@example(system=([[1, 1], [1, 0]], [2, 0], [0, 1]))  # degenerate, min == max
+def test_objective_range_matches_two_solves(system):
+    # one phase one for both directions gives the optima of two full solves
+    rows, rhs, objective = system
+    ours = objective_range(rows, rhs, objective)
+    low = solve_lp(rows, rhs, objective)
+    if low.status == INFEASIBLE:
+        assert ours is None
+        return
+    high = solve_lp(rows, rhs, [-c for c in objective])
+    assert low.status == high.status == OPTIMAL
+    assert ours == (low.objective, -high.objective)
