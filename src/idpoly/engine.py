@@ -10,13 +10,19 @@ against the original polytope before it is reported, so a bug in a
 structural detector can cost completeness but never soundness.  When
 nothing conclusive fits within budget the answer is unknown, never a
 guess.
+
+The minor walk screens each minor on the bitmasks the walk already keeps:
+each guarded detector behind a necessary condition on the edge masks
+(``_may_fire``), and torsion on the minor's closed-vertex core, once per
+distinct core.  A minor is built as a hypergraph only when a detector
+runs on it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Collection, Iterable, Iterator, NamedTuple
 
 from .certificates import (
     NORMAL,
@@ -35,6 +41,7 @@ from .hypergraph import (
     NotSeparatedError,
     ReductionTrace,
     build_from_ideal,
+    closed_core,
     enumerate_minors,
     incidence_matrix,
     reduce_closed_fixpoint,
@@ -140,29 +147,56 @@ class VerdictReport:
     stats: dict = field(compare=False)
 
 
-def _may_fire(minor: LabeledHypergraph, rule: str) -> bool:
+def _may_fire(num_vertices: int, edges: Collection[int], rule: str) -> bool:
     """A necessary condition for a witness detector to fire on a minor.
 
-    Each reads ``minor.labels``, whose nonempty images are the edges, and
-    none builds the 1-skeleton:
+    It reads only the minor's vertex count and its distinct edges as
+    masks, as ``Minor`` carries them, so a minor that fails it is never
+    built:
 
     - Theorem 4.1 fires only with an even vertex count and no edge of odd
       size (even dimension);
-    - Theorem 4.5 needs a connected 1-skeleton, so at least s - 1 distinct
-      2-vertex edges on s vertices;
-    - Theorem 4.8 needs a simple edge with at least 3 vertices, and the
-      cheap "some edge has 3 or more vertices" is tested first.
+    - Theorem 4.5 needs a connected 1-skeleton, so at least s - 1
+      2-vertex edges on s vertices, and no 1-vertex edge: such an edge
+      has red/blue imbalance 1, so the imbalance gcd is 1 and no prime
+      makes the minor 2-solvable;
+    - Theorem 4.8 needs two distinct simple edges with at least 3
+      vertices.  Each candidate cycle is closed by such an edge and meets
+      it in 2 vertices, and a pair is skipped when the first cycle's edge
+      meets the second cycle, so the two closing edges differ.
+
+    Torsion (Remark 3.2) has no condition here: ``_minor_candidates``
+    screens it on the minor's closed-vertex core.
     """
-    s = minor.num_vertices
+    s = num_vertices
     if rule == RULE_CONNECTED_ODD:
-        return s % 2 == 0 and all(len(img) % 2 == 0 for _, img in minor.labels)
+        return s % 2 == 0 and all(edge.bit_count() % 2 == 0 for edge in edges)
     if rule == RULE_BICOLOR:
-        return len({img for _, img in minor.labels if len(img) == 2}) >= s - 1
+        pairs = 0
+        for edge in edges:
+            size = edge.bit_count()
+            if size == 1:
+                return False
+            pairs += size == 2
+        return pairs >= s - 1
     if rule == RULE_PAIR:
-        return any(len(img) >= 3 for _, img in minor.labels) and any(
-            len(edge.vertices) >= 3 for edge in minor.simple_edges()
-        )
+        fat = [edge for edge in edges if edge.bit_count() >= 3]
+        if len(fat) < 2:
+            return False
+        simple = [g for g in fat if not any(f != g and f & g == f for f in edges)]
+        return len(simple) >= 2
     return True
+
+
+def _core_has_torsion(core: int, edges: Collection[int]) -> bool:
+    """Whether the homogenized incidence matrix of a closed-vertex core has torsion."""
+    columns = sorted({edge & core for edge in edges} - {0})
+    points = []
+    while core:
+        bit = core & -core
+        points.append([1 if edge & bit else 0 for edge in columns])
+        core ^= bit
+    return torsion_check(points) is not None
 
 
 class _Candidate(NamedTuple):
@@ -334,24 +368,52 @@ def _minor_candidates(
     """Not-normal verdicts of the minor detectors, minor by minor (Theorem 3.8).
 
     Minors come in canonical order, and on each one the rules of
-    ``cfg.minor_rules`` run in a fixed order, each only where ``_may_fire``
-    holds.  Nothing is checked here: every hit goes to ``_settle`` like a
+    ``cfg.minor_rules`` run in a fixed order.  Each is screened on the
+    walk's masks first: a guarded detector runs only where ``_may_fire``
+    holds, and the torsion rule only where the minor's closed-vertex core
+    (``closed_core``) has torsion.  Stripping a closed vertex splits a
+    unit column off the incidence matrix, so the core has the minor's
+    torsion, and minors that share a core share one screen.  A minor that
+    passes a screen is built once, and the detector runs on it as on the
+    reduced hypergraph, so its certificate is the one the full minor
+    gives.  Nothing is checked here: every hit goes to ``_settle`` like a
     top-level candidate, and the walk resumes only if it was demoted.
+    ``stats`` counts the minors examined, the minors built and the
+    torsion screens run.
     """
     rules = [r for r in MINOR_RULES if r in cfg.minor_rules]
-    examined = 0
-    for minor, trace in enumerate_minors(hypergraph, budget=cfg.minor_budget):
+    has_torsion: dict[int, bool] = {}  # closed-vertex core -> screen result
+    examined = built = screens = 0
+    for record in enumerate_minors(hypergraph, budget=cfg.minor_budget):
         examined += 1
-        if minor.num_vertices == 0:
+        s = record.num_vertices
+        if s == 0:
             continue
+        edges = record.edges
+        minor = None
         for rule in rules:
-            if not _may_fire(minor, rule):
+            if rule == RULE_TORSION:
+                core = closed_core(record.state, edges)
+                if not core:
+                    continue
+                torsion = has_torsion.get(core)
+                if torsion is None:
+                    screens += 1
+                    torsion = has_torsion[core] = _core_has_torsion(core, edges)
+                if not torsion:
+                    continue
+            elif not _may_fire(s, edges, rule):
                 continue
+            if minor is None:
+                built += 1
+                minor = record.hypergraph
             _, found = _detect(rule, minor, cfg)
             if found is not None and found.status == NOT_NORMAL:
-                stats["minors_examined"] = examined
-                yield found._replace(rule=RULE_MINOR, minor=trace, minor_rule=rule)
-    stats["minors_examined"] = examined
+                stats.update(
+                    minors_examined=examined, minors_built=built, torsion_screens=screens
+                )
+                yield found._replace(rule=RULE_MINOR, minor=record.trace, minor_rule=rule)
+    stats.update(minors_examined=examined, minors_built=built, torsion_screens=screens)
     diagnostics.append((RULE_MINOR, f"no minor hit within budget ({examined} examined)"))
 
 

@@ -19,7 +19,11 @@ hypergraph, every minor) are built by one private constructor that skips
 validation, since a restriction of a valid hypergraph is valid.  The
 minor walk keeps each surviving vertex set as a bitmask, with vertex v of
 n stored as bit n - v, so that integer order on masks of one size is the
-reverse of lexicographic order on their vertex tuples.
+reverse of lexicographic order on their vertex tuples.  It yields each
+minor as a ``Minor`` record of masks (its vertex set and its edges), which
+builds the minor as a hypergraph, and its ``MinorTrace``, only when asked:
+the engine screens most minors on the masks alone, ``closed_core``
+included, and builds only those on which a detector runs.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .model import InputError, SquarefreeIdeal
 
@@ -412,9 +416,44 @@ def _mask_vertices(n: int, mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@dataclass(eq=False)
+class Minor:
+    """One state of the minor walk, as masks; built into a hypergraph on demand.
+
+    ``state`` is the surviving vertex set and ``edges`` the minor's
+    distinct edges, each a mask in the parent's bit layout (vertex v of
+    its n vertices is bit n - v); ``path`` is the deletion path, in the
+    parent's vertex ids.  ``hypergraph`` (built by ``_restrict``, as in
+    ``induced_subhypergraph``) and ``trace`` are made on first access and
+    kept, so a caller that screens a minor on its masks and rejects it
+    never pays for either.
+    """
+
+    parent: LabeledHypergraph
+    state: int
+    edges: frozenset[int]
+    path: tuple[tuple[int, ...], ...]
+
+    @property
+    def num_vertices(self) -> int:
+        return self.state.bit_count()
+
+    @cached_property
+    def surviving(self) -> tuple[int, ...]:
+        return _mask_vertices(self.parent.num_vertices, self.state)
+
+    @cached_property
+    def hypergraph(self) -> LabeledHypergraph:
+        return _restrict(self.parent, self.surviving)
+
+    @cached_property
+    def trace(self) -> MinorTrace:
+        return MinorTrace(self.parent, self.path, self.surviving)
+
+
 def enumerate_minors(
     hypergraph: LabeledHypergraph, budget: int | None = None
-) -> Iterator[tuple[LabeledHypergraph, MinorTrace]]:
+) -> Iterator[Minor]:
     """Stream all minors reachable by iterated edge deletion.
 
     A minor is determined by its surviving vertex set, so states are
@@ -429,10 +468,11 @@ def enumerate_minors(
     highest differing bit, so it is the larger int; the heap key
     (-popcount, -mask) is therefore the tuple order.  The edges of a state
     are the distinct nonzero ``image & state`` over the images of the
-    hypergraph.  Each deletion path is the first one found, and keys never
-    tie, so the order in which one state's children are pushed cannot
-    change the walk.  Minors are built by ``_restrict``, as in
-    ``induced_subhypergraph``.
+    hypergraph: the walk needs them to find the state's children, and the
+    yielded ``Minor`` carries them, so a caller can screen the minor on
+    masks and build it only if it passes.  Each deletion path is the first
+    one found, and keys never tie, so the order in which one state's
+    children are pushed cannot change the walk.
     """
     if budget is not None and budget <= 0:
         return
@@ -446,14 +486,14 @@ def enumerate_minors(
     while heap:
         _, negated = heapq.heappop(heap)
         state = -negated
-        surviving = _mask_vertices(n, state)
         path = paths[state]
-        yield _restrict(hypergraph, surviving), MinorTrace(hypergraph, path, surviving)
+        edges = frozenset(img & state for img in images) - {0}
+        yield Minor(hypergraph, state, edges, path)
         yielded += 1
         if budget is not None and yielded >= budget:
             return
-        for edge in {img & state for img in images}:
-            child = state ^ edge  # edge 0 gives the state itself, already seen
+        for edge in edges:
+            child = state ^ edge
             if child not in paths:
                 paths[child] = path + (_mask_vertices(n, edge),)
                 heapq.heappush(heap, (-child.bit_count(), -child))
@@ -503,6 +543,36 @@ def reduce_closed_fixpoint(
         survivors -= current.keys()
     reduced, mapping = induced_subhypergraph(hypergraph, survivors)
     return reduced, ReductionTrace(hypergraph, tuple(rounds), mapping)
+
+
+def closed_core(state: int, edges: Collection[int]) -> int:
+    """The vertices of ``state`` left by stripping closed vertices to a fixpoint.
+
+    ``edges`` are the edges of the vertex set ``state``, as masks.  This
+    is ``reduce_closed_fixpoint`` on masks: each round removes every
+    vertex that some edge, restricted to the survivors, covers alone.
+
+    On the lattice side it preserves torsion.  A closed vertex v makes
+    e_v a column of the homogenized incidence matrix (rows are vertices,
+    columns are labels plus the all-ones column).  Subtracting multiples
+    of that unit column clears the rest of row v, so the matrix is [1]
+    plus the matrix with row v and that column deleted, and the Smith
+    form splits off a 1.  Columns that become zero or repeat another
+    column add no invariant factor.  So the invariant factors above 1,
+    hence the torsion, are those of the core's matrix: its vertices, the
+    distinct nonzero ``edge & core``, and the all-ones column.  An empty
+    core is torsion-free.
+    """
+    core = state
+    while True:
+        closed = 0
+        for edge in edges:
+            rest = edge & core
+            if rest and not rest & (rest - 1):
+                closed |= rest
+        if not closed:
+            return core
+        core ^= closed
 
 
 def find_special_odd_cycle(

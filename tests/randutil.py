@@ -56,3 +56,30 @@ def separated_hypergraphs(draw):
     )
     minimal = [g for g in supports if not any(f < g for f in supports)]
     return build_from_ideal(SquarefreeIdeal(names, tuple(minimal)))
+
+
+@st.composite
+def odd_cycle_pair_hypergraphs(draw):
+    """Hypergraphs of two vertex-disjoint odd cycles plus a few extra generators.
+
+    Two disjoint odd cycles of degree-2 generators are where torsion and
+    the negative rules live, and uniform draws almost never contain them.
+    The cycles have lengths 3 or 5 on at most 8 variables; up to 3 extra
+    generators of 2 or 3 variables join them, and the generating set is
+    minimalized.
+    """
+    first = draw(st.sampled_from((3, 5)))
+    second = 3
+    n = draw(st.integers(first + second, 8))
+    names = tuple(f"x{i}" for i in range(1, n + 1))
+    supports = []
+    for start, length in ((0, first), (first, second)):
+        cycle = names[start : start + length]
+        supports += [frozenset((cycle[i], cycle[(i + 1) % length])) for i in range(length)]
+    supports += draw(
+        st.lists(st.frozensets(st.sampled_from(names), min_size=2, max_size=3), max_size=3)
+    )
+    supports = list(dict.fromkeys(supports))
+    minimal = [g for g in supports if not any(f < g for f in supports)]
+    used = sorted(set().union(*minimal), key=names.index)
+    return build_from_ideal(SquarefreeIdeal(tuple(used), tuple(minimal)))

@@ -28,16 +28,23 @@ from idpoly.engine import (
     RULE_TORSION,
     UNKNOWN,
     EngineConfig,
+    _core_has_torsion,
     _may_fire,
     analyze,
     citation_for,
 )
-from idpoly.hypergraph import build_from_ideal, enumerate_minors, reduce_closed_fixpoint
-from idpoly.intlinalg import TorsionCertificate
+from idpoly.hypergraph import (
+    build_from_ideal,
+    closed_core,
+    enumerate_minors,
+    incidence_matrix,
+    reduce_closed_fixpoint,
+)
+from idpoly.intlinalg import TorsionCertificate, torsion_check
 from idpoly.model import SquarefreeIdeal, polytope_from_ideal
 from idpoly.oracle import decide_normal_bruteforce, verify_witness
 
-from randutil import separated_hypergraphs
+from randutil import odd_cycle_pair_hypergraphs, separated_hypergraphs
 
 HALF = Fraction(1, 2)
 
@@ -392,12 +399,13 @@ def unguarded_fires(minor, rule):
 
 def guarded_minor_rules_that_fire(h, budget=None):
     fired = set()
-    for minor, _ in enumerate_minors(h, budget=budget):
-        if minor.num_vertices == 0:
+    for record in enumerate_minors(h, budget=budget):
+        if record.num_vertices == 0:
             continue
+        minor = record.hypergraph
         for rule in GUARDED_RULES:
             if unguarded_fires(minor, rule):
-                assert _may_fire(minor, rule), (rule, minor)
+                assert _may_fire(record.num_vertices, record.edges, rule), (rule, minor)
                 fired.add(rule)
     return fired
 
@@ -422,16 +430,93 @@ def test_minor_guards_hold_on_fixture_minors(load_ideal):
 @settings(max_examples=300, deadline=None)
 @given(h=separated_hypergraphs())
 def test_minor_guards_are_their_stated_conditions(h):
-    for minor, _ in enumerate_minors(h):
-        s = minor.num_vertices
+    for record in enumerate_minors(h):
+        s = record.num_vertices
         if s == 0:
             continue
+        minor, edges = record.hypergraph, record.edges
         even = s % 2 == 0 and all(len(e) % 2 == 0 for e in minor.edges)
-        assert _may_fire(minor, RULE_CONNECTED_ODD) == even
+        assert _may_fire(s, edges, RULE_CONNECTED_ODD) == even
+        no_single = all(len(e) > 1 for e in minor.edges)
         connectable = len(minor.one_skeleton().edges) >= s - 1
-        assert _may_fire(minor, RULE_BICOLOR) == connectable
-        fat_simple = any(len(e.vertices) >= 3 for e in minor.simple_edges())
-        assert _may_fire(minor, RULE_PAIR) == fat_simple
+        assert _may_fire(s, edges, RULE_BICOLOR) == (no_single and connectable)
+        fat_simple = [e for e in minor.simple_edges() if len(e.vertices) >= 3]
+        assert _may_fire(s, edges, RULE_PAIR) == (len(fat_simple) >= 2)
+        assert _may_fire(s, edges, RULE_TORSION)
+
+
+def core_screen_has_torsion(record):
+    core = closed_core(record.state, record.edges)
+    return bool(core) and _core_has_torsion(core, record.edges)
+
+
+def assert_core_screen_is_torsion_check(h):
+    """Compare the core screen with torsion_check on each full minor; count torsion."""
+    with_torsion = 0
+    for record in enumerate_minors(h):
+        if record.num_vertices == 0:
+            continue
+        points = incidence_matrix(record.hypergraph, expand_labels=True)
+        torsion = torsion_check(points) is not None
+        assert core_screen_has_torsion(record) == torsion, record.trace.surviving
+        with_torsion += torsion
+    return with_torsion
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=separated_hypergraphs() | odd_cycle_pair_hypergraphs())
+def test_core_screen_agrees_with_torsion_check(h):
+    assert_core_screen_is_torsion_check(h)
+
+
+@pytest.mark.parametrize("name", ["rem32.mat", "hex6.ideal"])
+def test_core_screen_agrees_on_fixture_minors_with_torsion(load_ideal, name):
+    ideal = mat_ideal(name) if name.endswith(".mat") else load_ideal(name)
+    reduced, _ = reduce_closed_fixpoint(build_from_ideal(ideal))
+    assert assert_core_screen_is_torsion_check(reduced) > 0
+
+
+def fixture_ideals(load_ideal):
+    from conftest import DATA
+
+    for path in sorted(DATA.glob("*.ideal")) + sorted(DATA.glob("*.mat")):
+        yield path.name, mat_ideal(path.name) if path.suffix == ".mat" else load_ideal(path.name)
+
+
+@pytest.mark.parametrize("structural", [True, False])
+def test_minor_walk_counters(load_ideal, structural):
+    # without the structural rules every input that keeps 2 or more
+    # vertices after reduction reaches the walk
+    cfg = EngineConfig() if structural else EngineConfig(use_oracle=False, **NO_STRUCTURAL_RULES)
+    walked = exact = 0
+    for name, ideal in fixture_ideals(load_ideal):
+        report = analyze(ideal, cfg)
+        stats = report.stats
+        if "minors_examined" not in stats:
+            continue
+        walked += 1
+        examined = stats["minors_examined"]
+        assert stats["minors_built"] <= examined, name
+        assert stats["torsion_screens"] <= examined, name
+        if report.minor is not None:
+            continue  # the walk stopped inside its last minor
+        # one screen per distinct nonempty core, and one build per minor
+        # that some detector runs on
+        exact += 1
+        reduced, _ = reduce_closed_fixpoint(build_from_ideal(ideal))
+        records = [r for r in enumerate_minors(reduced, budget=examined) if r.state]
+        cores = {closed_core(r.state, r.edges) for r in records}
+        assert stats["torsion_screens"] == len(cores - {0}), name
+        guarded = (RULE_CONNECTED_ODD, RULE_BICOLOR, RULE_PAIR)
+        built = sum(
+            1
+            for r in records
+            if any(_may_fire(r.num_vertices, r.edges, rule) for rule in guarded)
+            or core_screen_has_torsion(r)
+        )
+        assert stats["minors_built"] == built, name
+    assert exact >= (1 if structural else 4)
+    assert walked >= (3 if structural else 12)
 
 
 def zero_witness(num_vertices, num_labels):

@@ -14,6 +14,7 @@ from idpoly.hypergraph import (
     LabeledHypergraph,
     NotSeparatedError,
     build_from_ideal,
+    closed_core,
     delete_edge,
     edge_sort_key,
     enumerate_minors,
@@ -203,14 +204,17 @@ def pointer_chasing_minors(h: LabeledHypergraph, budget: int | None = None):
     budget=st.none() | st.integers(0, 12) | st.integers(100, 400),
 )
 def test_minor_walk_matches_pointer_chasing(h, budget):
-    walked = [(t.surviving, t.deleted_edges) for _, t in enumerate_minors(h, budget=budget)]
+    walked = [
+        (m.trace.surviving, m.trace.deleted_edges) for m in enumerate_minors(h, budget=budget)
+    ]
     assert walked == list(pointer_chasing_minors(h, budget))
 
 
 @settings(max_examples=150, deadline=None)
 @given(h=small_hypergraphs() | wide_hypergraphs())
 def test_minors_are_validated_restrictions(h):
-    for minor, trace in enumerate_minors(h, budget=300):
+    for record in enumerate_minors(h, budget=300):
+        minor, trace = record.hypergraph, record.trace
         assert trace.parent is h
         assert minor == induced_subhypergraph(h, trace.surviving)[0]
         # the walk skips validation; the checked constructor must agree
@@ -220,11 +224,41 @@ def test_minors_are_validated_restrictions(h):
 @settings(max_examples=200, deadline=None)
 @given(h=separated_hypergraphs())
 def test_minor_points_are_the_expanded_incidence_matrix(h):
-    for minor, _ in enumerate_minors(h):
+    for record in enumerate_minors(h):
+        minor = record.hypergraph
         if minor.num_vertices == 0:
             continue
         points = polytope_from_ideal(ideal_of(minor)).vertices
         assert incidence_matrix(minor, expand_labels=True) == points
+
+
+def vertex_mask(n, vertices):
+    return sum(1 << (n - v) for v in vertices)
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=small_hypergraphs() | separated_hypergraphs())
+def test_minor_masks_are_the_built_minor(h):
+    n = h.num_vertices
+    for record in enumerate_minors(h, budget=300):
+        minor, trace = record.hypergraph, record.trace
+        assert record.hypergraph is minor and record.trace is trace
+        assert record.state == vertex_mask(n, trace.surviving)
+        assert record.num_vertices == minor.num_vertices
+        back = dict(enumerate(trace.surviving, start=1))
+        built = {vertex_mask(n, (back[v] for v in e)) for e in minor.edges}
+        assert record.edges == built
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=separated_hypergraphs())
+def test_closed_core_is_the_closed_fixpoint(h):
+    n = h.num_vertices
+    for record in enumerate_minors(h):
+        _, reduction = reduce_closed_fixpoint(record.hypergraph)
+        back = dict(enumerate(record.trace.surviving, start=1))
+        expected = vertex_mask(n, (back[v] for v in reduction.surviving))
+        assert closed_core(record.state, record.edges) == expected
 
 
 def test_derived_structure_is_computed_once(load_ideal):
@@ -295,17 +329,18 @@ def test_reduction_fixpoint_is_stable(load_ideal):
 
 def test_minor_enumeration_order(load_ideal):
     h = build_from_ideal(load_ideal("tri.ideal"))
-    states = [trace.surviving for _, trace in enumerate_minors(h)]
+    states = [record.trace.surviving for record in enumerate_minors(h)]
     assert states == [(1, 2, 3), (1,), (2,), (3,), ()]
     # each deletion path replays to the survivors it claims
-    for sub, trace in enumerate_minors(h):
+    for record in enumerate_minors(h):
+        sub, trace = record.hypergraph, record.trace
         assert sub.num_vertices == len(trace.surviving)
         assert trace.parent is h
 
 
 def test_minor_budget_stops_enumeration(load_ideal):
     h = build_from_ideal(load_ideal("tri.ideal"))
-    states = [t.surviving for _, t in enumerate_minors(h, budget=2)]
+    states = [m.trace.surviving for m in enumerate_minors(h, budget=2)]
     assert states == [(1, 2, 3), (1,)]
     assert list(enumerate_minors(h, budget=0)) == []
 
@@ -393,7 +428,7 @@ def test_minor_dedup_on_survivor_sets(load_ideal):
     # the four-cycle has four 2-vertex edges; deleting opposite edges in
     # either order lands on the same survivor set, which must appear once
     h = build_from_ideal(load_ideal("fourcyc.ideal"))
-    states = [t.surviving for _, t in enumerate_minors(h)]
+    states = [m.trace.surviving for m in enumerate_minors(h)]
     assert len(states) == len(set(states))
     sizes = [len(s) for s in states]
     assert sizes == sorted(sizes, reverse=True)
