@@ -79,12 +79,13 @@ def _print_report(result: VerdictReport, fmt: str) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     ideal = _load_ideal(Path(args.file))
     kwargs: dict = {
-        "use_minors": not args.no_minors,
         "use_oracle": not args.no_oracle,
         "relaxed_connection": args.relaxed_connection,
         "verify": not args.no_verify,
     }
-    if args.minor_budget is not None:
+    if args.no_minors:
+        kwargs["minor_budget"] = 0
+    elif args.minor_budget is not None:
         kwargs["minor_budget"] = args.minor_budget
     if args.oracle_max_degree is not None:
         kwargs["oracle_max_degree"] = args.oracle_max_degree

@@ -2,7 +2,10 @@
 
 Rules run in a fixed priority order (exact rules first, sufficient-only
 rules next, brute force last) and the first conclusive one names the
-verdict; everything that ran is kept as diagnostics.  One dispatcher,
+verdict; everything that ran is kept as diagnostics.  ``STRUCTURAL_RULES``
+and ``MINOR_RULES`` are the one list of which rules run, and in what
+order; ``EngineConfig`` sets only the minor budget, the oracle and its
+degree cap, the relaxed connector search and verification.  One dispatcher,
 ``_detect``, runs a rule on the reduced hypergraph and on each minor
 alike.  Every candidate verdict, a minor hit included, goes through one
 settle site, ``_settle``, which lifts its evidence and re-verifies it
@@ -62,6 +65,7 @@ RULE_PAIR = "thm-4.8"
 RULE_MINOR = "thm-3.8"
 RULE_ORACLE = "oracle"
 
+# the rules that run on the reduced hypergraph, in priority order
 STRUCTURAL_RULES = (
     RULE_CONNECTED_ODD,
     RULE_BALANCED,
@@ -100,24 +104,17 @@ ORACLE_MAX_DIM = 12
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Which rules run, and how hard they are allowed to try.
+    """How hard the pipeline may try, not which rules run.
 
-    minor_rules selects the detectors replayed on each minor; it is
-    independent of the top-level enable flags so minors stay useful when
-    a top-level rule is switched off.
+    ``STRUCTURAL_RULES`` and ``MINOR_RULES`` choose the rules and their
+    order.  ``minor_budget`` caps the minors examined, and 0 skips the
+    minor walk; ``use_oracle`` and ``oracle_max_degree`` gate and cap the
+    exact oracle; ``relaxed_connection`` widens Theorem 4.8's connector
+    search; ``verify`` re-checks evidence against the original polytope.
     """
 
-    use_connected_odd: bool = True
-    use_balanced_uniform: bool = True
-    use_torsion: bool = True
-    use_bicolor: bool = True
-    use_exceptional_pair: bool = True
-    use_minors: bool = True
     use_oracle: bool = True
     minor_budget: int = 5000
-    minor_rules: frozenset[str] = frozenset(
-        (RULE_CONNECTED_ODD, RULE_TORSION, RULE_BICOLOR, RULE_PAIR)
-    )
     oracle_max_degree: int | None = None
     relaxed_connection: bool = False
     verify: bool = True
@@ -249,8 +246,10 @@ def _detect(
         )
     if rule == RULE_CONNECTED_ODD:
         outcome = decide_connected_odd(hypergraph)
-    else:
+    elif rule == RULE_BALANCED:
         outcome = balanced_uniform_rule(hypergraph)
+    else:
+        raise ValueError(f"unknown rule {rule!r}")
     diagnostic = f"{outcome.status}: {outcome.reason}"
     if not outcome.is_conclusive:
         return diagnostic, None
@@ -368,7 +367,7 @@ def _minor_candidates(
     """Not-normal verdicts of the minor detectors, minor by minor (Theorem 3.8).
 
     Minors come in canonical order, and on each one the rules of
-    ``cfg.minor_rules`` run in a fixed order.  Each is screened on the
+    ``MINOR_RULES`` run in that order.  Each is screened on the
     walk's masks first: a guarded detector runs only where ``_may_fire``
     holds, and the torsion rule only where the minor's closed-vertex core
     (``closed_core``) has torsion.  Stripping a closed vertex splits a
@@ -381,7 +380,6 @@ def _minor_candidates(
     ``stats`` counts the minors examined, the minors built and the
     torsion screens run.
     """
-    rules = [r for r in MINOR_RULES if r in cfg.minor_rules]
     has_torsion: dict[int, bool] = {}  # closed-vertex core -> screen result
     examined = built = screens = 0
     for record in enumerate_minors(hypergraph, budget=cfg.minor_budget):
@@ -391,7 +389,7 @@ def _minor_candidates(
             continue
         edges = record.edges
         minor = None
-        for rule in rules:
+        for rule in MINOR_RULES:
             if rule == RULE_TORSION:
                 core = closed_core(record.state, edges)
                 if not core:
@@ -429,23 +427,15 @@ def _candidates(
     the minor walk runs only when none of those stood, and the oracle
     only when no minor hit stood either.
     """
-    enabled = {
-        RULE_CONNECTED_ODD: cfg.use_connected_odd,
-        RULE_BALANCED: cfg.use_balanced_uniform,
-        RULE_TORSION: cfg.use_torsion,
-        RULE_BICOLOR: cfg.use_bicolor,
-        RULE_PAIR: cfg.use_exceptional_pair,
-    }
     structural: list[_Candidate] = []
     for rule in STRUCTURAL_RULES:
-        if enabled[rule]:
-            diagnostic, found = _detect(rule, reduced, cfg)
-            diagnostics.append((rule, diagnostic))
-            if found is not None:
-                structural.append(found)
+        diagnostic, found = _detect(rule, reduced, cfg)
+        diagnostics.append((rule, diagnostic))
+        if found is not None:
+            structural.append(found)
     yield from structural
 
-    if cfg.use_minors and cfg.minor_rules and cfg.minor_budget > 0:
+    if cfg.minor_budget > 0:
         yield from _minor_candidates(reduced, cfg, diagnostics, stats)
 
     if not cfg.use_oracle:

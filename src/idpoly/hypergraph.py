@@ -393,19 +393,6 @@ class MinorTrace:
     surviving: tuple[int, ...]
 
 
-def delete_edge(
-    hypergraph: LabeledHypergraph, edge: Iterable[int]
-) -> tuple[LabeledHypergraph, MinorTrace]:
-    """Remove an edge and all of its vertices."""
-    target = frozenset(edge)
-    if target not in hypergraph._edge_set:
-        raise ValueError(f"{tuple(sorted(target))} is not an edge of the hypergraph")
-    survivors = [v for v in hypergraph.vertices if v not in target]
-    sub, mapping = induced_subhypergraph(hypergraph, survivors)
-    trace = MinorTrace(hypergraph, (tuple(sorted(target)),), mapping)
-    return sub, trace
-
-
 def _mask_vertices(n: int, mask: int) -> tuple[int, ...]:
     # the highest set bit is the smallest vertex, so this ascends
     out = []

@@ -19,8 +19,9 @@ from idpoly.certificates import (
     two_solvable_certificate,
 )
 from idpoly.hypergraph import (
+    MinorTrace,
     build_from_ideal,
-    delete_edge,
+    induced_subhypergraph,
     reduce_closed_fixpoint,
 )
 from idpoly.intlinalg import prime_factors
@@ -292,11 +293,17 @@ def test_lift_witness_through_reduction():
     assert verify_witness(polytope_from_ideal(ideal), lifted).valid
 
 
+def connector_deleted(h):
+    """The bowtie minor that deleting the connector edge (4, 5) leaves."""
+    sub, mapping = induced_subhypergraph(h, (1, 2, 3, 6, 7, 8))
+    return sub, MinorTrace(h, ((4, 5),), mapping)
+
+
 def test_lift_witness_through_minor(load_ideal):
     h = build_from_ideal(load_ideal("bowtie.ideal"))
     # deleting the connector edge leaves the two triangles; build a small
     # witness there and lift it back
-    sub, trace = delete_edge(h, (4, 5))
+    sub, trace = connector_deleted(h)
     assert trace.surviving == (1, 2, 3, 6, 7, 8)
     small = Witness((HALF,) * 6, 3, (1, 1, 1, 0, 1, 1, 1))
     lifted = lift_witness(trace, small)
@@ -306,7 +313,7 @@ def test_lift_witness_through_minor(load_ideal):
 
 def test_lift_witness_validation(load_ideal):
     h = build_from_ideal(load_ideal("bowtie.ideal"))
-    _, trace = delete_edge(h, (4, 5))
+    _, trace = connector_deleted(h)
     with pytest.raises(TypeError, match="cannot lift"):
         lift_witness("not a trace", Witness((HALF, HALF), 1, (1,)))
     with pytest.raises(ValueError, match="witness has 2 coefficients"):

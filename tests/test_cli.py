@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import data_path
+from conftest import DATA, data_path
 
 
 def test_analyze_json_rem32(run_cli):
@@ -447,3 +447,23 @@ def test_no_verify_flag(run_cli):
     payload = json.loads(out)
     assert payload["verdict"] == "not_normal"
     assert payload["verified"] is False
+
+
+def _without_elapsed(fmt, out):
+    if fmt == "json":
+        payload = json.loads(out)
+        del payload["stats"]["elapsed_ms"]
+        return payload
+    return [line for line in out.splitlines() if not line.startswith("elapsed:")]
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in DATA.iterdir() if p.suffix in (".ideal", ".mat"))
+)
+def test_no_minors_is_minor_budget_zero(run_cli, name):
+    for fmt in ("json", "text"):
+        argv = ("analyze", data_path(name), "--format", fmt)
+        code_a, out_a, err_a = run_cli(*argv, "--no-minors")
+        code_b, out_b, err_b = run_cli(*argv, "--minor-budget", "0")
+        assert (code_a, err_a) == (code_b, err_b)
+        assert _without_elapsed(fmt, out_a) == _without_elapsed(fmt, out_b)

@@ -184,7 +184,7 @@ def test_twin_d_relaxed_finds_pair_directly(load_ideal):
 
 
 def test_twin_d_without_minors_is_unknown(load_ideal):
-    config = EngineConfig(use_minors=False)
+    config = EngineConfig(minor_budget=0)
     report = analyze(load_ideal("twin_d.ideal"), config)
     assert report.status == UNKNOWN
     assert report.rule is None
@@ -211,11 +211,9 @@ def test_veiled_needs_minor_search(load_ideal):
     assert report.verified
 
 
-def test_veiled_pair_only_minor_search(load_ideal):
-    config = EngineConfig(
-        minor_rules=frozenset((RULE_PAIR,)), minor_budget=20000
-    )
-    report = analyze(load_ideal("veiled.ideal"), config)
+def test_veiled_pair_only_minor_search(load_ideal, monkeypatch):
+    monkeypatch.setattr(engine, "MINOR_RULES", (RULE_PAIR,))
+    report = analyze(load_ideal("veiled.ideal"), EngineConfig(minor_budget=20000))
     assert report.status == NOT_NORMAL
     assert report.rule == RULE_MINOR
     assert report.minor_rule == RULE_PAIR
@@ -235,11 +233,17 @@ def test_veiled_pair_only_minor_search(load_ideal):
 
 
 def test_veiled_without_minors_is_unknown(load_ideal):
-    report = analyze(load_ideal("veiled.ideal"), EngineConfig(use_minors=False))
+    report = analyze(load_ideal("veiled.ideal"), EngineConfig(minor_budget=0))
     assert report.status == UNKNOWN
 
 
-def test_closed_vertex_then_minor_witness_lift():
+def without_rules(monkeypatch, *rules):
+    """Run the structural rules minus ``rules``, in their priority order."""
+    kept = tuple(r for r in engine.STRUCTURAL_RULES if r not in rules)
+    monkeypatch.setattr(engine, "STRUCTURAL_RULES", kept)
+
+
+def test_closed_vertex_then_minor_witness_lift(monkeypatch):
     # bowtie plus a ninth generator z*u4: the engine reduces the closed
     # vertex away, the pair detector is disabled, and the minor search
     # must find the pair on the full reduced hypergraph (empty deletion)
@@ -257,7 +261,8 @@ def test_closed_vertex_then_minor_witness_lift():
             {"z", "u4"},
         ),
     )
-    report = analyze(ideal, EngineConfig(use_exceptional_pair=False))
+    without_rules(monkeypatch, RULE_PAIR)
+    report = analyze(ideal)
     assert report.status == NOT_NORMAL
     assert report.rule == RULE_MINOR
     assert report.minor_rule == RULE_PAIR
@@ -273,8 +278,9 @@ def test_closed_vertex_then_minor_witness_lift():
     assert verify_witness(polytope_from_ideal(ideal), report.witness).valid
 
 
-def test_disabling_first_rule_falls_through(load_ideal):
-    report = analyze(mat_ideal("rem32.mat"), EngineConfig(use_connected_odd=False))
+def test_disabling_first_rule_falls_through(monkeypatch):
+    without_rules(monkeypatch, RULE_CONNECTED_ODD)
+    report = analyze(mat_ideal("rem32.mat"))
     assert report.status == NOT_NORMAL
     assert report.rule == RULE_TORSION
     assert report.torsion.m == 2
@@ -282,32 +288,18 @@ def test_disabling_first_rule_falls_through(load_ideal):
     assert report.witness is None
 
 
-def test_all_rules_disabled_is_unknown(load_ideal):
-    config = EngineConfig(
-        use_connected_odd=False,
-        use_balanced_uniform=False,
-        use_torsion=False,
-        use_bicolor=False,
-        use_exceptional_pair=False,
-        use_minors=False,
-        use_oracle=False,
-    )
+def test_all_rules_disabled_is_unknown(load_ideal, monkeypatch):
+    monkeypatch.setattr(engine, "STRUCTURAL_RULES", ())
+    config = EngineConfig(minor_budget=0, use_oracle=False)
     report = analyze(load_ideal("hex6.ideal"), config)
     assert report.status == UNKNOWN
     assert report.rule is None
     assert report.diagnostics == ()
 
 
-def test_oracle_only_configuration(load_ideal):
-    config = EngineConfig(
-        use_connected_odd=False,
-        use_balanced_uniform=False,
-        use_torsion=False,
-        use_bicolor=False,
-        use_exceptional_pair=False,
-        use_minors=False,
-    )
-    report = analyze(load_ideal("hex6.ideal"), config)
+def test_oracle_only_configuration(load_ideal, monkeypatch):
+    monkeypatch.setattr(engine, "STRUCTURAL_RULES", ())
+    report = analyze(load_ideal("hex6.ideal"), EngineConfig(minor_budget=0))
     assert report.status == NOT_NORMAL
     assert report.rule == RULE_ORACLE
     assert report.witness == report.witness  # structured witness present
@@ -339,6 +331,15 @@ def test_citation_strings():
     )
     assert citation_for(RULE_ORACLE, NORMAL)
     assert citation_for(RULE_EMPTY, NORMAL)
+    for rule in engine.STRUCTURAL_RULES + engine.MINOR_RULES:
+        for status in (NORMAL, NOT_NORMAL):
+            assert citation_for(rule, status), (rule, status)
+
+
+def test_detect_rejects_an_unknown_rule(load_ideal):
+    h = build_from_ideal(load_ideal("tri.ideal"))
+    with pytest.raises(ValueError, match="unknown rule 'odd-cycle'"):
+        engine._detect("odd-cycle", h, EngineConfig())
 
 
 @pytest.mark.parametrize(
@@ -484,10 +485,13 @@ def fixture_ideals(load_ideal):
 
 
 @pytest.mark.parametrize("structural", [True, False])
-def test_minor_walk_counters(load_ideal, structural):
+def test_minor_walk_counters(load_ideal, monkeypatch, structural):
     # without the structural rules every input that keeps 2 or more
     # vertices after reduction reaches the walk
-    cfg = EngineConfig() if structural else EngineConfig(use_oracle=False, **NO_STRUCTURAL_RULES)
+    cfg = EngineConfig()
+    if not structural:
+        monkeypatch.setattr(engine, "STRUCTURAL_RULES", ())
+        cfg = EngineConfig(use_oracle=False)
     walked = exact = 0
     for name, ideal in fixture_ideals(load_ideal):
         report = analyze(ideal, cfg)
@@ -524,15 +528,6 @@ def zero_witness(num_vertices, num_labels):
     return Witness((Fraction(0),) * num_vertices, 0, (0,) * num_labels)
 
 
-NO_STRUCTURAL_RULES = dict(
-    use_connected_odd=False,
-    use_balanced_uniform=False,
-    use_torsion=False,
-    use_bicolor=False,
-    use_exceptional_pair=False,
-)
-
-
 def test_demoted_structural_candidate_falls_through(monkeypatch):
     def planted(h):
         return RuleOutcome(NOT_NORMAL, "planted", zero_witness(h.num_vertices, len(h.labels)))
@@ -557,7 +552,8 @@ def plant_zero_witness_on_connected_odd(monkeypatch):
 
 def test_demoted_minor_witness_continues_the_walk(load_ideal, monkeypatch):
     plant_zero_witness_on_connected_odd(monkeypatch)
-    report = analyze(load_ideal("hex6.ideal"), EngineConfig(**NO_STRUCTURAL_RULES))
+    monkeypatch.setattr(engine, "STRUCTURAL_RULES", ())
+    report = analyze(load_ideal("hex6.ideal"))
     assert report.status == NOT_NORMAL
     assert report.rule == RULE_MINOR
     assert report.minor_rule == RULE_TORSION
@@ -572,8 +568,9 @@ def test_demoted_minor_witness_continues_the_walk(load_ideal, monkeypatch):
 
 def test_demoted_minor_witness_goes_on_to_the_oracle(load_ideal, monkeypatch):
     plant_zero_witness_on_connected_odd(monkeypatch)
-    config = EngineConfig(minor_rules=frozenset((RULE_CONNECTED_ODD,)), **NO_STRUCTURAL_RULES)
-    report = analyze(load_ideal("hex6.ideal"), config)
+    monkeypatch.setattr(engine, "STRUCTURAL_RULES", ())
+    monkeypatch.setattr(engine, "MINOR_RULES", (RULE_CONNECTED_ODD,))
+    report = analyze(load_ideal("hex6.ideal"))
     assert report.status == NOT_NORMAL
     assert report.rule == RULE_ORACLE
     assert report.minor is None
@@ -599,8 +596,8 @@ def test_demoted_oracle_witness_is_unknown_at_once(load_ideal, monkeypatch):
         return replace(verdict, witness=bad)
 
     monkeypatch.setattr(engine, "decide_normal_bruteforce", planted)
-    config = EngineConfig(use_minors=False, **NO_STRUCTURAL_RULES)
-    report = analyze(load_ideal("hex6.ideal"), config)
+    monkeypatch.setattr(engine, "STRUCTURAL_RULES", ())
+    report = analyze(load_ideal("hex6.ideal"), EngineConfig(minor_budget=0))
     assert report.status == UNKNOWN
     assert report.rule is None
     assert report.witness is None
@@ -618,8 +615,8 @@ def test_demoted_torsion_certificate_goes_on_to_the_oracle(load_ideal, monkeypat
         return TorsionCertificate((0,) * (len(points[0]) + 1), 2, (2,))
 
     monkeypatch.setattr(engine, "torsion_check", planted)
-    config = EngineConfig(use_minors=False, **{**NO_STRUCTURAL_RULES, "use_torsion": True})
-    report = analyze(load_ideal("hex6.ideal"), config)
+    monkeypatch.setattr(engine, "STRUCTURAL_RULES", (RULE_TORSION,))
+    report = analyze(load_ideal("hex6.ideal"), EngineConfig(minor_budget=0))
     assert report.status == NOT_NORMAL
     assert report.rule == RULE_ORACLE
     assert report.torsion is None

@@ -15,7 +15,6 @@ from idpoly.hypergraph import (
     NotSeparatedError,
     build_from_ideal,
     closed_core,
-    delete_edge,
     edge_sort_key,
     enumerate_minors,
     find_special_odd_cycle,
@@ -343,16 +342,6 @@ def test_minor_budget_stops_enumeration(load_ideal):
     states = [m.trace.surviving for m in enumerate_minors(h, budget=2)]
     assert states == [(1, 2, 3), (1,)]
     assert list(enumerate_minors(h, budget=0)) == []
-
-
-def test_delete_edge(load_ideal):
-    h = build_from_ideal(load_ideal("tri.ideal"))
-    sub, trace = delete_edge(h, (1, 2))
-    assert trace.deleted_edges == ((1, 2),)
-    assert trace.surviving == (3,)
-    assert sub.num_vertices == 1
-    with pytest.raises(ValueError, match=r"\(1, 3, 5\) is not an edge"):
-        delete_edge(h, (1, 3, 5))
 
 
 def test_induced_subhypergraph_renumbers(load_ideal):

@@ -257,6 +257,24 @@ def test_verify_coefficients_clause_order(load_ideal):
     assert res.witness == Witness((half,) * 6, 3, (1, 1, 1, 1, 1, 1, 1))
 
 
+def test_verify_coefficients_runs_no_lp(load_ideal, monkeypatch):
+    # coefficients that pass the range, sum and point clauses are a
+    # membership certificate themselves, so no LP is solved
+    import idpoly.oracle
+
+    def forbidden(*args):
+        raise AssertionError("verify_coefficients solved an LP")
+
+    for name in ("lp_membership", "solve_lp", "objective_range"):
+        monkeypatch.setattr(idpoly.oracle, name, forbidden)
+    p = poly(load_ideal, "rem32.mat")
+    half = Fraction(1, 2)
+    assert verify_coefficients(p, [half] * 6).valid
+    res = verify_coefficients(p, [Fraction(0)] * 6)
+    assert "integer decomposition" in res.reason
+    assert verify_witness(p, Witness((half,) * 6, 3, (1, 1, 1, 1, 1, 1, 1))).valid
+
+
 def test_verify_witness_checks_declared_fields(load_ideal):
     p = poly(load_ideal, "rem32.mat")
     half = Fraction(1, 2)
