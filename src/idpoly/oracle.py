@@ -6,6 +6,12 @@ with coefficients below 1 has degree at most s-1, and generation degrees
 beyond dim(P)-1 add nothing, scanning a finite range of dilations decides
 the question outright.  Everything here is exact rational arithmetic; a
 verdict from this module is a theorem about the input, not an estimate.
+
+The exact simplex answers two questions here, both over the integer
+membership rows (the all-ones row, then one row per coordinate, with one
+column per vertex): the range of one coordinate over a prefix of those
+rows, for the lattice-point descent, and one feasible vertex, for a
+witness's coefficients.
 """
 
 from __future__ import annotations
@@ -20,14 +26,6 @@ from .model import ZeroOnePolytope
 from .simplex import objective_range, solve_lp
 
 INCONCLUSIVE = "inconclusive"
-
-
-@dataclass(frozen=True)
-class RationalCombination:
-    """Nonnegative rational vertex multipliers summing to the degree."""
-
-    coefficients: tuple[Fraction, ...]
-    degree: int
 
 
 @dataclass(frozen=True)
@@ -69,22 +67,22 @@ def completeness_bound(polytope: ZeroOnePolytope) -> int:
     return min(s - 1, max(1, polytope.affine_dimension - 1))
 
 
-def _membership_system(
-    polytope: ZeroOnePolytope, point: Sequence[int], degree: int
-) -> tuple[list[list[int]], list[int]]:
-    s = polytope.num_vertices
-    rows: list[list[int]] = [[1] * s]
-    rhs: list[int] = [degree]
-    for j in range(polytope.ambient_dim):
-        rows.append([polytope.vertices[i][j] for i in range(s)])
-        rhs.append(point[j])
-    return rows, rhs
+def _membership_rows(polytope: ZeroOnePolytope) -> list[list[int]]:
+    """The all-ones row, then one row per coordinate, over the vertices.
+
+    Vertex multipliers x ≥ 0 with rows · x = (degree, *point) put the
+    point in degree·P.
+    """
+    vertices = polytope.vertices
+    return [[1] * len(vertices)] + [
+        [v[j] for v in vertices] for j in range(polytope.ambient_dim)
+    ]
 
 
 def lp_membership(
     polytope: ZeroOnePolytope, point: Sequence[int], degree: int
-) -> RationalCombination | None:
-    """Exact feasibility of point ∈ degree·P, with the combination found.
+) -> tuple[Fraction, ...] | None:
+    """Vertex multipliers that put point in degree·P, or None if there are none.
 
     None means definitively infeasible.  The returned coefficients are
     the basic solution the pivoting lands on, deterministic per input.
@@ -96,11 +94,7 @@ def lp_membership(
         )
     if degree < 0:
         raise ValueError("degree cannot be negative")
-    rows, rhs = _membership_system(polytope, point, degree)
-    result = solve_lp(rows, rhs)
-    if not result.is_feasible:
-        return None
-    return RationalCombination(result.solution, degree)
+    return solve_lp(_membership_rows(polytope), [degree, *point])
 
 
 def enumerate_lattice_points(
@@ -113,12 +107,14 @@ def enumerate_lattice_points(
     over the points of degree·P that share the fixed prefix, so no
     candidate box scan and no rounding is involved.  Both bounds come
     from one objective_range call, which runs a single feasibility phase
-    per prefix; an infeasible prefix ends its branch.
+    per prefix; an infeasible prefix ends its branch.  The membership
+    rows are built once: a prefix of length j fixes the all-ones row and
+    the first j coordinate rows, and coordinate j is the objective.
     """
     if degree < 0:
         raise ValueError("degree cannot be negative")
     n = polytope.ambient_dim
-    s = polytope.num_vertices
+    rows = _membership_rows(polytope)
     out: list[tuple[int, ...]] = []
 
     def descend(prefix: list[int]) -> None:
@@ -126,13 +122,7 @@ def enumerate_lattice_points(
         if j == n:
             out.append(tuple(prefix))
             return
-        rows: list[list[int]] = [[1] * s]
-        rhs: list[int] = [degree]
-        for k in range(j):
-            rows.append([polytope.vertices[i][k] for i in range(s)])
-            rhs.append(prefix[k])
-        objective = [polytope.vertices[i][j] for i in range(s)]
-        bounds = objective_range(rows, rhs, objective)
+        bounds = objective_range(rows[: j + 1], [degree, *prefix], rows[j + 1])
         if bounds is None:
             return
         low, high = bounds
@@ -222,9 +212,9 @@ def decide_normal_bruteforce(
         for point in enumerate_lattice_points(polytope, degree):
             points_examined += 1
             if integer_decomposition(polytope, point, degree) is None:
-                combination = lp_membership(polytope, point, degree)
-                assert combination is not None, "failing point came from the dilation"
-                witness = Witness(combination.coefficients, degree, point)
+                coefficients = lp_membership(polytope, point, degree)
+                assert coefficients is not None, "failing point came from the dilation"
+                witness = Witness(coefficients, degree, point)
                 return OracleVerdict(
                     NOT_NORMAL,
                     witness,

@@ -1,4 +1,10 @@
-"""Exact rational linear programming for small equality-form systems.
+"""Exact linear programming on integer equality systems, for the oracle.
+
+The oracle asks two questions of a system rows · x = rhs, x ≥ 0 with
+integer entries: one feasible vertex (solve_lp, for a witness's
+coefficients) and the least and greatest value of one integer objective
+(objective_range, for the bounds of a coordinate in the lattice-point
+descent).  Nothing else is offered.
 
 Two-phase primal simplex on a fraction-free integer tableau (Bareiss,
 Math. Comp. 22, 1968).  Every row shares one positive denominator d, so
@@ -7,54 +13,26 @@ turns every other row into (p*a - f*b) // d, where the division is exact
 because each entry is a minor of the input, and then sets d = p.  The
 ratio test cross-multiplies, and the reduced costs ride along as one more
 integer row.  Bland's rule (always the least eligible index) makes it
-immune to cycling, and every comparison is exact, so "infeasible" and
-"unbounded" are definitive answers rather than numerical judgments.
+immune to cycling, and every comparison is exact, so "infeasible" is a
+definitive answer rather than a numerical judgment.
 
 Phase one (find a feasible basis, pivot the artificials out, drop
-redundant rows) is one private routine with two callers: solve_lp runs
-one phase two from its basis, and objective_range runs two, one per
-direction of the objective, so a minimum and a maximum over the same
-rows cost a single phase one.
-
-Integer input goes straight into the tableau.  A row with Fraction
-entries, or a fractional objective, is first scaled by the least common
-multiple of its denominators; only the reported solution and objective
-are built as Fraction values.  Problem sizes here are tiny (dozens of
-columns at most); clarity wins over sparse cleverness.
+redundant rows) is one private routine with two callers: solve_lp reads
+the vertex off its basis, and objective_range runs two phase twos from
+it, one per direction of the objective, so a minimum and a maximum over
+the same rows cost a single phase one.  Only the answers are built as
+Fraction values.  Problem sizes here are tiny (dozens of columns at
+most); clarity wins over sparse cleverness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
+# _minimize's outcomes; phase one and a bounded objective always end OPTIMAL
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-
-
-@dataclass(frozen=True)
-class LPResult:
-    """Outcome of a solve: status plus, when optimal, value and a vertex."""
-
-    status: str
-    objective: Fraction | None = None
-    solution: tuple[Fraction, ...] | None = None
-
-    @property
-    def is_feasible(self) -> bool:
-        return self.status == OPTIMAL
-
-
-def _integral(values: Sequence[object]) -> tuple[list[int], int]:
-    """The values times the least positive integer that clears their denominators."""
-    if all(type(x) is int for x in values):
-        return list(values), 1
-    fractions = [Fraction(x) for x in values]
-    scale = lcm(*(f.denominator for f in fractions))
-    return [f.numerator * (scale // f.denominator) for f in fractions], scale
 
 
 def _pivot(
@@ -122,25 +100,18 @@ def _minimize(
     return status, denom
 
 
-def _columns(
-    rows: Sequence[Sequence[object]],
-    rhs: Sequence[object],
-    objective: Sequence[object] | None,
-) -> int:
+def _columns(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> int:
     """The column count of rows · x = rhs, after checking every shape."""
-    m = len(rows)
-    n = len(rows[0]) if m else (len(objective) if objective else 0)
+    n = len(rows[0]) if rows else 0
     if any(len(row) != n for row in rows):
         raise ValueError("constraint rows have inconsistent lengths")
-    if len(rhs) != m:
+    if len(rhs) != len(rows):
         raise ValueError("right-hand side length does not match row count")
-    if objective is not None and len(objective) != n:
-        raise ValueError("objective length does not match column count")
     return n
 
 
 def _feasible_basis(
-    rows: Sequence[Sequence[object]], rhs: Sequence[object], n: int
+    rows: Sequence[Sequence[int]], rhs: Sequence[int], n: int
 ) -> tuple[list[list[int]], list[int], int] | None:
     """A basic feasible solution of rows · x = rhs, x ≥ 0, or None if there is none.
 
@@ -154,10 +125,9 @@ def _feasible_basis(
     m = len(rows)
     tableau: list[list[int]] = []
     for i, (row, beta) in enumerate(zip(rows, rhs)):
-        r, _ = _integral([*row, beta])
-        if r[-1] < 0:
-            r = [-x for x in r]
-        tableau.append(r[:-1] + [1 if j == i else 0 for j in range(m)] + [r[-1]])
+        if beta < 0:
+            row, beta = [-a for a in row], -beta
+        tableau.append([*row, *(int(j == i) for j in range(m)), beta])
     basis = list(range(n, n + m))
     phase1_cost = [0] * n + [1] * m + [0]
     status, denom = _minimize(tableau, basis, phase1_cost, n + m, 1)
@@ -185,47 +155,27 @@ def _feasible_basis(
     return [row[:n] + [row[-1]] for row in tableau], basis, denom
 
 
-def _basic_cost(
-    tableau: list[list[int]], basis: list[int], cost: list[int]
-) -> int:
-    """cost · x times the tableau's denominator, at the basic solution."""
-    return sum(cost[b] * tableau[i][-1] for i, b in enumerate(basis))
-
-
 def solve_lp(
-    rows: Sequence[Sequence[object]],
-    rhs: Sequence[object],
-    objective: Sequence[object] | None = None,
-) -> LPResult:
-    """Minimize objective · x subject to rows · x = rhs, x ≥ 0.
+    rows: Sequence[Sequence[int]], rhs: Sequence[int]
+) -> tuple[Fraction, ...] | None:
+    """A vertex of rows · x = rhs, x ≥ 0, or None when the system is infeasible.
 
-    With objective=None this is a pure feasibility test (objective 0).
-    The returned solution is the basic feasible vertex the pivoting ends
-    on, which is deterministic for fixed input.
+    The vertex is the basic feasible solution phase one ends on, which
+    is deterministic for fixed input.
     """
-    n = _columns(rows, rhs, objective)
+    n = _columns(rows, rhs)
     start = _feasible_basis(rows, rhs, n)
     if start is None:
-        return LPResult(INFEASIBLE)
+        return None
     tableau, basis, denom = start
-    if objective is not None:
-        cost, cost_scale = _integral(objective)
-        status, denom = _minimize(tableau, basis, cost + [0], n, denom)
-        if status == UNBOUNDED:
-            return LPResult(UNBOUNDED)
-    else:
-        cost, cost_scale = [0] * n, 1
-
     values = {b: tableau[i][-1] for i, b in enumerate(basis)}
-    solution = tuple(Fraction(values.get(j, 0), denom) for j in range(n))
-    value = Fraction(_basic_cost(tableau, basis, cost), denom * cost_scale)
-    return LPResult(OPTIMAL, value, solution)
+    return tuple(Fraction(values.get(j, 0), denom) for j in range(n))
 
 
 def objective_range(
-    rows: Sequence[Sequence[object]],
-    rhs: Sequence[object],
-    objective: Sequence[object],
+    rows: Sequence[Sequence[int]],
+    rhs: Sequence[int],
+    objective: Sequence[int],
 ) -> tuple[Fraction, Fraction] | None:
     """The least and greatest objective · x over rows · x = rhs, x ≥ 0.
 
@@ -235,16 +185,18 @@ def objective_range(
     minimum's optimal basis.  The feasible set must be bounded, as it is
     when one row fixes the sum of the variables.
     """
-    n = _columns(rows, rhs, objective)
+    n = _columns(rows, rhs)
+    if len(objective) != n:
+        raise ValueError("objective length does not match column count")
     start = _feasible_basis(rows, rhs, n)
     if start is None:
         return None
     tableau, basis, denom = start
-    cost, scale = _integral(objective)
     bounds = []
-    for signed in (cost, [-c for c in cost]):
-        status, denom = _minimize(tableau, basis, signed + [0], n, denom)
+    for cost in (list(objective), [-c for c in objective]):
+        status, denom = _minimize(tableau, basis, cost + [0], n, denom)
         assert status == OPTIMAL, "the feasible set is bounded"
-        bounds.append(Fraction(_basic_cost(tableau, basis, signed), denom * scale))
+        value = sum(cost[b] * tableau[i][-1] for i, b in enumerate(basis))
+        bounds.append(Fraction(value, denom))
     low, high = bounds
     return low, -high

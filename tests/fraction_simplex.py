@@ -2,17 +2,31 @@
 
 This is the textbook form of idpoly.simplex: the same two phases, the
 same Bland's rule and tie-break, but every entry is a Fraction and every
-pivot divides the pivot row through.  The differential tests check that
-the integer tableau in idpoly.simplex gives the same answers.  Its
-objective_range is two independent solves, with no shared phase one.
+pivot divides the pivot row through.  It imports nothing from idpoly and
+keeps the general interface (an optional objective, unbounded reports),
+so the differential tests compare the integer tableau against an
+independent solver.  Its objective_range is two independent solves, with
+no shared phase one.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from idpoly.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
+OPTIMAL = "optimal"
+INFEASIBLE = "infeasible"
+UNBOUNDED = "unbounded"
+
+
+@dataclass(frozen=True)
+class LPResult:
+    """Outcome of a solve: status plus, when optimal, value and a vertex."""
+
+    status: str
+    objective: Fraction | None = None
+    solution: tuple[Fraction, ...] | None = None
 
 
 def _pivot(tableau: list[list], basis: list[int], row: int, col: int) -> None:
