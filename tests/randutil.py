@@ -6,7 +6,7 @@ import random
 
 from hypothesis import strategies as st
 
-from idpoly.hypergraph import build_from_ideal
+from idpoly.hypergraph import LabeledHypergraph, build_from_ideal
 from idpoly.model import SquarefreeIdeal
 
 
@@ -83,3 +83,46 @@ def odd_cycle_pair_hypergraphs(draw):
     minimal = [g for g in supports if not any(f < g for f in supports)]
     used = sorted(set().union(*minimal), key=names.index)
     return build_from_ideal(SquarefreeIdeal(tuple(used), tuple(minimal)))
+
+
+@st.composite
+def shared_vertex_cycle_pair_hypergraphs(draw):
+    """Two disjoint odd cycles whose closing fat edges share an off-cycle vertex.
+
+    Each cycle is a path of 2-vertex edges closed by a fat edge that holds
+    the path's two ends, an off-cycle vertex s common to both fat edges,
+    and an off-cycle port of its own.  One to three edges of 2 or 3
+    off-cycle vertices, drawn with or without s, can connect the ports.
+    This is the pattern of the edge65 minors on which Theorem 4.8's
+    detector once returned a pair whose witness decomposes; uniform draws
+    almost never build it.
+
+    Only separated hypergraphs have a polytope.  While some vertex v is
+    not split from another (every edge through v holds the other), v is
+    taken out of every edge, and edges left with one vertex go.  Such a v
+    is never s or a cycle vertex, so the pattern survives.
+    """
+    first = draw(st.sampled_from((3, 5)))
+    one = tuple(range(1, first + 1))
+    two = (first + 1, first + 2, first + 3)
+    shared = first + 4
+    off_cycle = range(shared, shared + 4)
+    pool = off_cycle if draw(st.booleans()) else off_cycle[1:]
+    outside = st.frozensets(st.sampled_from(pool), min_size=2, max_size=3)
+    edges = set(draw(st.lists(outside, min_size=1, max_size=3)))
+    for cycle, port in ((one, shared + 1), (two, shared + 2)):
+        edges.update(frozenset(pair) for pair in zip(cycle, cycle[1:]))
+        edges.add(frozenset((cycle[0], cycle[-1], shared, port)))
+    while True:
+        used = sorted(set().union(*edges))
+        rename = {old: new for new, old in enumerate(used, start=1)}
+        labels = tuple(
+            (f"e{i}", frozenset(rename[v] for v in edge))
+            for i, edge in enumerate(sorted(edges, key=sorted))
+        )
+        hypergraph = LabeledHypergraph(len(used), labels)
+        violation = hypergraph.separation_violation()
+        if violation is None:
+            return hypergraph
+        unsplit = used[violation[0] - 1]
+        edges = {e - {unsplit} for e in edges if len(e - {unsplit}) > 1}

@@ -3,6 +3,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idpoly.certificates import (
     INAPPLICABLE,
@@ -21,12 +23,15 @@ from idpoly.certificates import (
 from idpoly.hypergraph import (
     MinorTrace,
     build_from_ideal,
+    ideal_of,
     induced_subhypergraph,
     reduce_closed_fixpoint,
 )
 from idpoly.intlinalg import prime_factors
 from idpoly.model import SquarefreeIdeal, polytope_from_ideal
 from idpoly.oracle import decide_normal_bruteforce, verify_witness
+
+from randutil import odd_cycle_pair_hypergraphs, shared_vertex_cycle_pair_hypergraphs
 
 HALF = Fraction(1, 2)
 
@@ -236,6 +241,35 @@ def test_exceptional_pair_relaxed_connection(load_ideal):
     assert witness.point == (1, 1, 1, 1, 1, 1, 0, 0)
 
 
+@pytest.mark.parametrize(
+    "surviving", [(1, 2, 3, 5, 6, 7, 9, 10, 11), (1, 2, 4, 5, 6, 7, 8, 10, 11)]
+)
+@pytest.mark.parametrize("relaxed", [False, True])
+def test_exceptional_pair_skips_shared_off_cycle_vertex(load_ideal, surviving, relaxed):
+    # in these two minors of the reduced edge65 hypergraph the only pair
+    # has designated edges sharing vertex 6 off the cycles; its all-halves
+    # point decomposes, and edge65 is normal by the odd cycle condition
+    reduced, _ = reduce_closed_fixpoint(build_from_ideal(load_ideal("edge65.ideal")))
+    minor, _ = induced_subhypergraph(reduced, surviving)
+    fat_one, fat_two = (set(e) for e in minor.edges if len(e) > 2)
+    assert fat_one & fat_two == {6}
+    assert find_exceptional_pair(minor, relaxed=relaxed) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    h=shared_vertex_cycle_pair_hypergraphs() | odd_cycle_pair_hypergraphs(),
+    relaxed=st.booleans(),
+)
+def test_exceptional_pair_witness_stands_on_its_own_polytope(h, relaxed):
+    # the shared-vertex draws are where the detector once returned pairs
+    # whose all-halves point decomposes
+    pair = find_exceptional_pair(h, relaxed=relaxed)
+    if pair is not None:
+        polytope = polytope_from_ideal(ideal_of(h))
+        assert verify_witness(polytope, exceptional_witness(h, pair)).valid
+
+
 def test_exceptional_witness_rejects_foreign_pair(load_ideal):
     bowtie = build_from_ideal(load_ideal("bowtie.ideal"))
     pair = find_exceptional_pair(bowtie)
@@ -261,6 +295,10 @@ def test_exceptional_pair_structural_validation():
     even = Cycle((1, 2, 3, 4), ((1, 2), (2, 3), (3, 4), (1, 4)))
     with pytest.raises(ValueError, match="odd"):
         ExceptionalPair(even, c2, (1, 2), (4, 5), ((7, 8),))
+    fat1 = Cycle((1, 2, 3), ((1, 2), (2, 3), (1, 3, 7)))
+    fat2 = Cycle((4, 5, 6), ((4, 5), (5, 6), (4, 6, 7, 8)))
+    with pytest.raises(ValueError, match="share vertex 7 off the cycles"):
+        ExceptionalPair(fat1, fat2, (1, 3, 7), (4, 6, 7, 8), ((7, 8),))
 
 
 def test_lift_witness_through_reduction():
