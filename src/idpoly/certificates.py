@@ -1,10 +1,11 @@
-"""Structural normality rules and the witnesses that back them.
+"""Structural normality rules and the evidence that backs them.
 
-Each detector either settles normality for a class of labeled hypergraphs
-or declares itself inapplicable.  Every negative answer carries a Witness:
-a rational combination in the half-open unit box whose point is integral
-but admits no integral rewriting, which the oracle can replay without
-trusting any of the structure theory here.
+Every rule maps a labeled hypergraph to a RuleOutcome: a verdict for its
+class of hypergraphs, or inapplicable, with the reason reports print.  A
+negative verdict carries a TorsionCertificate or a Witness: a rational
+combination in the half-open unit box whose point is integral but admits
+no integral rewriting, which the oracle can replay without trusting any
+of the structure theory here.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ from .hypergraph import (
     NotSeparatedError,
     ReductionTrace,
     find_special_odd_cycle,
-    ideal_of,
+    incidence_matrix,
 )
-from .intlinalg import prime_factors
-from .model import generator_degrees
+from .intlinalg import TorsionCertificate, prime_factors, torsion_check
 
 NORMAL = "normal"
 NOT_NORMAL = "not_normal"
@@ -36,9 +36,6 @@ BUDGET_EXCEEDED = "budget_exceeded"
 
 # path-search node budget of the exceptional-pair search
 PAIR_BUDGET = 200_000
-
-RED = "red"
-BLUE = "blue"
 
 
 @dataclass(frozen=True)
@@ -86,50 +83,19 @@ class RuleOutcome:
 
     status is one of normal / not_normal / inapplicable / budget_exceeded;
     only the first two are verdicts.  reason is human-readable and ends up
-    in diagnostic reports verbatim.
+    in diagnostic reports verbatim.  not_normal carries a witness, or a
+    torsion certificate with the lattice points it is re-checked against.
     """
 
     status: str
     reason: str
     witness: Witness | None = None
+    torsion: TorsionCertificate | None = None
+    lattice: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def is_conclusive(self) -> bool:
         return self.status in (NORMAL, NOT_NORMAL)
-
-
-@dataclass(frozen=True)
-class TwoColoring:
-    """A proper 2-coloring of the 1-skeleton with modular edge balance.
-
-    edge_counts pairs every edge (canonical order) with its red/blue
-    vertex counts; p divides every count difference as well as the total
-    difference.  designated, when set, is the simple edge whose imbalance
-    powers the obstruction witness.
-    """
-
-    colors: tuple[str, ...]
-    edge_counts: tuple[tuple[tuple[int, ...], int, int], ...]
-    totals: tuple[int, int]
-    prime: int
-    designated: tuple[tuple[int, ...], int, int] | None = None
-
-    def __post_init__(self) -> None:
-        for c in self.colors:
-            if c not in (RED, BLUE):
-                raise ValueError(f"unknown color {c!r}")
-        p = self.prime
-        if p < 2 or next(prime_factors(p)) != p:
-            raise ValueError(f"{p} is not prime")
-        for edge, r, b in self.edge_counts:
-            if (r - b) % p:
-                raise ValueError(f"edge {edge} imbalance {r - b} not divisible by {p}")
-        if (self.totals[0] - self.totals[1]) % p:
-            raise ValueError("total imbalance not divisible by the prime")
-        if self.designated is not None:
-            _, r, b = self.designated
-            if r == b:
-                raise ValueError("designated edge must be unbalanced")
 
 
 @dataclass(frozen=True)
@@ -140,8 +106,8 @@ class ExceptionalPair:
     edges, which meet the cycle vertices in exactly two vertices apiece.
     The connection is a chain of edges avoiding all cycle vertices that
     starts on special_one's off-cycle part and ends on special_two's.
-    The two designated edges share no vertex off the cycles, a measured
-    condition that find_exceptional_pair explains.
+    Whether the designated edges may share a vertex off the cycles depends
+    on the other edges, so exceptional_witness checks that.
     """
 
     cycle_one: Cycle
@@ -175,11 +141,6 @@ class ExceptionalPair:
                 raise ValueError(
                     f"designated edge {special} must meet the cycles in exactly 2 vertices"
                 )
-        off_cycle = (set(self.special_one) & set(self.special_two)) - cycle_vertices
-        if off_cycle:
-            raise ValueError(
-                f"designated edges share vertex {min(off_cycle)} off the cycles"
-            )
         if not self.connection:
             raise ValueError("connection cannot be empty")
         for e in self.connection:
@@ -265,7 +226,8 @@ def balanced_uniform_rule(
     _require_separated(hypergraph)
     if hypergraph.num_vertices == 0:
         return RuleOutcome(INAPPLICABLE, "empty hypergraph")
-    degrees = generator_degrees(ideal_of(hypergraph))
+    # generator v is the product of the labels whose image holds v
+    degrees = [sum(v in image for _, image in hypergraph.labels) for v in hypergraph.vertices]
     if len(set(degrees)) != 1:
         listing = ",".join(str(d) for d in degrees)
         return RuleOutcome(
@@ -286,78 +248,60 @@ def balanced_uniform_rule(
     )
 
 
-def two_solvable_certificate(hypergraph: LabeledHypergraph) -> TwoColoring | None:
-    """Proper 2-coloring with all edge imbalances divisible by one prime.
-
-    Needs a connected bipartite 1-skeleton, whose coloring is then unique
-    up to swapping; the smallest vertex is red.  Returns None when the
-    skeleton disqualifies or when the imbalance gcd is 1.  A gcd of 0
-    (everything balanced) admits every prime; 2 is reported.
-    """
-    if hypergraph.num_vertices == 0:
-        return None
-    coloring = hypergraph.one_skeleton().connected_coloring()
-    if coloring is None:
-        return None
-    colors = tuple(
-        RED if coloring[v] == 0 else BLUE for v in hypergraph.vertices
+def torsion_obstruction(hypergraph: LabeledHypergraph) -> RuleOutcome:
+    """Torsion in the lattice quotient of the ideal's exponent rows: not normal."""
+    points = incidence_matrix(hypergraph, expand_labels=True)
+    certificate = torsion_check(points)
+    if certificate is None:
+        return RuleOutcome(INAPPLICABLE, "lattice quotient torsion-free")
+    return RuleOutcome(
+        NOT_NORMAL, f"invariant factor {certificate.m}", torsion=certificate, lattice=points
     )
-    edge_counts = []
-    for edge in hypergraph.edges:
-        r = sum(1 for v in edge if colors[v - 1] == RED)
-        edge_counts.append((edge, r, len(edge) - r))
-    total_red = sum(1 for c in colors if c == RED)
-    totals = (total_red, len(colors) - total_red)
-    g = 0
-    for _, r, b in edge_counts:
-        g = gcd(g, abs(r - b))
-    g = gcd(g, abs(totals[0] - totals[1]))
-    if g == 1:
-        return None
-    prime = 2 if g == 0 else next(prime_factors(g))
-    return TwoColoring(colors, tuple(edge_counts), totals, prime)
 
 
-def bicolor_obstruction(
-    hypergraph: LabeledHypergraph,
-) -> tuple[TwoColoring, Witness] | None:
+def bicolor_obstruction(hypergraph: LabeledHypergraph) -> RuleOutcome:
     """Unbalanced simple edge under a modular 2-coloring: not normal.
 
-    When the hypergraph is 2-solvable for a prime p and some simple edge
-    has unequal red/blue counts, assigning 1/p to red vertices and
-    (p-1)/p to blue ones yields an integral point with no integral
-    rewriting.  The designated edge is the first qualifying simple edge
-    in canonical order.
+    The 1-skeleton's coloring, connected and bipartite, is unique once the
+    smallest vertex is red.  p is the smallest prime dividing every edge's
+    red/blue imbalance and the total one (2 if all are 0).  When a simple
+    edge is unbalanced, 1/p on red vertices and (p-1)/p on blue ones give
+    an integral point with no integral rewriting; the designated edge is
+    the first such simple edge in canonical order.
     """
     _require_separated(hypergraph)
-    certificate = two_solvable_certificate(hypergraph)
-    if certificate is None:
-        return None
-    counts = {edge: (r, b) for edge, r, b in certificate.edge_counts}
-    designated = None
+    absent = RuleOutcome(INAPPLICABLE, "no unbalanced simple edge")
+    if hypergraph.num_vertices == 0:
+        return absent
+    coloring = hypergraph.one_skeleton().connected_coloring()
+    if coloring is None:
+        return absent
+    red = {v for v in hypergraph.vertices if coloring[v] == 0}
+    g = abs(2 * len(red) - hypergraph.num_vertices)
+    for edge in hypergraph.edges:
+        g = gcd(g, abs(2 * len(red.intersection(edge)) - len(edge)))
+    if g == 1:
+        return absent
+    p = 2 if g == 0 else next(prime_factors(g))
     for simple in hypergraph.simple_edges():
-        r, b = counts[simple.vertices]
+        edge = simple.vertices
+        r = len(red.intersection(edge))
+        b = len(edge) - r
         if r != b:
-            designated = (simple.vertices, r, b)
             break
-    if designated is None:
-        return None
-    p = certificate.prime
-    completed = TwoColoring(
-        certificate.colors,
-        certificate.edge_counts,
-        certificate.totals,
-        p,
-        designated,
-    )
+    else:
+        return absent
     coeffs = [
-        Fraction(1, p) if c == RED else Fraction(p - 1, p)
-        for c in certificate.colors
+        Fraction(1, p) if v in red else Fraction(p - 1, p)
+        for v in hypergraph.vertices
     ]
     degree = sum(coeffs)
     assert degree.denominator == 1, "2-solvability makes the total integral"
-    witness = _witness_from_coefficients(hypergraph, coeffs, int(degree))
-    return completed, witness
+    return RuleOutcome(
+        NOT_NORMAL,
+        f"p={p}, simple edge {edge} has {r} red / {b} blue",
+        witness=_witness_from_coefficients(hypergraph, coeffs, int(degree)),
+    )
 
 
 def _odd_cycle_candidates(
@@ -448,6 +392,14 @@ def _connection_between(
     return None
 
 
+def _lone_shared_vertex(
+    hypergraph: LabeledHypergraph, g_one: Sequence[int], g_two: Sequence[int]
+) -> int | None:
+    """The smallest vertex of both designated edges that no other edge holds."""
+    lone = [v for v in set(g_one) & set(g_two) if sum(v in e for e in hypergraph.edges) == 2]
+    return min(lone, default=None)
+
+
 def find_exceptional_pair(
     hypergraph: LabeledHypergraph, relaxed: bool = False, budget: int = PAIR_BUDGET
 ) -> ExceptionalPair | None:
@@ -455,18 +407,21 @@ def find_exceptional_pair(
 
     Candidate cycles consist of skeleton edges closed by one simple edge
     of 3+ vertices; pairs are tried smallest-first.  A pair qualifies when
-    the cycles are fully disjoint, their designated edges share no vertex
-    off the cycles, every edge of the hypergraph meets their union
-    evenly, and a connector chain exists (a single edge by default, an
-    edge path when relaxed).  The budget caps path-search nodes; on
-    exhaustion the answer None means "none found", not "none exists".
+    the cycles are fully disjoint, no vertex shared by their designated
+    edges (such a vertex is off the cycles) lies on those two edges alone,
+    every edge meets their union evenly, and a connector chain exists (a
+    single edge by default, an edge path when relaxed).  The budget caps
+    path-search nodes; on exhaustion the answer None means "none found",
+    not "none exists".
 
     The shared-vertex skip is measured, not quoted from the theorem (the
-    repository holds only the paper's abstract): over both edge-ideal
-    benchmark populations, every fixture and 1,500 random graphs with two
-    planted triangles (each with its minors), all 20 pairs whose witness
-    had an integer decomposition had designated edges sharing a vertex
-    off the cycles, and none of the 459 pairs whose witness stood did.
+    repository holds only the paper's abstract).  On 5,000 draws of two
+    odd cycles whose designated edges share a vertex, the detector without
+    the skip returned 2,739 pairs: all 2,415 whose shared vertex lay on no
+    other edge decomposed, and all 324 whose shared vertex lay on a third
+    edge stood.  Over the edge-ideal benchmark populations, the fixtures
+    and 1,500 random graphs with two planted triangles, each with its
+    minors, all 459 pairs whose designated edges share no vertex stood.
     """
     candidates = _odd_cycle_candidates(hypergraph, budget)
     all_edges = hypergraph.edges
@@ -481,7 +436,7 @@ def find_exceptional_pair(
             union = set_one | set_two
             if set(g_one) & set_two or set(g_two) & set_one:
                 continue
-            if (set(g_one) & set(g_two)) - union:
+            if _lone_shared_vertex(hypergraph, g_one, g_two) is not None:
                 continue
             if any(len(union.intersection(e)) % 2 for e in all_edges):
                 continue
@@ -504,9 +459,10 @@ def exceptional_witness(
     """All-halves combination on the pair's cycle vertices.
 
     Validates the pair against the hypergraph (edges exist, designated
-    edges are simple, every edge meets the cycles evenly) and raises
-    ValueError when anything fails; the evenness condition is exactly
-    what makes the point integral.
+    edges are simple, every edge meets the cycles evenly, no shared vertex
+    lies on the designated edges alone) and raises ValueError when
+    anything fails; the evenness condition is exactly what makes the
+    point integral, and find_exceptional_pair explains the other.
     """
     edge_set = {frozenset(e) for e in hypergraph.edges}
     for cycle in (pair.cycle_one, pair.cycle_two):
@@ -526,11 +482,28 @@ def exceptional_witness(
             raise ValueError(
                 f"edge {e} meets the cycles in an odd number of vertices"
             )
+    lone = _lone_shared_vertex(hypergraph, pair.special_one, pair.special_two)
+    if lone is not None:
+        raise ValueError(f"designated edges share vertex {lone} off the cycles, on no other edge")
     coeffs = [
         Fraction(1, 2) if v in union else Fraction(0)
         for v in hypergraph.vertices
     ]
     return _witness_from_coefficients(hypergraph, coeffs, len(union) // 2)
+
+
+def exceptional_pair_rule(
+    hypergraph: LabeledHypergraph, relaxed: bool = False
+) -> RuleOutcome:
+    """Theorem 4.8: an exceptional pair of odd cycles, and its all-halves witness."""
+    pair = find_exceptional_pair(hypergraph, relaxed=relaxed)
+    if pair is None:
+        return RuleOutcome(INAPPLICABLE, "no exceptional pair found")
+    return RuleOutcome(
+        NOT_NORMAL,
+        f"cycles {pair.cycle_one.vertices} and {pair.cycle_two.vertices}",
+        witness=exceptional_witness(hypergraph, pair),
+    )
 
 
 def lift_witness(

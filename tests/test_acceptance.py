@@ -151,9 +151,9 @@ def test_criterion_6_prime_three_obstruction(load_ideal):
     ideal = load_ideal("solv3.ideal")
     h = build_from_ideal(ideal)
     found = bicolor_obstruction(h)
-    assert found is not None
-    coloring, witness = found
-    assert coloring.prime == 3
+    assert found.status == NOT_NORMAL
+    assert found.reason.startswith("p=3, ")
+    witness = found.witness
     assert set(witness.coefficients) <= {Fraction(1, 3), Fraction(2, 3)}
     assert witness.degree == 3
     poly = polytope_from_ideal(ideal)

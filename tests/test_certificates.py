@@ -11,29 +11,35 @@ from idpoly.certificates import (
     NORMAL,
     NOT_NORMAL,
     ExceptionalPair,
+    RuleOutcome,
     Witness,
     balanced_uniform_rule,
     bicolor_obstruction,
     decide_connected_odd,
+    exceptional_pair_rule,
     exceptional_witness,
     find_exceptional_pair,
     lift_witness,
-    two_solvable_certificate,
+    torsion_obstruction,
 )
 from idpoly.hypergraph import (
+    Cycle,
+    LabeledHypergraph,
     MinorTrace,
     build_from_ideal,
     ideal_of,
     induced_subhypergraph,
     reduce_closed_fixpoint,
 )
-from idpoly.intlinalg import prime_factors
+from idpoly.intlinalg import prime_factors, verify_torsion_certificate
 from idpoly.model import SquarefreeIdeal, polytope_from_ideal
 from idpoly.oracle import decide_normal_bruteforce, verify_witness
 
 from randutil import odd_cycle_pair_hypergraphs, shared_vertex_cycle_pair_hypergraphs
 
 HALF = Fraction(1, 2)
+THIRD = Fraction(1, 3)
+NO_BICOLOR = RuleOutcome(INAPPLICABLE, "no unbalanced simple edge")
 
 
 def test_smallest_prime_factor():
@@ -152,38 +158,18 @@ def test_balanced_uniform_rule(load_ideal):
 
 
 def test_two_solvable_certificate(load_ideal):
-    solv = build_from_ideal(load_ideal("solv3.ideal"))
-    cert = two_solvable_certificate(solv)
-    assert cert is not None
-    assert cert.prime == 3
-    assert cert.colors == ("red", "blue", "red", "blue", "red", "blue")
-    counts = {e: (r, b) for e, r, b in cert.edge_counts}
-    assert counts[(1, 3, 5)] == (3, 0)
-
-    k24 = build_from_ideal(load_ideal("k24.ideal"))
-    cert = two_solvable_certificate(k24)
-    assert cert is not None
-    assert cert.prime == 2
-    assert cert.totals in ((2, 4), (4, 2))
-
-    hex6 = build_from_ideal(load_ideal("hex6.ideal"))
-    assert two_solvable_certificate(hex6) is None
+    # solv3 is 2-solvable for 3 with red vertices 1, 3, 5: red carries 1/3
+    # and blue 2/3, and the simple edge (1, 3, 5) is all red
+    out = bicolor_obstruction(build_from_ideal(load_ideal("solv3.ideal")))
+    assert out.status == NOT_NORMAL
+    assert out.reason == "p=3, simple edge (1, 3, 5) has 3 red / 0 blue"
+    assert out.torsion is None and out.lattice is None
 
 
 def test_bicolor_obstruction_solv3(load_ideal):
     h = build_from_ideal(load_ideal("solv3.ideal"))
-    found = bicolor_obstruction(h)
-    assert found is not None
-    coloring, witness = found
-    assert coloring.designated == ((1, 3, 5), 3, 0)
-    assert witness.coefficients == (
-        Fraction(1, 3),
-        Fraction(2, 3),
-        Fraction(1, 3),
-        Fraction(2, 3),
-        Fraction(1, 3),
-        Fraction(2, 3),
-    )
+    witness = bicolor_obstruction(h).witness
+    assert witness.coefficients == (THIRD, 2 * THIRD) * 3
     assert witness.degree == 3
     assert verify_witness(polytope_from_ideal(load_ideal("solv3.ideal")), witness).valid
 
@@ -191,12 +177,27 @@ def test_bicolor_obstruction_solv3(load_ideal):
 def test_bicolor_no_obstruction_on_balanced_edges(load_ideal):
     # K_{2,4} is 2-solvable but every simple edge is balanced
     h = build_from_ideal(load_ideal("k24.ideal"))
-    assert bicolor_obstruction(h) is None
+    assert bicolor_obstruction(h) == NO_BICOLOR
 
 
 def test_bicolor_requires_bipartite_skeleton(load_ideal):
     h = build_from_ideal(load_ideal("hex6.ideal"))
-    assert bicolor_obstruction(h) is None
+    assert bicolor_obstruction(h) == NO_BICOLOR
+
+
+def test_torsion_obstruction(load_ideal):
+    # solv3's vertex lattice quotient has invariant factor 3; the
+    # certificate comes with the exponent rows it was found on
+    ideal = load_ideal("solv3.ideal")
+    out = torsion_obstruction(build_from_ideal(ideal))
+    assert out.status == NOT_NORMAL
+    assert out.reason == "invariant factor 3"
+    assert out.witness is None
+    assert out.lattice == polytope_from_ideal(ideal).vertices
+    assert verify_torsion_certificate(out.torsion, out.lattice)
+
+    out = torsion_obstruction(build_from_ideal(load_ideal("tri.ideal")))
+    assert out == RuleOutcome(INAPPLICABLE, "lattice quotient torsion-free")
 
 
 def test_exceptional_pair_bowtie(load_ideal):
@@ -212,6 +213,9 @@ def test_exceptional_pair_bowtie(load_ideal):
     assert witness.coefficients == (HALF, HALF, HALF, 0, 0, HALF, HALF, HALF)
     assert witness.degree == 3
     assert verify_witness(polytope_from_ideal(load_ideal("bowtie.ideal")), witness).valid
+    assert exceptional_pair_rule(h) == RuleOutcome(
+        NOT_NORMAL, "cycles (2, 1, 3) and (6, 8, 7)", witness=witness
+    )
 
 
 @pytest.mark.parametrize("name,degree", [("ih1.ideal", 5), ("ih2.ideal", 5)])
@@ -233,6 +237,7 @@ def test_exceptional_pair_absent(load_ideal, name):
 def test_exceptional_pair_relaxed_connection(load_ideal):
     h = build_from_ideal(load_ideal("twin_d.ideal"))
     assert find_exceptional_pair(h) is None
+    assert exceptional_pair_rule(h) == RuleOutcome(INAPPLICABLE, "no exceptional pair found")
     pair = find_exceptional_pair(h, relaxed=True)
     assert pair is not None
     assert pair.connection == ((4, 9), (5, 9))
@@ -279,8 +284,6 @@ def test_exceptional_witness_rejects_foreign_pair(load_ideal):
 
 
 def test_exceptional_pair_structural_validation():
-    from idpoly.hypergraph import Cycle
-
     c1 = Cycle((1, 2, 3), ((1, 2), (2, 3), (1, 3)))
     c2 = Cycle((4, 5, 6), ((4, 5), (5, 6), (4, 6)))
     with pytest.raises(ValueError, match="is not an edge of its cycle"):
@@ -295,10 +298,41 @@ def test_exceptional_pair_structural_validation():
     even = Cycle((1, 2, 3, 4), ((1, 2), (2, 3), (3, 4), (1, 4)))
     with pytest.raises(ValueError, match="odd"):
         ExceptionalPair(even, c2, (1, 2), (4, 5), ((7, 8),))
-    fat1 = Cycle((1, 2, 3), ((1, 2), (2, 3), (1, 3, 7)))
+
+
+def edge_hypergraph(num_vertices, edges):
+    return LabeledHypergraph(
+        num_vertices, tuple((f"e{i}", frozenset(e)) for i, e in enumerate(edges))
+    )
+
+
+def test_exceptional_witness_rejects_a_lone_shared_vertex():
+    # vertex 7 lies on the two designated edges and on no other edge, the
+    # pattern whose all-halves point decomposes
+    h = edge_hypergraph(
+        9, ((1, 2), (2, 3), (1, 3, 7, 9), (4, 5), (5, 6), (4, 6, 7, 8), (8, 9))
+    )
+    fat1 = Cycle((1, 2, 3), ((1, 2), (2, 3), (1, 3, 7, 9)))
     fat2 = Cycle((4, 5, 6), ((4, 5), (5, 6), (4, 6, 7, 8)))
+    pair = ExceptionalPair(fat1, fat2, (1, 3, 7, 9), (4, 6, 7, 8), ((8, 9),))
     with pytest.raises(ValueError, match="share vertex 7 off the cycles"):
-        ExceptionalPair(fat1, fat2, (1, 3, 7), (4, 6, 7, 8), ((7, 8),))
+        exceptional_witness(h, pair)
+    assert find_exceptional_pair(h) is None
+
+
+@pytest.mark.parametrize("relaxed", [False, True])
+def test_exceptional_pair_keeps_a_shared_vertex_on_a_third_edge(relaxed):
+    # the designated edges share vertex 7 off the cycles, but the edge
+    # (7, 9) holds it too; the all-halves point then stands
+    h = edge_hypergraph(
+        9, ((1, 2), (2, 3), (1, 3, 7, 8), (4, 5), (5, 6), (4, 6, 7), (7, 9), (8, 9))
+    )
+    pair = find_exceptional_pair(h, relaxed=relaxed)
+    assert pair is not None
+    assert (pair.special_one, pair.special_two) == ((1, 3, 7, 8), (4, 6, 7))
+    assert pair.connection == ((7, 9),)
+    polytope = polytope_from_ideal(ideal_of(h))
+    assert verify_witness(polytope, exceptional_witness(h, pair)).valid
 
 
 def test_lift_witness_through_reduction():

@@ -5,14 +5,15 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from idpoly import engine
+from idpoly import certificates, engine
 from idpoly.certificates import (
     RuleOutcome,
     Witness,
     bicolor_obstruction,
     decide_connected_odd,
-    find_exceptional_pair,
+    exceptional_pair_rule,
 )
 from idpoly.engine import (
     NORMAL,
@@ -37,14 +38,19 @@ from idpoly.hypergraph import (
     build_from_ideal,
     closed_core,
     enumerate_minors,
+    ideal_of,
     incidence_matrix,
     reduce_closed_fixpoint,
 )
-from idpoly.intlinalg import TorsionCertificate, torsion_check
+from idpoly.intlinalg import TorsionCertificate, torsion_check, verify_torsion_certificate
 from idpoly.model import SquarefreeIdeal, polytope_from_ideal
 from idpoly.oracle import decide_normal_bruteforce, verify_witness
 
-from randutil import odd_cycle_pair_hypergraphs, separated_hypergraphs
+from randutil import (
+    odd_cycle_pair_hypergraphs,
+    separated_hypergraphs,
+    shared_vertex_cycle_pair_hypergraphs,
+)
 
 HALF = Fraction(1, 2)
 
@@ -383,6 +389,73 @@ def test_unreduced_and_reduced_verdicts_match(load_ideal):
     assert plain.status == padded.status == NOT_NORMAL
 
 
+def structural_candidates_stand(h, relaxed_values=(False, True)):
+    """Check every candidate ``_detect`` returns on h against h's own polytope.
+
+    A witness must pass ``verify_witness``, a torsion certificate
+    ``verify_torsion_certificate`` on the polytope's vertices, and a normal
+    outcome the oracle's verdict within ``analyze``'s vertex cap.  Returns the
+    (rule, status) pairs that fired.
+    """
+    polytope = polytope_from_ideal(ideal_of(h))
+    oracle_status = None
+    fired = set()
+    for relaxed in relaxed_values:
+        cfg = EngineConfig(relaxed_connection=relaxed)
+        for rule in engine.STRUCTURAL_RULES:
+            _, found = engine._detect(rule, h, cfg)
+            if found is None:
+                continue
+            fired.add((rule, found.status))
+            if found.status == NOT_NORMAL:
+                assert (found.witness is None) != (found.torsion is None), (rule, h)
+                if found.witness is not None:
+                    assert verify_witness(polytope, found.witness).valid, (rule, h)
+                else:
+                    assert verify_torsion_certificate(found.torsion, polytope.vertices), (rule, h)
+                continue
+            assert found.status == NORMAL, (rule, h)
+            if h.num_vertices <= engine.ORACLE_MAX_VERTICES:
+                if oracle_status is None:
+                    oracle_status = decide_normal_bruteforce(polytope).status
+                assert oracle_status == NORMAL, (rule, h)
+    return fired
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    h=separated_hypergraphs()
+    | odd_cycle_pair_hypergraphs()
+    | shared_vertex_cycle_pair_hypergraphs(),
+    relaxed=st.booleans(),
+)
+def test_structural_candidates_stand_on_their_own_polytope(h, relaxed):
+    structural_candidates_stand(h, (relaxed,))
+
+
+def test_structural_candidates_stand_on_fixture_minors(load_ideal):
+    # 3,000 draws of the random strategies fired neither thm-4.1 not_normal
+    # nor thm-4.5; the fixtures and their minors fire every rule
+    from conftest import DATA
+
+    fired = set()
+    for path in sorted(DATA.glob("*.ideal")) + [DATA / "rem32.mat"]:
+        ideal = mat_ideal(path.name) if path.suffix == ".mat" else load_ideal(path.name)
+        reduced, _ = reduce_closed_fixpoint(build_from_ideal(ideal))
+        minors = [record.hypergraph for record in enumerate_minors(reduced, budget=300)]
+        for h in [reduced] + minors:
+            if h.num_vertices > 0:
+                fired |= structural_candidates_stand(h)
+    assert fired == {
+        (RULE_CONNECTED_ODD, NORMAL),
+        (RULE_CONNECTED_ODD, NOT_NORMAL),
+        (RULE_BALANCED, NORMAL),
+        (RULE_TORSION, NOT_NORMAL),
+        (RULE_BICOLOR, NOT_NORMAL),
+        (RULE_PAIR, NOT_NORMAL),
+    }
+
+
 GUARDED_RULES = (RULE_CONNECTED_ODD, RULE_BICOLOR, RULE_PAIR)
 
 
@@ -391,9 +464,9 @@ def unguarded_fires(minor, rule):
     if rule == RULE_CONNECTED_ODD:
         return decide_connected_odd(minor).status == NOT_NORMAL
     if rule == RULE_BICOLOR:
-        return bicolor_obstruction(minor) is not None
+        return bicolor_obstruction(minor).status == NOT_NORMAL
     return any(
-        find_exceptional_pair(minor, relaxed=relaxed) is not None
+        exceptional_pair_rule(minor, relaxed=relaxed).status == NOT_NORMAL
         for relaxed in (False, True)
     )
 
@@ -614,7 +687,7 @@ def test_demoted_torsion_certificate_goes_on_to_the_oracle(load_ideal, monkeypat
         # u = 0 lies in every lattice, so the re-check must reject it
         return TorsionCertificate((0,) * (len(points[0]) + 1), 2, (2,))
 
-    monkeypatch.setattr(engine, "torsion_check", planted)
+    monkeypatch.setattr(certificates, "torsion_check", planted)
     monkeypatch.setattr(engine, "STRUCTURAL_RULES", (RULE_TORSION,))
     report = analyze(load_ideal("hex6.ideal"), EngineConfig(minor_budget=0))
     assert report.status == NOT_NORMAL
