@@ -28,6 +28,7 @@ from .hypergraph import (
     incidence_matrix,
 )
 from .intlinalg import TorsionCertificate, prime_factors, torsion_check
+from .model import ZeroOnePolytope
 
 NORMAL = "normal"
 NOT_NORMAL = "not_normal"
@@ -166,19 +167,12 @@ def _require_separated(hypergraph: LabeledHypergraph) -> None:
         raise NotSeparatedError(violation)
 
 
-def _label_powers(
-    hypergraph: LabeledHypergraph, coefficients: Sequence[Fraction]
-) -> list[Fraction]:
-    return [
-        sum((coefficients[v - 1] for v in image), Fraction(0))
-        for _, image in hypergraph.labels
-    ]
-
-
 def _witness_from_coefficients(
     hypergraph: LabeledHypergraph, coefficients: Sequence[Fraction], degree: int
 ) -> Witness:
-    powers = _label_powers(hypergraph, coefficients)
+    powers = (
+        sum((coefficients[v - 1] for v in image), Fraction(0)) for _, image in hypergraph.labels
+    )
     return Witness(tuple(coefficients), degree, tuple(powers))
 
 
@@ -392,12 +386,14 @@ def _connection_between(
     return None
 
 
-def _lone_shared_vertex(
-    hypergraph: LabeledHypergraph, g_one: Sequence[int], g_two: Sequence[int]
-) -> int | None:
-    """The smallest vertex of both designated edges that no other edge holds."""
-    lone = [v for v in set(g_one) & set(g_two) if sum(v in e for e in hypergraph.edges) == 2]
-    return min(lone, default=None)
+def _halves_decompose(hypergraph: LabeledHypergraph, union: frozenset[int]) -> bool:
+    """Whether the all-halves point on union is a sum of |union|/2 polytope vertices."""
+    from .oracle import integer_decomposition  # the oracle imports this module
+
+    point = [len(union & img) // 2 for _, img in hypergraph.labels]
+    # vertices on the same labels are one vertex of the polytope
+    rows = dict.fromkeys(incidence_matrix(hypergraph, expand_labels=True))
+    return integer_decomposition(ZeroOnePolytope(tuple(rows)), point, len(union) // 2) is not None
 
 
 def find_exceptional_pair(
@@ -407,21 +403,26 @@ def find_exceptional_pair(
 
     Candidate cycles consist of skeleton edges closed by one simple edge
     of 3+ vertices; pairs are tried smallest-first.  A pair qualifies when
-    the cycles are fully disjoint, no vertex shared by their designated
-    edges (such a vertex is off the cycles) lies on those two edges alone,
-    every edge meets their union evenly, and a connector chain exists (a
-    single edge by default, an edge path when relaxed).  The budget caps
+    the cycles are fully disjoint, every edge meets their union evenly, a
+    connector chain exists (a single edge by default, an edge path when
+    relaxed), and, if the designated edges share a vertex (which is then
+    off the cycles), integer_decomposition finds no rewriting of the
+    all-halves point on this hypergraph's own polytope.  The budget caps
     path-search nodes; on exhaustion the answer None means "none found",
     not "none exists".
 
-    The shared-vertex skip is measured, not quoted from the theorem (the
-    repository holds only the paper's abstract).  On 5,000 draws of two
-    odd cycles whose designated edges share a vertex, the detector without
-    the skip returned 2,739 pairs: all 2,415 whose shared vertex lay on no
-    other edge decomposed, and all 324 whose shared vertex lay on a third
-    edge stood.  Over the edge-ideal benchmark populations, the fixtures
-    and 1,500 random graphs with two planted triangles, each with its
-    minors, all 459 pairs whose designated edges share no vertex stood.
+    The conditions are measured, not quoted from the theorem (the
+    repository holds only the paper's abstract).  A shared vertex is
+    checked exactly because no structural test seen so far tells its
+    pairs apart: on 5,000 draws of two odd cycles whose designated edges
+    share a vertex, the search without the check returned 2,331 pairs.
+    The 500 whose shared vertex lay on those two edges alone decomposed,
+    the 169 whose shared vertex lay on an edge missing the cycles stood,
+    and of the 1,662 whose shared vertex lay on other edges, all meeting
+    the cycles, 254 decomposed and 1,408 stood.  Over the edge-ideal
+    benchmark populations, the fixtures and 1,500 random graphs with two
+    planted triangles, each with its minors, all 459 pairs whose
+    designated edges share no vertex stood.
     """
     candidates = _odd_cycle_candidates(hypergraph, budget)
     all_edges = hypergraph.edges
@@ -436,8 +437,6 @@ def find_exceptional_pair(
             union = set_one | set_two
             if set(g_one) & set_two or set(g_two) & set_one:
                 continue
-            if _lone_shared_vertex(hypergraph, g_one, g_two) is not None:
-                continue
             if any(len(union.intersection(e)) % 2 for e in all_edges):
                 continue
             connection = _connection_between(
@@ -449,6 +448,8 @@ def find_exceptional_pair(
             )
             if connection is None:
                 continue
+            if set(g_one) & set(g_two) and _halves_decompose(hypergraph, union):
+                continue
             return ExceptionalPair(cycle_one, cycle_two, g_one, g_two, connection)
     return None
 
@@ -458,11 +459,11 @@ def exceptional_witness(
 ) -> Witness:
     """All-halves combination on the pair's cycle vertices.
 
-    Validates the pair against the hypergraph (edges exist, designated
-    edges are simple, every edge meets the cycles evenly, no shared vertex
-    lies on the designated edges alone) and raises ValueError when
-    anything fails; the evenness condition is exactly what makes the
-    point integral, and find_exceptional_pair explains the other.
+    Validates the pair against the hypergraph and raises ValueError when
+    anything fails: its edges must exist, its designated edges be simple,
+    every edge meet the cycles evenly (exactly what makes the point
+    integral), and, when the designated edges share a vertex, the point
+    must have no integer decomposition (find_exceptional_pair says why).
     """
     edge_set = {frozenset(e) for e in hypergraph.edges}
     for cycle in (pair.cycle_one, pair.cycle_two):
@@ -482,9 +483,9 @@ def exceptional_witness(
             raise ValueError(
                 f"edge {e} meets the cycles in an odd number of vertices"
             )
-    lone = _lone_shared_vertex(hypergraph, pair.special_one, pair.special_two)
-    if lone is not None:
-        raise ValueError(f"designated edges share vertex {lone} off the cycles, on no other edge")
+    shared = set(pair.special_one) & set(pair.special_two)
+    if shared and _halves_decompose(hypergraph, union):
+        raise ValueError(f"designated edges share vertex {min(shared)} and the point decomposes")
     coeffs = [
         Fraction(1, 2) if v in union else Fraction(0)
         for v in hypergraph.vertices
@@ -530,11 +531,5 @@ def lift_witness(
     lifted = [Fraction(0)] * parent.num_vertices
     for reduced_index, original_vertex in enumerate(surviving):
         lifted[original_vertex - 1] = witness.coefficients[reduced_index]
-    powers = _label_powers(parent, lifted)
-    for name_power, (name, _) in zip(powers, parent.labels):
-        if name_power.denominator != 1:
-            raise ValueError(
-                f"lifted point is not integral at label {name!r}; "
-                "the witness does not match this trace"
-            )
-    return Witness(tuple(lifted), witness.degree, tuple(int(p) for p in powers))
+    # Witness rejects the recomputed point when it is not integral
+    return _witness_from_coefficients(parent, lifted, witness.degree)

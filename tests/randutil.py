@@ -92,10 +92,11 @@ def shared_vertex_cycle_pair_hypergraphs(draw):
     Each cycle is a path of 2-vertex edges closed by a fat edge that holds
     the path's two ends, an off-cycle vertex s common to both fat edges,
     and an off-cycle port of its own.  One to three edges of 2 or 3
-    off-cycle vertices, drawn with or without s, can connect the ports.
-    This is the pattern of the edge65 minors on which Theorem 4.8's
-    detector once returned a pair whose witness decomposes; uniform draws
-    almost never build it.
+    off-cycle vertices, drawn with or without s, can connect the ports,
+    and up to two edges hold s and two cycle vertices.  This is the
+    pattern of the edge65 minors on which Theorem 4.8's detector once
+    returned a pair whose witness decomposes; uniform draws almost never
+    build it.
 
     Only separated hypergraphs have a polytope.  While some vertex v is
     not split from another (every edge through v holds the other), v is
@@ -113,6 +114,8 @@ def shared_vertex_cycle_pair_hypergraphs(draw):
     for cycle, port in ((one, shared + 1), (two, shared + 2)):
         edges.update(frozenset(pair) for pair in zip(cycle, cycle[1:]))
         edges.add(frozenset((cycle[0], cycle[-1], shared, port)))
+    on_cycles = st.frozensets(st.sampled_from(one + two), min_size=2, max_size=2)
+    edges.update(ends | {shared} for ends in draw(st.lists(on_cycles, max_size=2)))
     while True:
         used = sorted(set().union(*edges))
         rename = {old: new for new, old in enumerate(used, start=1)}

@@ -315,9 +315,25 @@ def test_exceptional_witness_rejects_a_lone_shared_vertex():
     fat1 = Cycle((1, 2, 3), ((1, 2), (2, 3), (1, 3, 7, 9)))
     fat2 = Cycle((4, 5, 6), ((4, 5), (5, 6), (4, 6, 7, 8)))
     pair = ExceptionalPair(fat1, fat2, (1, 3, 7, 9), (4, 6, 7, 8), ((8, 9),))
-    with pytest.raises(ValueError, match="share vertex 7 off the cycles"):
+    with pytest.raises(ValueError, match="share vertex 7 and the point decomposes"):
         exceptional_witness(h, pair)
     assert find_exceptional_pair(h) is None
+
+
+@pytest.mark.parametrize("relaxed", [False, True])
+def test_exceptional_pair_skips_a_decomposing_shared_vertex_on_a_third_edge(relaxed):
+    # vertex 7 is on both designated edges and on (1, 4, 7), which meets
+    # the cycles evenly, so 7 may take part in a decomposition: v7 + v2 + v5
+    # rewrites the all-halves point
+    h = edge_hypergraph(
+        9, ((1, 2), (2, 3), (1, 3, 7, 8), (4, 5), (5, 6), (4, 6, 7, 9), (8, 9), (1, 4, 7))
+    )
+    fat1 = Cycle((1, 2, 3), ((1, 2), (2, 3), (1, 3, 7, 8)))
+    fat2 = Cycle((4, 5, 6), ((4, 5), (5, 6), (4, 6, 7, 9)))
+    pair = ExceptionalPair(fat1, fat2, (1, 3, 7, 8), (4, 6, 7, 9), ((8, 9),))
+    with pytest.raises(ValueError, match="share vertex 7 and the point decomposes"):
+        exceptional_witness(h, pair)
+    assert find_exceptional_pair(h, relaxed=relaxed) is None
 
 
 @pytest.mark.parametrize("relaxed", [False, True])
