@@ -12,6 +12,12 @@ Three kinds of golden file, one per input under each:
   `stats`, with the scan truncated at degree 2 on the inputs in
   ORACLE_TRUNCATED, whose full scan takes far too long for a test.
 
+One more golden file pins the minor walk where it does the most work:
+tests/data/golden/walks/edge11.json holds the verdict, rule, minor trace
+and diagnostics of `analyze`, under the defaults and with the relaxed
+connector search, on the edge ideals of WALK_GRAPHS random graphs with
+11 nodes and 14 edges, drawn from a seeded generator.
+
 A change that alters a report on purpose must rewrite the affected
 golden files in the same change:
 
@@ -23,11 +29,15 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from idpoly import cli
+from idpoly.engine import EngineConfig, analyze
+from idpoly.model import SquarefreeIdeal
+from idpoly.report import report_payload
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -37,6 +47,9 @@ INPUTS = sorted(p.name for p in DATA.iterdir() if p.suffix in (".ideal", ".mat")
 ORACLE_TRUNCATED = frozenset(
     ("edge65.ideal", "ih1.ideal", "ih2.ideal", "veiled.ideal", "veiled_minor10.ideal")
 )
+GOLDEN_WALKS = GOLDEN / "walks" / "edge11.json"
+WALK_GRAPHS = 40
+WALK_CONFIGS = {"defaults": EngineConfig(), "relaxed": EngineConfig(relaxed_connection=True)}
 
 
 def _stdout(*argv: str) -> str:
@@ -68,6 +81,29 @@ def oracle_report_without_stats(name: str) -> str:
     if name in ORACLE_TRUNCATED:
         argv += ["--oracle-max-degree", "2"]
     return _json_without_stats(_stdout(*argv))
+
+
+def random_edge_ideal(rng, nodes=11, edges=14):
+    """The edge ideal of a uniform random graph, its nodes renamed x1.. in order."""
+    pairs = sorted(rng.sample([(a, b) for a in range(nodes) for b in range(a + 1, nodes)], edges))
+    used = sorted({v for pair in pairs for v in pair})
+    name = {v: f"x{i}" for i, v in enumerate(used, start=1)}
+    generators = tuple(frozenset((name[a], name[b])) for a, b in pairs)
+    return SquarefreeIdeal(tuple(name[v] for v in used), generators)
+
+
+def walk_reports() -> str:
+    rng = random.Random(19)
+    graphs = []
+    for _ in range(WALK_GRAPHS):
+        ideal = random_edge_ideal(rng)
+        entry = {"generators": [sorted(g, key=ideal.variables.index) for g in ideal.generators]}
+        for option, config in WALK_CONFIGS.items():
+            payload = report_payload(analyze(ideal, config))
+            entry[option] = {key: payload[key] for key in ("verdict", "rule", "minor_trace")}
+            entry[option]["diagnostics"] = payload["stats"]["diagnostics"]
+        graphs.append(entry)
+    return json.dumps(graphs, indent=1) + "\n"
 
 
 KINDS = (
@@ -106,8 +142,14 @@ def test_oracle_report_matches_golden(name):
     assert oracle_report_without_stats(name) == expected
 
 
+def test_minor_walks_match_golden():
+    assert walk_reports() == GOLDEN_WALKS.read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     for folder, suffix, render in KINDS:
         folder.mkdir(exist_ok=True)
         for name in INPUTS:
             (folder / f"{name}{suffix}").write_text(render(name), encoding="utf-8")
+    GOLDEN_WALKS.parent.mkdir(exist_ok=True)
+    GOLDEN_WALKS.write_text(walk_reports(), encoding="utf-8")
