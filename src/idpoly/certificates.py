@@ -307,7 +307,8 @@ def _odd_cycle_candidates(
     x < y in G, enumerate even-length skeleton paths from x to y whose
     interior avoids G; the path closed by G is an odd cycle meeting G in
     exactly two vertices.  Deduplicated on (vertex set, G) and sorted by
-    (size, vertex tuple, G).
+    (size, vertex tuple, G).  Raises BudgetExceeded when the path search
+    runs out of its node budget, since the list is then incomplete.
     """
     adjacency = hypergraph.one_skeleton().adjacency
     found: dict[tuple[tuple[int, ...], tuple[int, ...]], Cycle] = {}
@@ -318,7 +319,9 @@ def _odd_cycle_candidates(
         nonlocal nodes
         while stack:
             if nodes <= 0:
-                return
+                raise BudgetExceeded(
+                    f"exceptional-pair search exceeded its budget of {budget} nodes"
+                )
             nodes -= 1
             path = stack.pop()
             tip = path[-1]
@@ -408,8 +411,8 @@ def find_exceptional_pair(
     relaxed), and, if the designated edges share a vertex (which is then
     off the cycles), integer_decomposition finds no rewriting of the
     all-halves point on this hypergraph's own polytope.  The budget caps
-    path-search nodes; on exhaustion the answer None means "none found",
-    not "none exists".
+    path-search nodes; BudgetExceeded is raised when it runs out, before
+    any pair is tried, so None always means "none exists".
 
     The conditions are measured, not quoted from the theorem (the
     repository holds only the paper's abstract).  A shared vertex is
@@ -494,10 +497,13 @@ def exceptional_witness(
 
 
 def exceptional_pair_rule(
-    hypergraph: LabeledHypergraph, relaxed: bool = False
+    hypergraph: LabeledHypergraph, relaxed: bool = False, budget: int = PAIR_BUDGET
 ) -> RuleOutcome:
     """Theorem 4.8: an exceptional pair of odd cycles, and its all-halves witness."""
-    pair = find_exceptional_pair(hypergraph, relaxed=relaxed)
+    try:
+        pair = find_exceptional_pair(hypergraph, relaxed=relaxed, budget=budget)
+    except BudgetExceeded as exc:
+        return RuleOutcome(BUDGET_EXCEEDED, str(exc))
     if pair is None:
         return RuleOutcome(INAPPLICABLE, "no exceptional pair found")
     return RuleOutcome(

@@ -8,24 +8,26 @@ order; ``EngineConfig`` sets only the minor budget, the oracle and its
 degree cap, the relaxed connector search and verification.  Each rule is
 a function in ``certificates`` that answers with a ``RuleOutcome``; one
 dispatcher, ``_detect``, only picks that function, and runs it on the
-reduced hypergraph and on each minor alike.  Every candidate verdict, a minor hit included, goes through one
-settle site, ``_settle``, which lifts its evidence and re-verifies it
-against the original polytope before it is reported, so a bug in a
-structural detector can cost completeness but never soundness.  When
-nothing conclusive fits within budget the answer is unknown, never a
-guess.
+reduced hypergraph and on each minor alike.  Every candidate verdict, a
+minor hit included, goes through one settle site, ``_settle``, which
+lifts its evidence and re-verifies it against the original polytope
+before it is reported, so a bug in a structural detector can cost
+completeness but never soundness.  When nothing conclusive fits within
+budget the answer is unknown, never a guess.
 
 The minor walk screens each minor on the bitmasks the walk already keeps:
 each guarded detector behind a necessary condition on the edge masks
 (``_may_fire``), and torsion on the minor's closed-vertex core, once per
 distinct core.  A minor is built as a hypergraph only when a detector
-runs on it.
+runs on it, and its deletion path is walked back from the walk's
+per-state deleted edges only when a detector fires on it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Collection, Iterable, Iterator, NamedTuple
 
 from .certificates import (
@@ -49,6 +51,7 @@ from .hypergraph import (
     enumerate_minors,
     incidence_matrix,
     reduce_closed_fixpoint,
+    skeleton_components,
 )
 from .intlinalg import TorsionCertificate, torsion_check, verify_torsion_certificate
 from .model import SquarefreeIdeal, ZeroOnePolytope, polytope_from_ideal
@@ -145,12 +148,12 @@ class VerdictReport:
     stats: dict = field(compare=False)
 
 
-def _may_fire(num_vertices: int, edges: Collection[int], rule: str) -> bool:
+def _may_fire(state: int, edges: Collection[int], rule: str) -> bool:
     """A necessary condition for a witness detector to fire on a minor.
 
-    It reads only the minor's vertex count and its distinct edges as
-    masks, as ``Minor`` carries them, so a minor that fails it is never
-    built:
+    It reads only the minor's vertex set and its distinct edges as masks,
+    as ``Minor`` carries them, so a minor that fails it is never built.
+    Each condition is proved from what its detector checks, not measured:
 
     - Theorem 4.1 fires only with an even vertex count and no edge of odd
       size (even dimension);
@@ -159,14 +162,24 @@ def _may_fire(num_vertices: int, edges: Collection[int], rule: str) -> bool:
       has red/blue imbalance 1, so the imbalance gcd is 1 and no prime
       makes the minor 2-solvable;
     - Theorem 4.8 needs two distinct simple edges with at least 3
-      vertices.  Each candidate cycle is closed by such an edge and meets
-      it in 2 vertices, and a pair is skipped when the first cycle's edge
-      meets the second cycle, so the two closing edges differ.
+      vertices.  Each candidate cycle is an even skeleton path closed by
+      such an edge, which meets the cycle in the path's 2 ends, and a
+      pair is skipped when either closing edge meets the other cycle, so
+      the two closing edges differ and each meets the union U of the two
+      cycles' vertex sets in exactly 2 vertices.  A pair is accepted only
+      when every edge meets U evenly.  Then no 2-vertex edge has exactly
+      one end in U, so U is a union of 1-skeleton components.  Each
+      cycle's path lies in one component, and that component lies in U,
+      so U is that component or the union of the two.  The minor
+      therefore needs such a U, either one skeleton component of at
+      least 6 vertices or two components of at least 3 each, that every
+      edge meets evenly and that two of its fat simple edges meet in
+      exactly 2 vertices.
 
     Torsion (Remark 3.2) has no condition here: ``_minor_candidates``
     screens it on the minor's closed-vertex core.
     """
-    s = num_vertices
+    s = state.bit_count()
     if rule == RULE_CONNECTED_ODD:
         return s % 2 == 0 and all(edge.bit_count() % 2 == 0 for edge in edges)
     if rule == RULE_BICOLOR:
@@ -182,7 +195,16 @@ def _may_fire(num_vertices: int, edges: Collection[int], rule: str) -> bool:
         if len(fat) < 2:
             return False
         simple = [g for g in fat if not any(f != g and f & g == f for f in edges)]
-        return len(simple) >= 2
+        if len(simple) < 2:
+            return False
+        big = [c for c in skeleton_components(state, edges) if c.bit_count() >= 3]
+        unions = [c for c in big if c.bit_count() >= 6]
+        unions += [c | d for c, d in combinations(big, 2)]
+        return any(
+            all((edge & u).bit_count() % 2 == 0 for edge in edges)
+            and sum((g & u).bit_count() == 2 for g in simple) >= 2
+            for u in unions
+        )
     return True
 
 
@@ -386,7 +408,7 @@ def _minor_candidates(
                     torsion = has_torsion[core] = _core_has_torsion(core, edges)
                 if not torsion:
                     continue
-            elif not _may_fire(s, edges, rule):
+            elif not _may_fire(record.state, edges, rule):
                 continue
             if minor is None:
                 built += 1

@@ -21,9 +21,13 @@ minor walk keeps each surviving vertex set as a bitmask, with vertex v of
 n stored as bit n - v, so that integer order on masks of one size is the
 reverse of lexicographic order on their vertex tuples.  It yields each
 minor as a ``Minor`` record of masks (its vertex set and its edges), which
-builds the minor as a hypergraph, and its ``MinorTrace``, only when asked:
-the engine screens most minors on the masks alone, ``closed_core``
-included, and builds only those on which a detector runs.
+builds the minor as a hypergraph, its deletion path and its
+``MinorTrace`` only when asked: the engine screens most minors on the
+masks alone, ``closed_core`` and ``skeleton_components`` included, and
+builds only those on which a detector runs.  The walk keeps one edge
+mask per discovered state, the edge whose deletion found it, and a
+``Minor`` walks those back to its deletion path on first use, which the
+engine asks for only for a hit.
 """
 
 from __future__ import annotations
@@ -409,21 +413,34 @@ class Minor:
 
     ``state`` is the surviving vertex set and ``edges`` the minor's
     distinct edges, each a mask in the parent's bit layout (vertex v of
-    its n vertices is bit n - v); ``path`` is the deletion path, in the
-    parent's vertex ids.  ``hypergraph`` (built by ``_restrict``, as in
+    its n vertices is bit n - v).  ``deleted`` is the walk's map from each
+    state it has found to the edge mask whose deletion found it (0 for
+    the parent itself); the state it was found from is that state with
+    the edge put back.  ``path`` (the deletion path, in the parent's
+    vertex ids), ``hypergraph`` (built by ``_restrict``, as in
     ``induced_subhypergraph``) and ``trace`` are made on first access and
     kept, so a caller that screens a minor on its masks and rejects it
-    never pays for either.
+    never pays for any of them.
     """
 
     parent: LabeledHypergraph
     state: int
     edges: frozenset[int]
-    path: tuple[tuple[int, ...], ...]
+    deleted: dict[int, int] = field(repr=False)
 
     @property
     def num_vertices(self) -> int:
         return self.state.bit_count()
+
+    @cached_property
+    def path(self) -> tuple[tuple[int, ...], ...]:
+        n = self.parent.num_vertices
+        steps = []
+        state = self.state
+        while edge := self.deleted[state]:
+            steps.append(_mask_vertices(n, edge))
+            state |= edge
+        return tuple(reversed(steps))
 
     @cached_property
     def surviving(self) -> tuple[int, ...]:
@@ -459,30 +476,30 @@ def enumerate_minors(
     yielded ``Minor`` carries them, so a caller can screen the minor on
     masks and build it only if it passes.  Each deletion path is the first
     one found, and keys never tie, so the order in which one state's
-    children are pushed cannot change the walk.
+    children are pushed cannot change the walk.  A path is kept as the
+    last edge deleted on it, per state, and built only by ``Minor.path``.
     """
     if budget is not None and budget <= 0:
         return
     n = hypergraph.num_vertices
     images = {sum(1 << (n - v) for v in img) for img in hypergraph._labels_by_image if img}
     start = (1 << n) - 1
-    # deletion path per discovered state, in the parent's vertex ids
-    paths: dict[int, tuple[tuple[int, ...], ...]] = {start: ()}
+    # per discovered state, the edge whose deletion found it
+    deleted = {start: 0}
     heap: list[tuple[int, int]] = [(-n, -start)]
     yielded = 0
     while heap:
         _, negated = heapq.heappop(heap)
         state = -negated
-        path = paths[state]
         edges = frozenset(img & state for img in images) - {0}
-        yield Minor(hypergraph, state, edges, path)
+        yield Minor(hypergraph, state, edges, deleted)
         yielded += 1
         if budget is not None and yielded >= budget:
             return
         for edge in edges:
             child = state ^ edge
-            if child not in paths:
-                paths[child] = path + (_mask_vertices(n, edge),)
+            if child not in deleted:
+                deleted[child] = edge
                 heapq.heappush(heap, (-child.bit_count(), -child))
 
 
@@ -560,6 +577,35 @@ def closed_core(state: int, edges: Collection[int]) -> int:
         if not closed:
             return core
         core ^= closed
+
+
+def skeleton_components(state: int, edges: Collection[int]) -> list[int]:
+    """The vertex sets of the 1-skeleton's components, as masks.
+
+    ``edges`` are the edges of the vertex set ``state``, as masks, and
+    the 2-vertex ones make up the 1-skeleton.  This is
+    ``Skeleton.components`` on masks, without colorings: every vertex of
+    ``state`` lies in exactly one component, a vertex on no 2-vertex edge
+    in one of its own.
+    """
+    pairs = [edge for edge in edges if edge.bit_count() == 2]
+    components = []
+    while state:
+        component = state & -state
+        grown = True
+        while grown:
+            grown = False
+            outside = []
+            for pair in pairs:
+                if not pair & component:
+                    outside.append(pair)
+                elif pair & ~component:
+                    component |= pair
+                    grown = True
+            pairs = outside
+        components.append(component)
+        state &= ~component
+    return components
 
 
 def find_special_odd_cycle(

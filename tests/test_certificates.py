@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idpoly.certificates import (
+    BUDGET_EXCEEDED,
     INAPPLICABLE,
     NORMAL,
     NOT_NORMAL,
@@ -23,6 +24,7 @@ from idpoly.certificates import (
     torsion_obstruction,
 )
 from idpoly.hypergraph import (
+    BudgetExceeded,
     Cycle,
     LabeledHypergraph,
     MinorTrace,
@@ -216,6 +218,18 @@ def test_exceptional_pair_bowtie(load_ideal):
     assert exceptional_pair_rule(h) == RuleOutcome(
         NOT_NORMAL, "cycles (2, 1, 3) and (6, 8, 7)", witness=witness
     )
+
+
+def test_exceptional_pair_budget_exhaustion_is_reported(load_ideal):
+    # a search cut short has not shown that no pair exists
+    h = build_from_ideal(load_ideal("bowtie.ideal"))
+    with pytest.raises(BudgetExceeded):
+        find_exceptional_pair(h, budget=1)
+    assert exceptional_pair_rule(h, budget=1) == RuleOutcome(
+        BUDGET_EXCEEDED, "exceptional-pair search exceeded its budget of 1 nodes"
+    )
+    assert exceptional_pair_rule(h, budget=1, relaxed=True).status == BUDGET_EXCEEDED
+    assert exceptional_pair_rule(h).status == NOT_NORMAL
 
 
 @pytest.mark.parametrize("name,degree", [("ih1.ideal", 5), ("ih2.ideal", 5)])

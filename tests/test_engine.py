@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from idpoly import certificates, engine
 from idpoly.certificates import (
+    INAPPLICABLE,
     RuleOutcome,
     Witness,
     bicolor_obstruction,
@@ -471,7 +473,7 @@ def unguarded_fires(minor, rule):
     )
 
 
-def guarded_minor_rules_that_fire(h, budget=None):
+def guarded_minor_rules_that_fire(h, budget=300):
     fired = set()
     for record in enumerate_minors(h, budget=budget):
         if record.num_vertices == 0:
@@ -479,13 +481,20 @@ def guarded_minor_rules_that_fire(h, budget=None):
         minor = record.hypergraph
         for rule in GUARDED_RULES:
             if unguarded_fires(minor, rule):
-                assert _may_fire(record.num_vertices, record.edges, rule), (rule, minor)
+                assert _may_fire(record.state, record.edges, rule), (rule, minor)
                 fired.add(rule)
     return fired
 
 
+# the planted strategies draw the minors on which the Theorem 4.8 guard
+# and the fat-simple-edge count it refines tell apart; uniform draws do not
+PLANTED_OR_SEPARATED = (
+    separated_hypergraphs() | odd_cycle_pair_hypergraphs() | shared_vertex_cycle_pair_hypergraphs()
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(h=separated_hypergraphs())
+@given(h=PLANTED_OR_SEPARATED)
 def test_minor_guards_hold_wherever_a_detector_fires(h):
     guarded_minor_rules_that_fire(h)
 
@@ -501,22 +510,53 @@ def test_minor_guards_hold_on_fixture_minors(load_ideal):
     assert fired == set(GUARDED_RULES)
 
 
+def pair_union_exists(minor):
+    """The Theorem 4.8 guard, restated on a built minor.
+
+    Some U, one skeleton component of 6 or more vertices or two of 3 or
+    more, that every edge meets evenly and two fat simple edges meet in
+    exactly 2 vertices.
+    """
+    fat_simple = [set(e.vertices) for e in minor.simple_edges() if len(e.vertices) >= 3]
+    big = [set(c.vertices) for c in minor.one_skeleton().components if len(c.vertices) >= 3]
+    unions = [c for c in big if len(c) >= 6] + [c | d for c, d in combinations(big, 2)]
+    return any(
+        all(len(u.intersection(e)) % 2 == 0 for e in minor.edges)
+        and sum(len(u & g) == 2 for g in fat_simple) >= 2
+        for u in unions
+    )
+
+
 @settings(max_examples=300, deadline=None)
-@given(h=separated_hypergraphs())
+@given(h=PLANTED_OR_SEPARATED)
 def test_minor_guards_are_their_stated_conditions(h):
-    for record in enumerate_minors(h):
+    for record in enumerate_minors(h, budget=300):
         s = record.num_vertices
         if s == 0:
             continue
-        minor, edges = record.hypergraph, record.edges
+        minor, state, edges = record.hypergraph, record.state, record.edges
         even = s % 2 == 0 and all(len(e) % 2 == 0 for e in minor.edges)
-        assert _may_fire(s, edges, RULE_CONNECTED_ODD) == even
+        assert _may_fire(state, edges, RULE_CONNECTED_ODD) == even
         no_single = all(len(e) > 1 for e in minor.edges)
         connectable = len(minor.one_skeleton().edges) >= s - 1
-        assert _may_fire(s, edges, RULE_BICOLOR) == (no_single and connectable)
+        assert _may_fire(state, edges, RULE_BICOLOR) == (no_single and connectable)
+        assert _may_fire(state, edges, RULE_PAIR) == pair_union_exists(minor)
+        assert _may_fire(state, edges, RULE_TORSION)
+
+
+def test_pairs_the_guard_rejects_are_inapplicable_on_edge65_minors(load_ideal):
+    reduced, _ = reduce_closed_fixpoint(build_from_ideal(load_ideal("edge65.ideal")))
+    rejected = 0
+    for record in enumerate_minors(reduced):
+        minor = record.hypergraph
         fat_simple = [e for e in minor.simple_edges() if len(e.vertices) >= 3]
-        assert _may_fire(s, edges, RULE_PAIR) == (len(fat_simple) >= 2)
-        assert _may_fire(s, edges, RULE_TORSION)
+        if len(fat_simple) < 2 or _may_fire(record.state, record.edges, RULE_PAIR):
+            continue
+        rejected += 1
+        for relaxed in (False, True):
+            outcome = exceptional_pair_rule(minor, relaxed=relaxed)
+            assert outcome.status == INAPPLICABLE, (record.surviving, relaxed)
+    assert rejected > 0
 
 
 def core_screen_has_torsion(record):
@@ -588,7 +628,7 @@ def test_minor_walk_counters(load_ideal, monkeypatch, structural):
         built = sum(
             1
             for r in records
-            if any(_may_fire(r.num_vertices, r.edges, rule) for rule in guarded)
+            if any(_may_fire(r.state, r.edges, rule) for rule in guarded)
             or core_screen_has_torsion(r)
         )
         assert stats["minors_built"] == built, name

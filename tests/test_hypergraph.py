@@ -23,6 +23,7 @@ from idpoly.hypergraph import (
     induced_subhypergraph,
     is_balanced,
     reduce_closed_fixpoint,
+    skeleton_components,
 )
 from idpoly.model import SquarefreeIdeal, polytope_from_ideal
 
@@ -258,6 +259,21 @@ def test_closed_core_is_the_closed_fixpoint(h):
         back = dict(enumerate(record.trace.surviving, start=1))
         expected = vertex_mask(n, (back[v] for v in reduction.surviving))
         assert closed_core(record.state, record.edges) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=small_hypergraphs() | separated_hypergraphs())
+def test_skeleton_components_are_the_built_skeletons(h):
+    n = h.num_vertices
+    for record in enumerate_minors(h, budget=300):
+        back = dict(enumerate(record.trace.surviving, start=1))
+        expected = {
+            vertex_mask(n, (back[v] for v in c.vertices))
+            for c in record.hypergraph.one_skeleton().components
+        }
+        components = skeleton_components(record.state, record.edges)
+        assert len(components) == len(expected)
+        assert set(components) == expected
 
 
 def test_derived_structure_is_computed_once(load_ideal):
