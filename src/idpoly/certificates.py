@@ -497,11 +497,11 @@ def exceptional_witness(
 
 
 def exceptional_pair_rule(
-    hypergraph: LabeledHypergraph, relaxed: bool = False, budget: int = PAIR_BUDGET
+    hypergraph: LabeledHypergraph, relaxed: bool = False
 ) -> RuleOutcome:
     """Theorem 4.8: an exceptional pair of odd cycles, and its all-halves witness."""
     try:
-        pair = find_exceptional_pair(hypergraph, relaxed=relaxed, budget=budget)
+        pair = find_exceptional_pair(hypergraph, relaxed=relaxed)
     except BudgetExceeded as exc:
         return RuleOutcome(BUDGET_EXCEEDED, str(exc))
     if pair is None:

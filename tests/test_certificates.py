@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idpoly import certificates
 from idpoly.certificates import (
     BUDGET_EXCEEDED,
     INAPPLICABLE,
@@ -220,16 +221,22 @@ def test_exceptional_pair_bowtie(load_ideal):
     )
 
 
-def test_exceptional_pair_budget_exhaustion_is_reported(load_ideal):
+def test_exceptional_pair_budget_exhaustion_is_reported(load_ideal, monkeypatch):
     # a search cut short has not shown that no pair exists
     h = build_from_ideal(load_ideal("bowtie.ideal"))
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as exhausted:
         find_exceptional_pair(h, budget=1)
-    assert exceptional_pair_rule(h, budget=1) == RuleOutcome(
-        BUDGET_EXCEEDED, "exceptional-pair search exceeded its budget of 1 nodes"
-    )
-    assert exceptional_pair_rule(h, budget=1, relaxed=True).status == BUDGET_EXCEEDED
+    assert str(exhausted.value) == "exceptional-pair search exceeded its budget of 1 nodes"
     assert exceptional_pair_rule(h).status == NOT_NORMAL
+
+    def exhausting(hypergraph, relaxed=False):
+        raise exhausted.value
+
+    monkeypatch.setattr(certificates, "find_exceptional_pair", exhausting)
+    for relaxed in (False, True):
+        assert exceptional_pair_rule(h, relaxed=relaxed) == RuleOutcome(
+            BUDGET_EXCEEDED, "exceptional-pair search exceeded its budget of 1 nodes"
+        )
 
 
 @pytest.mark.parametrize("name,degree", [("ih1.ideal", 5), ("ih2.ideal", 5)])
