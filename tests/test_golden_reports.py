@@ -1,6 +1,6 @@
-"""Golden `idpoly analyze` and `idpoly oracle` reports for every tests/data input.
+"""Golden `idpoly analyze`, `oracle` and `hypergraph` reports for every tests/data input.
 
-Three kinds of golden file, one per input under each:
+Five kinds of golden file, one per input under each:
 
 - tests/data/golden/<name>.json: `analyze --format json` with its `stats`
   object removed, because only `stats` may differ between two runs on
@@ -10,7 +10,9 @@ Three kinds of golden file, one per input under each:
   golden drops with `stats`;
 - tests/data/golden/oracle/<name>.json: `oracle --format json` without
   `stats`, with the scan truncated at degree 2 on the inputs in
-  ORACLE_TRUNCATED, whose full scan takes far too long for a test.
+  ORACLE_TRUNCATED, whose full scan takes far too long for a test;
+- tests/data/golden/hypergraph/<name>.txt and <name>.json: `hypergraph`
+  in text and `--format json`, whole, since neither holds a timing.
 
 One more golden file pins the minor walk where it does the most work:
 tests/data/golden/walks/edge11.json holds the verdict, rule, minor trace
@@ -43,6 +45,7 @@ DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
 GOLDEN_TEXT = GOLDEN / "text"
 GOLDEN_ORACLE = GOLDEN / "oracle"
+GOLDEN_HYPERGRAPH = GOLDEN / "hypergraph"
 INPUTS = sorted(p.name for p in DATA.iterdir() if p.suffix in (".ideal", ".mat"))
 ORACLE_TRUNCATED = frozenset(
     ("edge65.ideal", "ih1.ideal", "ih2.ideal", "veiled.ideal", "veiled_minor10.ideal")
@@ -83,6 +86,14 @@ def oracle_report_without_stats(name: str) -> str:
     return _json_without_stats(_stdout(*argv))
 
 
+def hypergraph_text(name: str) -> str:
+    return _stdout("hypergraph", str(DATA / name))
+
+
+def hypergraph_json(name: str) -> str:
+    return _stdout("hypergraph", "--format", "json", str(DATA / name))
+
+
 def random_edge_ideal(rng, nodes=11, edges=14):
     """The edge ideal of a uniform random graph, its nodes renamed x1.. in order."""
     pairs = sorted(rng.sample([(a, b) for a in range(nodes) for b in range(a + 1, nodes)], edges))
@@ -110,6 +121,8 @@ KINDS = (
     (GOLDEN, ".json", report_without_stats),
     (GOLDEN_TEXT, ".txt", text_report_without_elapsed),
     (GOLDEN_ORACLE, ".json", oracle_report_without_stats),
+    (GOLDEN_HYPERGRAPH, ".txt", hypergraph_text),
+    (GOLDEN_HYPERGRAPH, ".json", hypergraph_json),
 )
 
 
@@ -117,7 +130,15 @@ def test_every_input_has_a_golden_report():
     assert sorted(p.name for p in GOLDEN.glob("*.json")) == [f"{n}.json" for n in INPUTS]
 
 
-@pytest.mark.parametrize("folder, suffix", [(GOLDEN_TEXT, ".txt"), (GOLDEN_ORACLE, ".json")])
+@pytest.mark.parametrize(
+    "folder, suffix",
+    [
+        (GOLDEN_TEXT, ".txt"),
+        (GOLDEN_ORACLE, ".json"),
+        (GOLDEN_HYPERGRAPH, ".txt"),
+        (GOLDEN_HYPERGRAPH, ".json"),
+    ],
+)
 def test_every_input_has_golden_text_and_oracle_reports(folder, suffix):
     assert sorted(p.name for p in folder.glob(f"*{suffix}")) == [
         f"{n}{suffix}" for n in INPUTS
@@ -140,6 +161,13 @@ def test_analyze_text_report_matches_golden(name):
 def test_oracle_report_matches_golden(name):
     expected = (GOLDEN_ORACLE / f"{name}.json").read_text(encoding="utf-8")
     assert oracle_report_without_stats(name) == expected
+
+
+@pytest.mark.parametrize("name", INPUTS)
+@pytest.mark.parametrize("suffix, render", [(".txt", hypergraph_text), (".json", hypergraph_json)])
+def test_hypergraph_report_matches_golden(name, suffix, render):
+    expected = (GOLDEN_HYPERGRAPH / f"{name}{suffix}").read_text(encoding="utf-8")
+    assert render(name) == expected
 
 
 def test_minor_walks_match_golden():
