@@ -185,10 +185,10 @@ def decide_connected_odd(hypergraph: LabeledHypergraph) -> RuleOutcome:
     directions are exact, so this is a decision, not a heuristic.
     """
     _require_separated(hypergraph)
-    skeleton = hypergraph.one_skeleton()
-    if not skeleton.is_connected:
+    skeleton = hypergraph.skeleton
+    if len(skeleton) > 1:
         return RuleOutcome(INAPPLICABLE, "1-skeleton is not connected")
-    if skeleton.is_bipartite:
+    if all(even is not None for _, even in skeleton):
         return RuleOutcome(INAPPLICABLE, "1-skeleton has no odd cycle")
     s = hypergraph.num_vertices
     if s % 2 == 1:
@@ -244,7 +244,7 @@ def balanced_uniform_rule(
 
 def torsion_obstruction(hypergraph: LabeledHypergraph) -> RuleOutcome:
     """Torsion in the lattice quotient of the ideal's exponent rows: not normal."""
-    points = incidence_matrix(hypergraph, expand_labels=True)
+    points = incidence_matrix(hypergraph)
     certificate = torsion_check(points)
     if certificate is None:
         return RuleOutcome(INAPPLICABLE, "lattice quotient torsion-free")
@@ -257,21 +257,22 @@ def bicolor_obstruction(hypergraph: LabeledHypergraph) -> RuleOutcome:
     """Unbalanced simple edge under a modular 2-coloring: not normal.
 
     The 1-skeleton's coloring, connected and bipartite, is unique once the
-    smallest vertex is red.  p is the smallest prime dividing every edge's
-    red/blue imbalance and the total one (2 if all are 0).  When a simple
-    edge is unbalanced, 1/p on red vertices and (p-1)/p on blue ones give
-    an integral point with no integral rewriting; the designated edge is
-    the first such simple edge in canonical order.
+    smallest vertex is red: red is the side at even distance from it.  p
+    is the smallest prime dividing every edge's red/blue imbalance and the
+    total one (2 if all are 0).  When a simple edge is unbalanced, 1/p on
+    red vertices and (p-1)/p on blue ones give an integral point with no
+    integral rewriting; the designated edge is the first such simple edge
+    in canonical order.
     """
     _require_separated(hypergraph)
     absent = RuleOutcome(INAPPLICABLE, "no unbalanced simple edge")
-    if hypergraph.num_vertices == 0:
+    skeleton = hypergraph.skeleton
+    if len(skeleton) != 1 or skeleton[0][1] is None:
         return absent
-    coloring = hypergraph.one_skeleton().connected_coloring()
-    if coloring is None:
-        return absent
-    red = {v for v in hypergraph.vertices if coloring[v] == 0}
-    g = abs(2 * len(red) - hypergraph.num_vertices)
+    n = hypergraph.num_vertices
+    even = skeleton[0][1]
+    red = {v for v in hypergraph.vertices if even >> (n - v) & 1}
+    g = abs(2 * len(red) - n)
     for edge in hypergraph.edges:
         g = gcd(g, abs(2 * len(red.intersection(edge)) - len(edge)))
     if g == 1:
@@ -310,7 +311,13 @@ def _odd_cycle_candidates(
     (size, vertex tuple, G).  Raises BudgetExceeded when the path search
     runs out of its node budget, since the list is then incomplete.
     """
-    adjacency = hypergraph.one_skeleton().adjacency
+    # canonical edge order lists each vertex's neighbours ascending
+    adjacency: dict[int, list[int]] = {v: [] for v in hypergraph.vertices}
+    for edge in hypergraph.edges:
+        if len(edge) == 2:
+            v, w = edge
+            adjacency[v].append(w)
+            adjacency[w].append(v)
     found: dict[tuple[tuple[int, ...], tuple[int, ...]], Cycle] = {}
     nodes = budget
 
@@ -395,7 +402,7 @@ def _halves_decompose(hypergraph: LabeledHypergraph, union: frozenset[int]) -> b
 
     point = [len(union & img) // 2 for _, img in hypergraph.labels]
     # vertices on the same labels are one vertex of the polytope
-    rows = dict.fromkeys(incidence_matrix(hypergraph, expand_labels=True))
+    rows = dict.fromkeys(incidence_matrix(hypergraph))
     return integer_decomposition(ZeroOnePolytope(tuple(rows)), point, len(union) // 2) is not None
 
 

@@ -197,7 +197,7 @@ def _may_fire(state: int, edges: Collection[int], rule: str) -> bool:
         simple = [g for g in fat if not any(f != g and f & g == f for f in edges)]
         if len(simple) < 2:
             return False
-        big = [c for c in skeleton_components(state, edges) if c.bit_count() >= 3]
+        big = [c for c, _ in skeleton_components(state, edges) if c.bit_count() >= 3]
         unions = [c for c in big if c.bit_count() >= 6]
         unions += [c | d for c, d in combinations(big, 2)]
         return any(
@@ -448,7 +448,7 @@ def _candidates(
 
     if not cfg.use_oracle:
         return
-    points = incidence_matrix(reduced, expand_labels=True)
+    points = incidence_matrix(reduced)
     if len(points) <= ORACLE_MAX_VERTICES and len(points[0]) <= ORACLE_MAX_DIM:
         yield from _oracle_candidates(
             ZeroOnePolytope(points), cfg.oracle_max_degree, diagnostics, stats

@@ -28,6 +28,13 @@ builds only those on which a detector runs.  The walk keeps one edge
 mask per discovered state, the edge whose deletion found it, and a
 ``Minor`` walks those back to its deletion path on first use, which the
 engine asks for only for a hit.
+
+The 1-skeleton is the ordinary graph of the 2-vertex edges, and
+``skeleton_components`` is its one implementation: the components of a
+vertex mask, each with its 2-coloring, or None for one with an odd
+cycle.  The minor screen calls it on a minor's masks, and
+``LabeledHypergraph.skeleton`` keeps its answer for the whole vertex
+set, in the same bit layout, for the rules and the reports.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator
 
 from .model import InputError, SquarefreeIdeal
 
@@ -76,10 +83,6 @@ class Edge:
     vertices: tuple[int, ...]
     labels: tuple[str, ...]
 
-    @property
-    def dimension(self) -> int:
-        return len(self.vertices) - 1
-
 
 @dataclass(frozen=True)
 class Cycle:
@@ -101,73 +104,6 @@ class Cycle:
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-
-@dataclass(frozen=True)
-class SkeletonComponent:
-    vertices: tuple[int, ...]
-    coloring: tuple[tuple[int, int], ...] | None
-
-
-class Skeleton:
-    """The ordinary graph formed by the 2-vertex edges of a hypergraph.
-
-    LabeledHypergraph.one_skeleton hands every caller the same instance,
-    so the adjacency is read-only.
-    """
-
-    def __init__(self, num_vertices: int, edges: Sequence[tuple[int, int]]):
-        self.num_vertices = num_vertices
-        self.edges = tuple(tuple(sorted(e)) for e in edges)
-        adjacency: dict[int, list[int]] = {v: [] for v in range(1, num_vertices + 1)}
-        for v, w in self.edges:
-            adjacency[v].append(w)
-            adjacency[w].append(v)
-        self.adjacency = {v: tuple(sorted(nbrs)) for v, nbrs in adjacency.items()}
-
-    @cached_property
-    def components(self) -> tuple[SkeletonComponent, ...]:
-        out: list[SkeletonComponent] = []
-        seen: set[int] = set()
-        for start in range(1, self.num_vertices + 1):
-            if start in seen:
-                continue
-            color = {start: 0}
-            queue = [start]
-            bipartite = True
-            while queue:
-                v = queue.pop(0)
-                for w in self.adjacency[v]:
-                    if w not in color:
-                        color[w] = 1 - color[v]
-                        queue.append(w)
-                    elif color[w] == color[v]:
-                        bipartite = False
-            seen.update(color)
-            coloring = tuple(sorted(color.items())) if bipartite else None
-            out.append(SkeletonComponent(tuple(sorted(color)), coloring))
-        return tuple(out)
-
-    @property
-    def is_connected(self) -> bool:
-        return len(self.components) <= 1
-
-    @property
-    def is_bipartite(self) -> bool:
-        return all(c.coloring is not None for c in self.components)
-
-    def connected_coloring(self) -> dict[int, int] | None:
-        """Proper 2-coloring of a connected bipartite skeleton, else None.
-
-        The smallest vertex gets color 0, which pins the coloring since a
-        connected graph admits at most one up to swapping the colors.
-        """
-        if not self.is_connected or self.num_vertices == 0:
-            return None
-        comp = self.components[0]
-        if comp.coloring is None:
-            return None
-        return dict(comp.coloring)
 
 
 @dataclass(frozen=True)
@@ -282,13 +218,12 @@ class LabeledHypergraph:
                 out.append(Edge(e, images[es]))
         return tuple(out)
 
-    def one_skeleton(self) -> Skeleton:
-        return self._one_skeleton
-
     @cached_property
-    def _one_skeleton(self) -> Skeleton:
-        pairs = [e for e in self.edges if len(e) == 2]
-        return Skeleton(self.num_vertices, pairs)  # type: ignore[arg-type]
+    def skeleton(self) -> tuple[tuple[int, int | None], ...]:
+        """``skeleton_components`` of the whole vertex set, vertex v as bit n - v."""
+        n = self.num_vertices
+        edges = [sum(1 << (n - v) for v in e) for e in self.edges]
+        return tuple(skeleton_components((1 << n) - 1, edges))
 
 
 def build_from_ideal(ideal: SquarefreeIdeal) -> LabeledHypergraph:
@@ -324,23 +259,17 @@ def ideal_of(hypergraph: LabeledHypergraph) -> SquarefreeIdeal:
     return SquarefreeIdeal(variables, generators)
 
 
-def incidence_matrix(
-    hypergraph: LabeledHypergraph, expand_labels: bool = False
-) -> tuple[tuple[int, ...], ...]:
-    """Vertex-by-edge 0-1 incidence matrix.
+def incidence_matrix(hypergraph: LabeledHypergraph) -> tuple[tuple[int, ...], ...]:
+    """Vertex-by-label 0-1 incidence matrix.
 
-    Collapsed form has one column per edge in canonical order.  Expanded
-    form has one column per alphabet entry in label order (an edge with t
-    labels appears as t copies, and a label touching nothing contributes a
-    zero column), which makes the matrix coincide with the exponent matrix
-    of the corresponding ideal.
+    One column per alphabet entry in label order (an edge with t labels
+    appears as t copies, and a label touching nothing contributes a zero
+    column), which makes the matrix coincide with the exponent matrix of
+    the corresponding ideal.
     """
-    if expand_labels:
-        columns: list[frozenset[int]] = [img for _, img in hypergraph.labels]
-    else:
-        columns = [frozenset(e) for e in hypergraph.edges]
     return tuple(
-        tuple(1 if v in col else 0 for col in columns) for v in hypergraph.vertices
+        tuple(1 if v in img else 0 for _, img in hypergraph.labels)
+        for v in hypergraph.vertices
     )
 
 
@@ -579,31 +508,45 @@ def closed_core(state: int, edges: Collection[int]) -> int:
         core ^= closed
 
 
-def skeleton_components(state: int, edges: Collection[int]) -> list[int]:
-    """The vertex sets of the 1-skeleton's components, as masks.
+def skeleton_components(
+    state: int, edges: Collection[int]
+) -> list[tuple[int, int | None]]:
+    """The 1-skeleton's components, each with its 2-coloring, as masks.
 
     ``edges`` are the edges of the vertex set ``state``, as masks, and
-    the 2-vertex ones make up the 1-skeleton.  This is
-    ``Skeleton.components`` on masks, without colorings: every vertex of
-    ``state`` lies in exactly one component, a vertex on no 2-vertex edge
-    in one of its own.
+    the 2-vertex ones make up the 1-skeleton.  Every vertex of ``state``
+    lies in exactly one component, a vertex on no 2-vertex edge in one of
+    its own.  Each component is grown breadth-first from its highest bit,
+    which is its smallest vertex, so components come in smallest-vertex
+    order.  Beside it comes the mask of its vertices at even distance
+    from that vertex, the color class holding it, or None when a 2-vertex
+    edge joins two vertices of one layer, which closes an odd cycle.
     """
     pairs = [edge for edge in edges if edge.bit_count() == 2]
     components = []
     while state:
-        component = state & -state
-        grown = True
-        while grown:
-            grown = False
+        layer = 1 << (state.bit_length() - 1)
+        component = even = layer
+        odd_cycle = False
+        depth = 0
+        while layer:
+            grown = 0
             outside = []
             for pair in pairs:
-                if not pair & component:
+                ends = pair & layer
+                if not ends:
                     outside.append(pair)
-                elif pair & ~component:
-                    component |= pair
-                    grown = True
+                elif ends == pair:
+                    odd_cycle = True
+                else:
+                    grown |= pair
             pairs = outside
-        components.append(component)
+            layer = grown & ~component
+            component |= layer
+            depth += 1
+            if depth % 2 == 0:
+                even |= layer
+        components.append((component, None if odd_cycle else even))
         state &= ~component
     return components
 

@@ -143,8 +143,16 @@ def _balancedness(hypergraph: LabeledHypergraph) -> bool | None:
         return None
 
 
+def _skeleton(hypergraph: LabeledHypergraph) -> tuple[list[tuple[int, ...]], bool, bool]:
+    """The 1-skeleton's edges, and whether it is connected and bipartite."""
+    edges = [e for e in hypergraph.edges if len(e) == 2]
+    components = hypergraph.skeleton
+    bipartite = all(even is not None for _, even in components)
+    return edges, len(components) <= 1, bipartite
+
+
 def hypergraph_payload(hypergraph: LabeledHypergraph) -> dict:
-    skeleton = hypergraph.one_skeleton()
+    skeleton_edges, connected, bipartite = _skeleton(hypergraph)
     return {
         "vertices": hypergraph.num_vertices,
         "edges": [
@@ -155,9 +163,9 @@ def hypergraph_payload(hypergraph: LabeledHypergraph) -> dict:
         "open_vertices": list(hypergraph.open_vertices()),
         "separated": hypergraph.is_separated,
         "skeleton": {
-            "edges": [list(e) for e in skeleton.edges],
-            "connected": skeleton.is_connected,
-            "bipartite": skeleton.is_bipartite,
+            "edges": [list(e) for e in skeleton_edges],
+            "connected": connected,
+            "bipartite": bipartite,
         },
         "balanced": _balancedness(hypergraph),
     }
@@ -165,7 +173,7 @@ def hypergraph_payload(hypergraph: LabeledHypergraph) -> dict:
 
 def hypergraph_text(hypergraph: LabeledHypergraph) -> str:
     views = hypergraph.edge_views()
-    skeleton = hypergraph.one_skeleton()
+    skeleton_edges, connected, bipartite = _skeleton(hypergraph)
     lines = [f"vertices: {hypergraph.num_vertices}", f"edges: {len(views)}"]
     for edge in views:
         lines.append(f"  {_edge_text(edge.vertices)}: " + ", ".join(edge.labels))
@@ -174,10 +182,10 @@ def hypergraph_text(hypergraph: LabeledHypergraph) -> str:
     lines.append(f"separated: {'yes' if hypergraph.is_separated else 'no'}")
     lines.append(
         "skeleton edges: "
-        + ("; ".join(_edge_text(e) for e in skeleton.edges) or "none")
+        + ("; ".join(_edge_text(e) for e in skeleton_edges) or "none")
     )
-    lines.append(f"skeleton connected: {'yes' if skeleton.is_connected else 'no'}")
-    lines.append(f"skeleton bipartite: {'yes' if skeleton.is_bipartite else 'no'}")
+    lines.append(f"skeleton connected: {'yes' if connected else 'no'}")
+    lines.append(f"skeleton bipartite: {'yes' if bipartite else 'no'}")
     balanced = _balancedness(hypergraph)
     lines.append(
         "balanced: " + ("unknown" if balanced is None else "yes" if balanced else "no")

@@ -1,8 +1,13 @@
-"""Random minimal squarefree ideals and their hypergraphs for the randomized suites."""
+"""Random minimal squarefree ideals and their hypergraphs for the randomized suites.
+
+Also a plain breadth-first 1-skeleton on vertex ids, the reference the
+suites hold the mask components against.
+"""
 
 from __future__ import annotations
 
 import random
+from collections import deque
 
 from hypothesis import strategies as st
 
@@ -39,6 +44,39 @@ def random_minimal_ideal(
         frozenset(rename[v] for v in sup) for sup in supports
     )
     return SquarefreeIdeal(variables, generators)
+
+
+def skeleton_by_bfs(
+    hypergraph: LabeledHypergraph,
+) -> list[tuple[set[int], set[int] | None]]:
+    """Components of the graph of the 2-vertex edges, with their colorings.
+
+    Each component is searched from its smallest vertex, smallest first,
+    and comes with the vertices at even distance from that vertex, or
+    None when some edge joins two vertices at one distance (an odd cycle).
+    """
+    neighbours: dict[int, set[int]] = {v: set() for v in hypergraph.vertices}
+    for edge in hypergraph.edges:
+        if len(edge) == 2:
+            v, w = edge
+            neighbours[v].add(w)
+            neighbours[w].add(v)
+    components = []
+    for start in hypergraph.vertices:
+        if any(start in component for component, _ in components):
+            continue
+        distance = {start: 0}
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in neighbours[v]:
+                if w not in distance:
+                    distance[w] = distance[v] + 1
+                    queue.append(w)
+        odd_cycle = any(distance[v] == distance[w] for v in distance for w in neighbours[v])
+        even = None if odd_cycle else {v for v, d in distance.items() if d % 2 == 0}
+        components.append((set(distance), even))
+    return components
 
 
 @st.composite

@@ -52,6 +52,7 @@ from randutil import (
     odd_cycle_pair_hypergraphs,
     separated_hypergraphs,
     shared_vertex_cycle_pair_hypergraphs,
+    skeleton_by_bfs,
 )
 
 HALF = Fraction(1, 2)
@@ -518,7 +519,7 @@ def pair_union_exists(minor):
     exactly 2 vertices.
     """
     fat_simple = [set(e.vertices) for e in minor.simple_edges() if len(e.vertices) >= 3]
-    big = [set(c.vertices) for c in minor.one_skeleton().components if len(c.vertices) >= 3]
+    big = [c for c, _ in skeleton_by_bfs(minor) if len(c) >= 3]
     unions = [c for c in big if len(c) >= 6] + [c | d for c, d in combinations(big, 2)]
     return any(
         all(len(u.intersection(e)) % 2 == 0 for e in minor.edges)
@@ -538,7 +539,7 @@ def test_minor_guards_are_their_stated_conditions(h):
         even = s % 2 == 0 and all(len(e) % 2 == 0 for e in minor.edges)
         assert _may_fire(state, edges, RULE_CONNECTED_ODD) == even
         no_single = all(len(e) > 1 for e in minor.edges)
-        connectable = len(minor.one_skeleton().edges) >= s - 1
+        connectable = sum(len(e) == 2 for e in minor.edges) >= s - 1
         assert _may_fire(state, edges, RULE_BICOLOR) == (no_single and connectable)
         assert _may_fire(state, edges, RULE_PAIR) == pair_union_exists(minor)
         assert _may_fire(state, edges, RULE_TORSION)
@@ -570,7 +571,7 @@ def assert_core_screen_is_torsion_check(h):
     for record in enumerate_minors(h):
         if record.num_vertices == 0:
             continue
-        points = incidence_matrix(record.hypergraph, expand_labels=True)
+        points = incidence_matrix(record.hypergraph)
         torsion = torsion_check(points) is not None
         assert core_screen_has_torsion(record) == torsion, record.trace.surviving
         with_torsion += torsion

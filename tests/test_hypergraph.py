@@ -27,7 +27,7 @@ from idpoly.hypergraph import (
 )
 from idpoly.model import SquarefreeIdeal, polytope_from_ideal
 
-from randutil import random_minimal_ideal, separated_hypergraphs
+from randutil import random_minimal_ideal, separated_hypergraphs, skeleton_by_bfs
 
 
 def test_rem32_label_images():
@@ -71,7 +71,7 @@ def test_fig1_edges_canonical_order(load_ideal):
     )
     assert h.labels_of((1, 2)) == ("a", "f")
     assert h.labels_of((2, 3, 4)) == ("i", "j")
-    assert [e.dimension for e in h.edge_views()] == [1, 2, 0, 1, 2, 0, 0]
+    assert [len(e.vertices) - 1 for e in h.edge_views()] == [1, 2, 0, 1, 2, 0, 0]
 
 
 def test_edge_sort_key_ordering():
@@ -229,11 +229,20 @@ def test_minor_points_are_the_expanded_incidence_matrix(h):
         if minor.num_vertices == 0:
             continue
         points = polytope_from_ideal(ideal_of(minor)).vertices
-        assert incidence_matrix(minor, expand_labels=True) == points
+        assert incidence_matrix(minor) == points
 
 
 def vertex_mask(n, vertices):
     return sum(1 << (n - v) for v in vertices)
+
+
+def skeleton_masks(h, n, back):
+    """``skeleton_by_bfs(h)`` as masks of n vertices, vertex v of h renamed back[v]."""
+
+    def mask(vertices):
+        return vertex_mask(n, (back[v] for v in vertices))
+
+    return [(mask(c), None if even is None else mask(even)) for c, even in skeleton_by_bfs(h)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -265,20 +274,19 @@ def test_closed_core_is_the_closed_fixpoint(h):
 @given(h=small_hypergraphs() | separated_hypergraphs())
 def test_skeleton_components_are_the_built_skeletons(h):
     n = h.num_vertices
+    assert h.skeleton == tuple(skeleton_masks(h, n, {v: v for v in h.vertices}))
     for record in enumerate_minors(h, budget=300):
+        minor = record.hypergraph
         back = dict(enumerate(record.trace.surviving, start=1))
-        expected = {
-            vertex_mask(n, (back[v] for v in c.vertices))
-            for c in record.hypergraph.one_skeleton().components
-        }
         components = skeleton_components(record.state, record.edges)
-        assert len(components) == len(expected)
-        assert set(components) == expected
+        assert components == skeleton_masks(minor, n, back)
+        own = skeleton_masks(minor, minor.num_vertices, {v: v for v in minor.vertices})
+        assert minor.skeleton == tuple(own)
 
 
 def test_derived_structure_is_computed_once(load_ideal):
     h = build_from_ideal(load_ideal("fig1.ideal"))
-    assert h.one_skeleton() is h.one_skeleton()
+    assert h.skeleton is h.skeleton
     assert h.simple_edges() is h.simple_edges()
     merged = LabeledHypergraph(2, (("a", frozenset({1, 2})), ("b", frozenset({1, 2}))))
     assert merged.separation_violation() is merged.separation_violation()
@@ -301,26 +309,23 @@ def test_closed_open_simple(load_ideal):
 
 
 def test_skeleton_structure(load_ideal):
+    # the skeleton edges {1,2}, {2,4} leave vertex 3 in a component of its own
     h = build_from_ideal(load_ideal("fig1.ideal"))
-    sk = h.one_skeleton()
-    assert sk.edges == ((1, 2), (2, 4))
-    assert not sk.is_connected
-    assert sk.is_bipartite
-    assert sk.connected_coloring() is None
+    assert h.skeleton == (
+        (vertex_mask(4, (1, 2, 4)), vertex_mask(4, (1, 4))),
+        (vertex_mask(4, (3,)), vertex_mask(4, (3,))),
+    )
 
     tri = build_from_ideal(load_ideal("tri.ideal"))
-    sk = tri.one_skeleton()
-    assert sk.is_connected
-    assert not sk.is_bipartite
+    assert tri.skeleton == ((vertex_mask(3, (1, 2, 3)), None),)
 
     four = build_from_ideal(load_ideal("fourcyc.ideal"))
-    sk = four.one_skeleton()
-    assert sk.is_connected and sk.is_bipartite
-    coloring = sk.connected_coloring()
-    assert coloring is not None
-    assert coloring[1] == 0
-    for v, w in sk.edges:
-        assert coloring[v] != coloring[w]
+    ((component, even),) = four.skeleton
+    assert component == vertex_mask(4, (1, 2, 3, 4))
+    assert even == vertex_mask(4, (1, 3))
+    for e in four.edges:
+        if len(e) == 2:
+            assert (vertex_mask(4, e) & even).bit_count() == 1
 
 
 def test_fig1_reduction_rounds(load_ideal):
