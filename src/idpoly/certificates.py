@@ -17,7 +17,6 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .hypergraph import (
-    CYCLE_BUDGET,
     BudgetExceeded,
     Cycle,
     LabeledHypergraph,
@@ -107,8 +106,8 @@ class ExceptionalPair:
     edges, which meet the cycle vertices in exactly two vertices apiece.
     The connection is a chain of edges avoiding all cycle vertices that
     starts on special_one's off-cycle part and ends on special_two's.
-    Whether the designated edges may share a vertex off the cycles depends
-    on the other edges, so exceptional_witness checks that.
+    The designated edges may share a vertex off the cycles;
+    exceptional_witness checks the point they give.
     """
 
     cycle_one: Cycle
@@ -208,14 +207,12 @@ def decide_connected_odd(hypergraph: LabeledHypergraph) -> RuleOutcome:
     )
 
 
-def balanced_uniform_rule(
-    hypergraph: LabeledHypergraph, budget: int = CYCLE_BUDGET
-) -> RuleOutcome:
+def balanced_uniform_rule(hypergraph: LabeledHypergraph) -> RuleOutcome:
     """Normal when generators share one degree and no special odd cycle exists.
 
     Sufficient only: an inapplicable answer says nothing.  The uniformity
     check runs first because it is trivial, the cycle search second under
-    the given node budget.
+    ``hypergraph.CYCLE_BUDGET`` nodes.
     """
     _require_separated(hypergraph)
     if hypergraph.num_vertices == 0:
@@ -228,7 +225,7 @@ def balanced_uniform_rule(
             INAPPLICABLE, f"generator degrees not uniform: ({listing})"
         )
     try:
-        cycle = find_special_odd_cycle(hypergraph, budget=budget)
+        cycle = find_special_odd_cycle(hypergraph)
     except BudgetExceeded as exc:
         return RuleOutcome(BUDGET_EXCEEDED, str(exc))
     if cycle is not None:
@@ -415,24 +412,11 @@ def find_exceptional_pair(
     of 3+ vertices; pairs are tried smallest-first.  A pair qualifies when
     the cycles are fully disjoint, every edge meets their union evenly, a
     connector chain exists (a single edge by default, an edge path when
-    relaxed), and, if the designated edges share a vertex (which is then
-    off the cycles), integer_decomposition finds no rewriting of the
-    all-halves point on this hypergraph's own polytope.  The budget caps
-    path-search nodes; BudgetExceeded is raised when it runs out, before
-    any pair is tried, so None always means "none exists".
-
-    The conditions are measured, not quoted from the theorem (the
-    repository holds only the paper's abstract).  A shared vertex is
-    checked exactly because no structural test seen so far tells its
-    pairs apart: on 5,000 draws of two odd cycles whose designated edges
-    share a vertex, the search without the check returned 2,331 pairs.
-    The 500 whose shared vertex lay on those two edges alone decomposed,
-    the 169 whose shared vertex lay on an edge missing the cycles stood,
-    and of the 1,662 whose shared vertex lay on other edges, all meeting
-    the cycles, 254 decomposed and 1,408 stood.  Over the edge-ideal
-    benchmark populations, the fixtures and 1,500 random graphs with two
-    planted triangles, each with its minors, all 459 pairs whose
-    designated edges share no vertex stood.
+    relaxed), and integer_decomposition finds no rewriting of the
+    all-halves point on this hypergraph's own polytope, so the witness is
+    valid by construction.  The budget caps path-search nodes;
+    BudgetExceeded is raised when it runs out, before any pair is tried,
+    so None always means "none exists".
     """
     candidates = _odd_cycle_candidates(hypergraph, budget)
     all_edges = hypergraph.edges
@@ -458,7 +442,7 @@ def find_exceptional_pair(
             )
             if connection is None:
                 continue
-            if set(g_one) & set(g_two) and _halves_decompose(hypergraph, union):
+            if _halves_decompose(hypergraph, union):
                 continue
             return ExceptionalPair(cycle_one, cycle_two, g_one, g_two, connection)
     return None
@@ -472,8 +456,7 @@ def exceptional_witness(
     Validates the pair against the hypergraph and raises ValueError when
     anything fails: its edges must exist, its designated edges be simple,
     every edge meet the cycles evenly (exactly what makes the point
-    integral), and, when the designated edges share a vertex, the point
-    must have no integer decomposition (find_exceptional_pair says why).
+    integral), and the point must have no integer decomposition.
     """
     edge_set = {frozenset(e) for e in hypergraph.edges}
     for cycle in (pair.cycle_one, pair.cycle_two):
@@ -493,9 +476,8 @@ def exceptional_witness(
             raise ValueError(
                 f"edge {e} meets the cycles in an odd number of vertices"
             )
-    shared = set(pair.special_one) & set(pair.special_two)
-    if shared and _halves_decompose(hypergraph, union):
-        raise ValueError(f"designated edges share vertex {min(shared)} and the point decomposes")
+    if _halves_decompose(hypergraph, union):
+        raise ValueError("the all-halves point decomposes")
     coeffs = [
         Fraction(1, 2) if v in union else Fraction(0)
         for v in hypergraph.vertices

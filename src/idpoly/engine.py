@@ -2,12 +2,15 @@
 
 Rules run in a fixed priority order (exact rules first, sufficient-only
 rules next, brute force last) and the first conclusive one names the
-verdict; everything that ran is kept as diagnostics.  ``STRUCTURAL_RULES``
-and ``MINOR_RULES`` are the one list of which rules run, and in what
-order; ``EngineConfig`` sets only the minor budget, the oracle and its
-degree cap, the relaxed connector search and verification.  Each rule is
-a function in ``certificates`` that answers with a ``RuleOutcome``; one
-dispatcher, ``_detect``, only picks that function, and runs it on the
+verdict; everything that ran is kept as diagnostics.  Each structural
+rule is one ``Rule`` record: its id, how it runs, the paper statement
+each of its verdicts cites, and the guard that screens it on a minor.
+``STRUCTURAL_RULES`` is the one list of these records, in priority order,
+and ``MINOR_RULES`` is derived from it: the rules with a guard, in the
+same order.  ``EngineConfig`` sets only the minor budget, the oracle and
+its degree cap, the relaxed connector search and verification.  Each
+rule answers through a function in ``certificates`` with a
+``RuleOutcome``; one dispatcher, ``_detect``, runs a record on the
 reduced hypergraph and on each minor alike.  Every candidate verdict, a
 minor hit included, goes through one settle site, ``_settle``, which
 lifts its evidence and re-verifies it against the original polytope
@@ -15,12 +18,12 @@ before it is reported, so a bug in a structural detector can cost
 completeness but never soundness.  When nothing conclusive fits within
 budget the answer is unknown, never a guess.
 
-The minor walk screens each minor on the bitmasks the walk already keeps:
-each guarded detector behind a necessary condition on the edge masks
-(``_may_fire``), and torsion on the minor's closed-vertex core, once per
-distinct core.  A minor is built as a hypergraph only when a detector
-runs on it, and its deletion path is walked back from the walk's
-per-state deleted edges only when a detector fires on it.
+The minor walk screens each minor on the bitmasks the walk already keeps,
+through each rule's guard: a necessary condition on the edge masks, or,
+for torsion, the minor's closed-vertex core, screened once per distinct
+core.  A minor is built as a hypergraph only when a detector runs on it,
+and its deletion path is walked back from the walk's per-state deleted
+edges only when a detector fires on it.
 """
 
 from __future__ import annotations
@@ -28,11 +31,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Collection, Iterable, Iterator, NamedTuple
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple
 
 from .certificates import (
     NORMAL,
     NOT_NORMAL,
+    RuleOutcome,
     Witness,
     balanced_uniform_rule,
     bicolor_obstruction,
@@ -61,42 +65,23 @@ UNKNOWN = "unknown"
 
 RULE_EMPTY = "empty-after-reduction"
 RULE_SINGLE = "single-vertex"
-RULE_CONNECTED_ODD = "thm-4.1"
-RULE_BALANCED = "prop-3.5"
-RULE_TORSION = "rem-3.2"
-RULE_BICOLOR = "thm-4.5"
-RULE_PAIR = "thm-4.8"
 RULE_MINOR = "thm-3.8"
 RULE_ORACLE = "oracle"
 
-# the rules that run on the reduced hypergraph, in priority order
-STRUCTURAL_RULES = (
-    RULE_CONNECTED_ODD,
-    RULE_BALANCED,
-    RULE_TORSION,
-    RULE_BICOLOR,
-    RULE_PAIR,
-)
-# the rules that can fire on a minor, in the order they run on each one
-MINOR_RULES = (RULE_CONNECTED_ODD, RULE_TORSION, RULE_BICOLOR, RULE_PAIR)
-
+# citations of the verdicts no structural rule gives; each ``Rule`` carries its own
 CITATIONS = {
     RULE_EMPTY: "Proposition 3.3: closed-vertex reduction empties the hypergraph",
     RULE_SINGLE: "Proposition 3.3: closed-vertex reduction leaves one vertex",
-    RULE_BALANCED: "Proposition 3.5: balanced with uniform generator degree",
-    RULE_TORSION: "Remark 3.2: torsion in the vertex lattice quotient",
-    RULE_BICOLOR: "Theorem 4.5: 2-solvable coloring with an unbalanced simple edge",
-    RULE_PAIR: "Theorem 4.8: exceptional pair of odd cycles",
     RULE_MINOR: "Theorem 3.8: non-normal minor",
     RULE_ORACLE: "Proposition 3.1: exhaustive decomposition check",
 }
 
 
 def citation_for(rule: str, status: str) -> str:
-    if rule == RULE_CONNECTED_ODD:
-        if status == NOT_NORMAL:
-            return "Theorem 4.1: even vertex count, no even-dimensional edge"
-        return "Theorem 4.1: odd vertex count or even-dimensional edge"
+    """The paper statement a report cites for ``status`` given by ``rule``."""
+    for record in STRUCTURAL_RULES:
+        if record.id == rule:
+            return record.cite[status]
     return CITATIONS[rule]
 
 
@@ -110,11 +95,13 @@ ORACLE_MAX_DIM = 12
 class EngineConfig:
     """How hard the pipeline may try, not which rules run.
 
-    ``STRUCTURAL_RULES`` and ``MINOR_RULES`` choose the rules and their
-    order.  ``minor_budget`` caps the minors examined, and 0 skips the
-    minor walk; ``use_oracle`` and ``oracle_max_degree`` gate and cap the
-    exact oracle; ``relaxed_connection`` widens Theorem 4.8's connector
-    search; ``verify`` re-checks evidence against the original polytope.
+    The records of ``STRUCTURAL_RULES`` choose the rules and their order,
+    and ``MINOR_RULES`` follows from them.  ``minor_budget`` caps the
+    minors examined, and 0 skips the minor walk; ``use_oracle`` and
+    ``oracle_max_degree`` gate and cap the exact oracle;
+    ``relaxed_connection`` widens Theorem 4.8's connector search, the one
+    field a rule reads; ``verify`` re-checks evidence against the original
+    polytope.
     """
 
     use_oracle: bool = True
@@ -148,64 +135,38 @@ class VerdictReport:
     stats: dict = field(compare=False)
 
 
-def _may_fire(state: int, edges: Collection[int], rule: str) -> bool:
-    """A necessary condition for a witness detector to fire on a minor.
+@dataclass(frozen=True, eq=False)
+class Rule:
+    """One structural rule: everything the engine knows of it.
 
-    It reads only the minor's vertex set and its distinct edges as masks,
-    as ``Minor`` carries them, so a minor that fails it is never built.
-    Each condition is proved from what its detector checks, not measured:
-
-    - Theorem 4.1 fires only with an even vertex count and no edge of odd
-      size (even dimension);
-    - Theorem 4.5 needs a connected 1-skeleton, so at least s - 1
-      2-vertex edges on s vertices, and no 1-vertex edge: such an edge
-      has red/blue imbalance 1, so the imbalance gcd is 1 and no prime
-      makes the minor 2-solvable;
-    - Theorem 4.8 needs two distinct simple edges with at least 3
-      vertices.  Each candidate cycle is an even skeleton path closed by
-      such an edge, which meets the cycle in the path's 2 ends, and a
-      pair is skipped when either closing edge meets the other cycle, so
-      the two closing edges differ and each meets the union U of the two
-      cycles' vertex sets in exactly 2 vertices.  A pair is accepted only
-      when every edge meets U evenly.  Then no 2-vertex edge has exactly
-      one end in U, so U is a union of 1-skeleton components.  Each
-      cycle's path lies in one component, and that component lies in U,
-      so U is that component or the union of the two.  The minor
-      therefore needs such a U, either one skeleton component of at
-      least 6 vertices or two components of at least 3 each, that every
-      edge meets evenly and that two of its fat simple edges meet in
-      exactly 2 vertices.
-
-    Torsion (Remark 3.2) has no condition here: ``_minor_candidates``
-    screens it on the minor's closed-vertex core.
+    ``run`` answers on a hypergraph with a ``RuleOutcome``.  It calls its
+    ``certificates`` function through this module's name for it, looked up
+    at call time, so a wrapper put on that name (as the benchmark's tracer
+    does) sees the call; a record never holds the function itself.
+    ``cite`` maps each verdict the rule can give to the paper statement
+    reports name.  ``guard(state, edges, screens)`` is a necessary
+    condition for the rule to fire on a minor, read from the minor's
+    vertex set and distinct edges as masks, as ``Minor`` carries them, so
+    a minor that fails every guard is never built; ``screens`` is a memo
+    the minor walk keeps for one walk.  A rule without a guard does not
+    run on minors.  Each guard is proved from what its detector checks,
+    not measured.
     """
-    s = state.bit_count()
-    if rule == RULE_CONNECTED_ODD:
-        return s % 2 == 0 and all(edge.bit_count() % 2 == 0 for edge in edges)
-    if rule == RULE_BICOLOR:
-        pairs = 0
-        for edge in edges:
-            size = edge.bit_count()
-            if size == 1:
-                return False
-            pairs += size == 2
-        return pairs >= s - 1
-    if rule == RULE_PAIR:
-        fat = [edge for edge in edges if edge.bit_count() >= 3]
-        if len(fat) < 2:
-            return False
-        simple = [g for g in fat if not any(f != g and f & g == f for f in edges)]
-        if len(simple) < 2:
-            return False
-        big = [c for c, _ in skeleton_components(state, edges) if c.bit_count() >= 3]
-        unions = [c for c in big if c.bit_count() >= 6]
-        unions += [c | d for c, d in combinations(big, 2)]
-        return any(
-            all((edge & u).bit_count() % 2 == 0 for edge in edges)
-            and sum((g & u).bit_count() == 2 for g in simple) >= 2
-            for u in unions
-        )
-    return True
+
+    id: str
+    run: Callable[[LabeledHypergraph, EngineConfig], RuleOutcome]
+    cite: dict[str, str]
+    guard: Callable[[int, Collection[int], dict[int, bool]], bool] | None = None
+
+
+def _connected_odd_guard(
+    state: int, edges: Collection[int], screens: dict[int, bool]
+) -> bool:
+    """Theorem 4.1 fires only with an even vertex count and no edge of odd size.
+
+    An edge of odd size is an edge of even dimension.
+    """
+    return state.bit_count() % 2 == 0 and all(edge.bit_count() % 2 == 0 for edge in edges)
 
 
 def _core_has_torsion(core: int, edges: Collection[int]) -> bool:
@@ -217,6 +178,116 @@ def _core_has_torsion(core: int, edges: Collection[int]) -> bool:
         points.append([1 if edge & bit else 0 for edge in columns])
         core ^= bit
     return torsion_check(points) is not None
+
+
+def _torsion_guard(
+    state: int, edges: Collection[int], screens: dict[int, bool]
+) -> bool:
+    """Remark 3.2 fires exactly when the minor's closed-vertex core has torsion.
+
+    Stripping a closed vertex splits a unit column off the incidence
+    matrix, so the core (``closed_core``) has the minor's torsion, and an
+    empty core has none.  ``screens`` maps each core screened in this walk
+    to its result, so minors that share a core share one screen.
+    """
+    core = closed_core(state, edges)
+    if not core:
+        return False
+    torsion = screens.get(core)
+    if torsion is None:
+        torsion = screens[core] = _core_has_torsion(core, edges)
+    return torsion
+
+
+def _bicolor_guard(
+    state: int, edges: Collection[int], screens: dict[int, bool]
+) -> bool:
+    """Theorem 4.5 needs a connected 1-skeleton and no 1-vertex edge.
+
+    A connected skeleton on s vertices has at least s - 1 2-vertex edges.
+    A 1-vertex edge has red/blue imbalance 1, so the imbalance gcd is 1 and
+    no prime makes the minor 2-solvable.
+    """
+    pairs = 0
+    for edge in edges:
+        size = edge.bit_count()
+        if size == 1:
+            return False
+        pairs += size == 2
+    return pairs >= state.bit_count() - 1
+
+
+def _pair_guard(
+    state: int, edges: Collection[int], screens: dict[int, bool]
+) -> bool:
+    """Theorem 4.8 needs two distinct simple edges with at least 3 vertices.
+
+    Each candidate cycle is an even skeleton path closed by such an edge,
+    which meets the cycle in the path's 2 ends, and a pair is skipped when
+    either closing edge meets the other cycle, so the two closing edges
+    differ and each meets the union U of the two cycles' vertex sets in
+    exactly 2 vertices.  A pair is accepted only when every edge meets U
+    evenly.  Then no 2-vertex edge has exactly one end in U, so U is a
+    union of 1-skeleton components.  Each cycle's path lies in one
+    component, and that component lies in U, so U is that component or
+    the union of the two.  The minor therefore needs such a U, either one
+    skeleton component of at least 6 vertices or two components of at
+    least 3 each, that every edge meets evenly and that two of its fat
+    simple edges meet in exactly 2 vertices.
+    """
+    fat = [edge for edge in edges if edge.bit_count() >= 3]
+    if len(fat) < 2:
+        return False
+    simple = [g for g in fat if not any(f != g and f & g == f for f in edges)]
+    if len(simple) < 2:
+        return False
+    big = [c for c, _ in skeleton_components(state, edges) if c.bit_count() >= 3]
+    unions = [c for c in big if c.bit_count() >= 6]
+    unions += [c | d for c, d in combinations(big, 2)]
+    return any(
+        all((edge & u).bit_count() % 2 == 0 for edge in edges)
+        and sum((g & u).bit_count() == 2 for g in simple) >= 2
+        for u in unions
+    )
+
+
+# the rules that run on the reduced hypergraph, in priority order
+STRUCTURAL_RULES = (
+    Rule(
+        "thm-4.1",
+        lambda h, cfg: decide_connected_odd(h),
+        {
+            NOT_NORMAL: "Theorem 4.1: even vertex count, no even-dimensional edge",
+            NORMAL: "Theorem 4.1: odd vertex count or even-dimensional edge",
+        },
+        _connected_odd_guard,
+    ),
+    Rule(
+        "prop-3.5",
+        lambda h, cfg: balanced_uniform_rule(h),
+        {NORMAL: "Proposition 3.5: balanced with uniform generator degree"},
+    ),
+    Rule(
+        "rem-3.2",
+        lambda h, cfg: torsion_obstruction(h),
+        {NOT_NORMAL: "Remark 3.2: torsion in the vertex lattice quotient"},
+        _torsion_guard,
+    ),
+    Rule(
+        "thm-4.5",
+        lambda h, cfg: bicolor_obstruction(h),
+        {NOT_NORMAL: "Theorem 4.5: 2-solvable coloring with an unbalanced simple edge"},
+        _bicolor_guard,
+    ),
+    Rule(
+        "thm-4.8",
+        lambda h, cfg: exceptional_pair_rule(h, relaxed=cfg.relaxed_connection),
+        {NOT_NORMAL: "Theorem 4.8: exceptional pair of odd cycles"},
+        _pair_guard,
+    ),
+)
+# the rules that can fire on a minor, in the order they run on each one
+MINOR_RULES = tuple(rule for rule in STRUCTURAL_RULES if rule.guard)
 
 
 class _Candidate(NamedTuple):
@@ -237,30 +308,15 @@ class _Candidate(NamedTuple):
 
 
 def _detect(
-    rule: str, hypergraph: LabeledHypergraph, cfg: EngineConfig
+    rule: Rule, hypergraph: LabeledHypergraph, cfg: EngineConfig
 ) -> tuple[str, _Candidate | None]:
-    """Run one structural rule: its diagnostic, and its verdict if conclusive.
-
-    Each rule is called through its module-level name, so a wrapper put on
-    that name (as the benchmark's tracer does) sees the call.
-    """
-    if rule == RULE_CONNECTED_ODD:
-        outcome = decide_connected_odd(hypergraph)
-    elif rule == RULE_BALANCED:
-        outcome = balanced_uniform_rule(hypergraph)
-    elif rule == RULE_TORSION:
-        outcome = torsion_obstruction(hypergraph)
-    elif rule == RULE_BICOLOR:
-        outcome = bicolor_obstruction(hypergraph)
-    elif rule == RULE_PAIR:
-        outcome = exceptional_pair_rule(hypergraph, relaxed=cfg.relaxed_connection)
-    else:
-        raise ValueError(f"unknown rule {rule!r}")
+    """Run one structural rule: its diagnostic, and its verdict if conclusive."""
+    outcome = rule.run(hypergraph, cfg)
     diagnostic = f"{outcome.status}: {outcome.reason}"
     if not outcome.is_conclusive:
         return diagnostic, None
     return diagnostic, _Candidate(
-        rule, outcome.status, outcome.witness, outcome.torsion, outcome.lattice
+        rule.id, outcome.status, outcome.witness, outcome.torsion, outcome.lattice
     )
 
 
@@ -318,7 +374,7 @@ def _settle(
             diagnostics.append(
                 (candidate.rule, "demoted: certificate failed re-check")
                 if minor is None
-                else (RULE_TORSION, f"torsion certificate failed on minor {minor.surviving}")
+                else (candidate.minor_rule, f"torsion certificate failed on minor {minor.surviving}")
             )
             continue
         settled = candidate
@@ -375,40 +431,26 @@ def _minor_candidates(
     """Not-normal verdicts of the minor detectors, minor by minor (Theorem 3.8).
 
     Minors come in canonical order, and on each one the rules of
-    ``MINOR_RULES`` run in that order.  Each is screened on the
-    walk's masks first: a guarded detector runs only where ``_may_fire``
-    holds, and the torsion rule only where the minor's closed-vertex core
-    (``closed_core``) has torsion.  Stripping a closed vertex splits a
-    unit column off the incidence matrix, so the core has the minor's
-    torsion, and minors that share a core share one screen.  A minor that
-    passes a screen is built once, and the detector runs on it as on the
-    reduced hypergraph, so its certificate is the one the full minor
-    gives.  Nothing is checked here: every hit goes to ``_settle`` like a
-    top-level candidate, and the walk resumes only if it was demoted.
-    ``stats`` counts the minors examined, the minors built and the
-    torsion screens run.
+    ``MINOR_RULES`` run in that order, each only where its guard holds on
+    the walk's masks.  The guards share one memo for the walk, which the
+    torsion guard fills with one screen per distinct closed-vertex core.
+    A minor that passes a guard is built once, and the detector runs on it
+    as on the reduced hypergraph, so its certificate is the one the full
+    minor gives.  Nothing is checked here: every hit goes to ``_settle``
+    like a top-level candidate, and the walk resumes only if it was
+    demoted.  ``stats`` counts the minors examined, the minors built and
+    the torsion screens run.
     """
-    has_torsion: dict[int, bool] = {}  # closed-vertex core -> screen result
-    examined = built = screens = 0
+    screens: dict[int, bool] = {}  # closed-vertex core -> has torsion
+    examined = built = 0
     for record in enumerate_minors(hypergraph, budget=cfg.minor_budget):
         examined += 1
-        s = record.num_vertices
-        if s == 0:
+        if record.num_vertices == 0:
             continue
         edges = record.edges
         minor = None
         for rule in MINOR_RULES:
-            if rule == RULE_TORSION:
-                core = closed_core(record.state, edges)
-                if not core:
-                    continue
-                torsion = has_torsion.get(core)
-                if torsion is None:
-                    screens += 1
-                    torsion = has_torsion[core] = _core_has_torsion(core, edges)
-                if not torsion:
-                    continue
-            elif not _may_fire(record.state, edges, rule):
+            if not rule.guard(record.state, edges, screens):
                 continue
             if minor is None:
                 built += 1
@@ -416,10 +458,10 @@ def _minor_candidates(
             _, found = _detect(rule, minor, cfg)
             if found is not None and found.status == NOT_NORMAL:
                 stats.update(
-                    minors_examined=examined, minors_built=built, torsion_screens=screens
+                    minors_examined=examined, minors_built=built, torsion_screens=len(screens)
                 )
-                yield found._replace(rule=RULE_MINOR, minor=record.trace, minor_rule=rule)
-    stats.update(minors_examined=examined, minors_built=built, torsion_screens=screens)
+                yield found._replace(rule=RULE_MINOR, minor=record.trace, minor_rule=rule.id)
+    stats.update(minors_examined=examined, minors_built=built, torsion_screens=len(screens))
     diagnostics.append((RULE_MINOR, f"no minor hit within budget ({examined} examined)"))
 
 
@@ -438,7 +480,7 @@ def _candidates(
     structural: list[_Candidate] = []
     for rule in STRUCTURAL_RULES:
         diagnostic, found = _detect(rule, reduced, cfg)
-        diagnostics.append((rule, diagnostic))
+        diagnostics.append((rule.id, diagnostic))
         if found is not None:
             structural.append(found)
     yield from structural

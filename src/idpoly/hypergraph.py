@@ -607,6 +607,6 @@ def find_special_odd_cycle(
     return None
 
 
-def is_balanced(hypergraph: LabeledHypergraph, budget: int = CYCLE_BUDGET) -> bool:
+def is_balanced(hypergraph: LabeledHypergraph) -> bool:
     """True when the hypergraph has no special odd cycle."""
-    return find_special_odd_cycle(hypergraph, budget=budget) is None
+    return find_special_odd_cycle(hypergraph) is None

@@ -336,7 +336,7 @@ def test_exceptional_witness_rejects_a_lone_shared_vertex():
     fat1 = Cycle((1, 2, 3), ((1, 2), (2, 3), (1, 3, 7, 9)))
     fat2 = Cycle((4, 5, 6), ((4, 5), (5, 6), (4, 6, 7, 8)))
     pair = ExceptionalPair(fat1, fat2, (1, 3, 7, 9), (4, 6, 7, 8), ((8, 9),))
-    with pytest.raises(ValueError, match="share vertex 7 and the point decomposes"):
+    with pytest.raises(ValueError, match="the all-halves point decomposes"):
         exceptional_witness(h, pair)
     assert find_exceptional_pair(h) is None
 
@@ -352,7 +352,7 @@ def test_exceptional_pair_skips_a_decomposing_shared_vertex_on_a_third_edge(rela
     fat1 = Cycle((1, 2, 3), ((1, 2), (2, 3), (1, 3, 7, 8)))
     fat2 = Cycle((4, 5, 6), ((4, 5), (5, 6), (4, 6, 7, 9)))
     pair = ExceptionalPair(fat1, fat2, (1, 3, 7, 8), (4, 6, 7, 9), ((8, 9),))
-    with pytest.raises(ValueError, match="share vertex 7 and the point decomposes"):
+    with pytest.raises(ValueError, match="the all-halves point decomposes"):
         exceptional_witness(h, pair)
     assert find_exceptional_pair(h, relaxed=relaxed) is None
 
@@ -370,6 +370,21 @@ def test_exceptional_pair_keeps_a_shared_vertex_on_a_third_edge(relaxed):
     assert pair.connection == ((7, 9),)
     polytope = polytope_from_ideal(ideal_of(h))
     assert verify_witness(polytope, exceptional_witness(h, pair)).valid
+
+
+@pytest.mark.parametrize("relaxed", [False, True])
+def test_every_pair_is_checked_for_a_decomposition(load_ideal, monkeypatch, relaxed):
+    # bowtie's designated edges share no vertex.  No input makes such a
+    # pair's point decompose: a decomposition would need one off-cycle
+    # vertex on each designated edge, one vertex more than its degree.  So
+    # a planted decomposition is what shows the check runs on such pairs.
+    h = build_from_ideal(load_ideal("bowtie.ideal"))
+    pair = find_exceptional_pair(h, relaxed=relaxed)
+    assert not set(pair.special_one) & set(pair.special_two)
+    monkeypatch.setattr(certificates, "_halves_decompose", lambda hypergraph, union: True)
+    assert find_exceptional_pair(h, relaxed=relaxed) is None
+    with pytest.raises(ValueError, match="the all-halves point decomposes"):
+        exceptional_witness(h, pair)
 
 
 def test_lift_witness_through_reduction():

@@ -20,19 +20,13 @@ from idpoly.certificates import (
 from idpoly.engine import (
     NORMAL,
     NOT_NORMAL,
-    RULE_BALANCED,
-    RULE_BICOLOR,
-    RULE_CONNECTED_ODD,
     RULE_EMPTY,
     RULE_MINOR,
     RULE_ORACLE,
-    RULE_PAIR,
     RULE_SINGLE,
-    RULE_TORSION,
     UNKNOWN,
     EngineConfig,
     _core_has_torsion,
-    _may_fire,
     analyze,
     citation_for,
 )
@@ -56,6 +50,35 @@ from randutil import (
 )
 
 HALF = Fraction(1, 2)
+
+# the structural rules' ids, as reports print them
+RULE_CONNECTED_ODD = "thm-4.1"
+RULE_BALANCED = "prop-3.5"
+RULE_TORSION = "rem-3.2"
+RULE_BICOLOR = "thm-4.5"
+RULE_PAIR = "thm-4.8"
+RULES = {rule.id: rule for rule in engine.STRUCTURAL_RULES}
+
+
+def rules_named(*ids):
+    """The records of the rules ``ids``, in priority order."""
+    return tuple(rule for rule in RULES.values() if rule.id in ids)
+
+
+def may_fire(rule_id, state, edges):
+    """A rule's minor guard, with a fresh screen memo."""
+    return RULES[rule_id].guard(state, edges, {})
+
+
+def test_rule_records_and_their_order():
+    assert tuple(RULES) == (
+        RULE_CONNECTED_ODD, RULE_BALANCED, RULE_TORSION, RULE_BICOLOR, RULE_PAIR
+    )
+    # the minor rules are the records with a guard, in priority order
+    assert engine.MINOR_RULES == rules_named(
+        RULE_CONNECTED_ODD, RULE_TORSION, RULE_BICOLOR, RULE_PAIR
+    )
+    assert RULES[RULE_BALANCED].guard is None
 
 
 def mat_ideal(name):
@@ -221,7 +244,7 @@ def test_veiled_needs_minor_search(load_ideal):
 
 
 def test_veiled_pair_only_minor_search(load_ideal, monkeypatch):
-    monkeypatch.setattr(engine, "MINOR_RULES", (RULE_PAIR,))
+    monkeypatch.setattr(engine, "MINOR_RULES", rules_named(RULE_PAIR))
     report = analyze(load_ideal("veiled.ideal"), EngineConfig(minor_budget=20000))
     assert report.status == NOT_NORMAL
     assert report.rule == RULE_MINOR
@@ -248,7 +271,7 @@ def test_veiled_without_minors_is_unknown(load_ideal):
 
 def without_rules(monkeypatch, *rules):
     """Run the structural rules minus ``rules``, in their priority order."""
-    kept = tuple(r for r in engine.STRUCTURAL_RULES if r not in rules)
+    kept = tuple(r for r in engine.STRUCTURAL_RULES if r.id not in rules)
     monkeypatch.setattr(engine, "STRUCTURAL_RULES", kept)
 
 
@@ -340,15 +363,58 @@ def test_citation_strings():
     )
     assert citation_for(RULE_ORACLE, NORMAL)
     assert citation_for(RULE_EMPTY, NORMAL)
-    for rule in engine.STRUCTURAL_RULES + engine.MINOR_RULES:
-        for status in (NORMAL, NOT_NORMAL):
-            assert citation_for(rule, status), (rule, status)
+    for rule in engine.STRUCTURAL_RULES:
+        assert rule.cite, rule.id
+        assert set(rule.cite) <= {NORMAL, NOT_NORMAL}, rule.id
+        for status, text in rule.cite.items():
+            assert text, (rule.id, status)
+            assert citation_for(rule.id, status) == text
+    # only Theorem 4.1 decides both ways
+    assert [rule.id for rule in engine.STRUCTURAL_RULES if len(rule.cite) == 2] == [
+        RULE_CONNECTED_ODD
+    ]
 
 
-def test_detect_rejects_an_unknown_rule(load_ideal):
-    h = build_from_ideal(load_ideal("tri.ideal"))
-    with pytest.raises(ValueError, match="unknown rule 'odd-cycle'"):
-        engine._detect("odd-cycle", h, EngineConfig())
+def test_rules_dispatch_through_module_level_names(load_ideal, monkeypatch):
+    # the benchmark's tracer wraps a detector by replacing the module
+    # attributes that hold it, so dispatch must look each name up in engine
+    calls = []
+    for name in (
+        "decide_connected_odd",
+        "balanced_uniform_rule",
+        "torsion_obstruction",
+        "bicolor_obstruction",
+        "exceptional_pair_rule",
+    ):
+        real = getattr(engine, name)
+
+        def recorder(*args, _name=name, _real=real, **kwargs):
+            calls.append((_name, kwargs))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, recorder)
+    for relaxed in (False, True):
+        calls.clear()
+        analyze(mat_ideal("rem32.mat"), EngineConfig(relaxed_connection=relaxed))
+        assert calls == [
+            ("decide_connected_odd", {}),
+            ("balanced_uniform_rule", {}),
+            ("torsion_obstruction", {}),
+            ("bicolor_obstruction", {}),
+            ("exceptional_pair_rule", {"relaxed": relaxed}),
+        ]
+    # the minor walk dispatches the same way; between them these two walks
+    # run every minor rule
+    calls.clear()
+    monkeypatch.setattr(engine, "STRUCTURAL_RULES", ())
+    for name in ("k24.ideal", "edge65.ideal"):
+        analyze(load_ideal(name), EngineConfig(use_oracle=False))
+    assert {name for name, _ in calls} == {
+        "decide_connected_odd",
+        "torsion_obstruction",
+        "bicolor_obstruction",
+        "exceptional_pair_rule",
+    }
 
 
 @pytest.mark.parametrize(
@@ -405,8 +471,9 @@ def structural_candidates_stand(h, relaxed_values=(False, True)):
     fired = set()
     for relaxed in relaxed_values:
         cfg = EngineConfig(relaxed_connection=relaxed)
-        for rule in engine.STRUCTURAL_RULES:
-            _, found = engine._detect(rule, h, cfg)
+        for record in engine.STRUCTURAL_RULES:
+            rule = record.id
+            _, found = engine._detect(record, h, cfg)
             if found is None:
                 continue
             fired.add((rule, found.status))
@@ -482,7 +549,7 @@ def guarded_minor_rules_that_fire(h, budget=300):
         minor = record.hypergraph
         for rule in GUARDED_RULES:
             if unguarded_fires(minor, rule):
-                assert _may_fire(record.state, record.edges, rule), (rule, minor)
+                assert may_fire(rule, record.state, record.edges), (rule, minor)
                 fired.add(rule)
     return fired
 
@@ -537,12 +604,12 @@ def test_minor_guards_are_their_stated_conditions(h):
             continue
         minor, state, edges = record.hypergraph, record.state, record.edges
         even = s % 2 == 0 and all(len(e) % 2 == 0 for e in minor.edges)
-        assert _may_fire(state, edges, RULE_CONNECTED_ODD) == even
+        assert may_fire(RULE_CONNECTED_ODD, state, edges) == even
         no_single = all(len(e) > 1 for e in minor.edges)
         connectable = sum(len(e) == 2 for e in minor.edges) >= s - 1
-        assert _may_fire(state, edges, RULE_BICOLOR) == (no_single and connectable)
-        assert _may_fire(state, edges, RULE_PAIR) == pair_union_exists(minor)
-        assert _may_fire(state, edges, RULE_TORSION)
+        assert may_fire(RULE_BICOLOR, state, edges) == (no_single and connectable)
+        assert may_fire(RULE_PAIR, state, edges) == pair_union_exists(minor)
+        assert may_fire(RULE_TORSION, state, edges) == core_screen_has_torsion(record)
 
 
 def test_pairs_the_guard_rejects_are_inapplicable_on_edge65_minors(load_ideal):
@@ -551,7 +618,7 @@ def test_pairs_the_guard_rejects_are_inapplicable_on_edge65_minors(load_ideal):
     for record in enumerate_minors(reduced):
         minor = record.hypergraph
         fat_simple = [e for e in minor.simple_edges() if len(e.vertices) >= 3]
-        if len(fat_simple) < 2 or _may_fire(record.state, record.edges, RULE_PAIR):
+        if len(fat_simple) < 2 or may_fire(RULE_PAIR, record.state, record.edges):
             continue
         rejected += 1
         for relaxed in (False, True):
@@ -566,7 +633,12 @@ def core_screen_has_torsion(record):
 
 
 def assert_core_screen_is_torsion_check(h):
-    """Compare the core screen with torsion_check on each full minor; count torsion."""
+    """Compare the core screen with torsion_check on each full minor; count torsion.
+
+    The torsion guard, with one memo for the whole walk, must agree too.
+    """
+    guard = RULES[RULE_TORSION].guard
+    screens = {}
     with_torsion = 0
     for record in enumerate_minors(h):
         if record.num_vertices == 0:
@@ -574,6 +646,7 @@ def assert_core_screen_is_torsion_check(h):
         points = incidence_matrix(record.hypergraph)
         torsion = torsion_check(points) is not None
         assert core_screen_has_torsion(record) == torsion, record.trace.surviving
+        assert guard(record.state, record.edges, screens) == torsion, record.trace.surviving
         with_torsion += torsion
     return with_torsion
 
@@ -625,12 +698,10 @@ def test_minor_walk_counters(load_ideal, monkeypatch, structural):
         records = [r for r in enumerate_minors(reduced, budget=examined) if r.state]
         cores = {closed_core(r.state, r.edges) for r in records}
         assert stats["torsion_screens"] == len(cores - {0}), name
-        guarded = (RULE_CONNECTED_ODD, RULE_BICOLOR, RULE_PAIR)
         built = sum(
             1
             for r in records
-            if any(_may_fire(r.state, r.edges, rule) for rule in guarded)
-            or core_screen_has_torsion(r)
+            if any(rule.guard(r.state, r.edges, {}) for rule in engine.MINOR_RULES)
         )
         assert stats["minors_built"] == built, name
     assert exact >= (1 if structural else 4)
@@ -683,7 +754,7 @@ def test_demoted_minor_witness_continues_the_walk(load_ideal, monkeypatch):
 def test_demoted_minor_witness_goes_on_to_the_oracle(load_ideal, monkeypatch):
     plant_zero_witness_on_connected_odd(monkeypatch)
     monkeypatch.setattr(engine, "STRUCTURAL_RULES", ())
-    monkeypatch.setattr(engine, "MINOR_RULES", (RULE_CONNECTED_ODD,))
+    monkeypatch.setattr(engine, "MINOR_RULES", rules_named(RULE_CONNECTED_ODD))
     report = analyze(load_ideal("hex6.ideal"))
     assert report.status == NOT_NORMAL
     assert report.rule == RULE_ORACLE
@@ -729,7 +800,7 @@ def test_demoted_torsion_certificate_goes_on_to_the_oracle(load_ideal, monkeypat
         return TorsionCertificate((0,) * (len(points[0]) + 1), 2, (2,))
 
     monkeypatch.setattr(certificates, "torsion_check", planted)
-    monkeypatch.setattr(engine, "STRUCTURAL_RULES", (RULE_TORSION,))
+    monkeypatch.setattr(engine, "STRUCTURAL_RULES", rules_named(RULE_TORSION))
     report = analyze(load_ideal("hex6.ideal"), EngineConfig(minor_budget=0))
     assert report.status == NOT_NORMAL
     assert report.rule == RULE_ORACLE
