@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .hypergraph import (
     BudgetExceeded,
@@ -175,36 +175,54 @@ def _witness_from_coefficients(
     return Witness(tuple(coefficients), degree, tuple(powers))
 
 
+def connected_odd_fires(
+    state: int, edges: Collection[int], components: Sequence[tuple[int, int | None]]
+) -> bool:
+    """Whether Theorem 4.1 finds the vertex set ``state`` not normal, on masks.
+
+    ``edges`` are the edges of ``state`` and ``components`` their
+    ``skeleton_components``.  It fires exactly on a 1-skeleton of one
+    component with an odd cycle, an even vertex count and every edge of
+    even size (odd dimension).  ``decide_connected_odd`` and the engine's
+    minor guard both decide through this one condition.
+    """
+    return (
+        len(components) == 1
+        and components[0][1] is None
+        and state.bit_count() % 2 == 0
+        and all(edge.bit_count() % 2 == 0 for edge in edges)
+    )
+
+
 def decide_connected_odd(hypergraph: LabeledHypergraph) -> RuleOutcome:
     """Settle normality when the 1-skeleton is connected and non-bipartite.
 
     In that regime the hypergraph is normal exactly when the vertex count
     is odd or some edge has even dimension (odd vertex count, dimension
     |E| - 1); otherwise the all-halves combination is a witness.  Both
-    directions are exact, so this is a decision, not a heuristic.
+    directions are exact, so this is a decision, not a heuristic.  The
+    not-normal case is ``connected_odd_fires``; the other branches name
+    the clause that failed.
     """
     _require_separated(hypergraph)
     skeleton = hypergraph.skeleton
+    s = hypergraph.num_vertices
+    if connected_odd_fires((1 << s) - 1, hypergraph.edge_masks, skeleton):
+        half = Fraction(1, 2)
+        witness = _witness_from_coefficients(hypergraph, [half] * s, s // 2)
+        return RuleOutcome(
+            NOT_NORMAL,
+            f"vertex count {s} is even and every edge has odd dimension",
+            witness=witness,
+        )
     if len(skeleton) > 1:
         return RuleOutcome(INAPPLICABLE, "1-skeleton is not connected")
     if all(even is not None for _, even in skeleton):
         return RuleOutcome(INAPPLICABLE, "1-skeleton has no odd cycle")
-    s = hypergraph.num_vertices
     if s % 2 == 1:
         return RuleOutcome(NORMAL, f"vertex count {s} is odd")
-    for edge in hypergraph.edges:
-        if len(edge) % 2 == 1:
-            return RuleOutcome(
-                NORMAL,
-                f"edge {edge} has even dimension {len(edge) - 1}",
-            )
-    half = Fraction(1, 2)
-    witness = _witness_from_coefficients(hypergraph, [half] * s, s // 2)
-    return RuleOutcome(
-        NOT_NORMAL,
-        f"vertex count {s} is even and every edge has odd dimension",
-        witness=witness,
-    )
+    edge = next(edge for edge in hypergraph.edges if len(edge) % 2 == 1)
+    return RuleOutcome(NORMAL, f"edge {edge} has even dimension {len(edge) - 1}")
 
 
 def balanced_uniform_rule(hypergraph: LabeledHypergraph) -> RuleOutcome:
@@ -250,39 +268,59 @@ def torsion_obstruction(hypergraph: LabeledHypergraph) -> RuleOutcome:
     )
 
 
+def bicolor_evidence(
+    state: int, edges: Collection[int], components: Sequence[tuple[int, int | None]]
+) -> tuple[int, int, int] | None:
+    """Theorem 4.5's prime, red class and designated edge, on masks, or None.
+
+    ``edges`` are the edges of ``state`` and ``components`` their
+    ``skeleton_components``.  It fires exactly on a 1-skeleton of one
+    bipartite component, whose red class is the one holding the smallest
+    vertex, an imbalance gcd g of at least 2, and an unbalanced simple
+    edge.  g is the gcd of the total red/blue imbalance and every edge's;
+    p is its smallest prime, and the designated edge is the first
+    unbalanced simple edge in the order of ``edges``.  (An unbalanced edge
+    makes g nonzero, so g = 1 is the only case the gcd rules out.)
+    ``bicolor_obstruction`` and the engine's minor guard both decide
+    through this one condition.
+    """
+    if len(components) != 1 or components[0][1] is None:
+        return None
+    red = components[0][1]
+    g = abs(2 * red.bit_count() - state.bit_count())
+    for edge in edges:
+        g = gcd(g, abs(2 * (edge & red).bit_count() - edge.bit_count()))
+    if g == 1:
+        return None
+    for edge in edges:
+        if 2 * (edge & red).bit_count() != edge.bit_count() and not any(
+            other != edge and other & edge == other for other in edges
+        ):
+            return next(prime_factors(g)), red, edge
+    return None
+
+
 def bicolor_obstruction(hypergraph: LabeledHypergraph) -> RuleOutcome:
     """Unbalanced simple edge under a modular 2-coloring: not normal.
 
     The 1-skeleton's coloring, connected and bipartite, is unique once the
     smallest vertex is red: red is the side at even distance from it.  p
     is the smallest prime dividing every edge's red/blue imbalance and the
-    total one (2 if all are 0).  When a simple edge is unbalanced, 1/p on
-    red vertices and (p-1)/p on blue ones give an integral point with no
-    integral rewriting; the designated edge is the first such simple edge
-    in canonical order.
+    total one.  When a simple edge is unbalanced, 1/p on red vertices and
+    (p-1)/p on blue ones give an integral point with no integral
+    rewriting; the designated edge is the first such simple edge in
+    canonical order.  Whether it fires is ``bicolor_evidence``.
     """
     _require_separated(hypergraph)
-    absent = RuleOutcome(INAPPLICABLE, "no unbalanced simple edge")
-    skeleton = hypergraph.skeleton
-    if len(skeleton) != 1 or skeleton[0][1] is None:
-        return absent
     n = hypergraph.num_vertices
-    even = skeleton[0][1]
+    found = bicolor_evidence((1 << n) - 1, hypergraph.edge_masks, hypergraph.skeleton)
+    if found is None:
+        return RuleOutcome(INAPPLICABLE, "no unbalanced simple edge")
+    p, even, designated = found
     red = {v for v in hypergraph.vertices if even >> (n - v) & 1}
-    g = abs(2 * len(red) - n)
-    for edge in hypergraph.edges:
-        g = gcd(g, abs(2 * len(red.intersection(edge)) - len(edge)))
-    if g == 1:
-        return absent
-    p = 2 if g == 0 else next(prime_factors(g))
-    for simple in hypergraph.simple_edges():
-        edge = simple.vertices
-        r = len(red.intersection(edge))
-        b = len(edge) - r
-        if r != b:
-            break
-    else:
-        return absent
+    edge = tuple(v for v in hypergraph.vertices if designated >> (n - v) & 1)
+    r = len(red.intersection(edge))
+    b = len(edge) - r
     coeffs = [
         Fraction(1, p) if v in red else Fraction(p - 1, p)
         for v in hypergraph.vertices

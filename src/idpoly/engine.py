@@ -18,12 +18,16 @@ before it is reported, so a bug in a structural detector can cost
 completeness but never soundness.  When nothing conclusive fits within
 budget the answer is unknown, never a guess.
 
-The minor walk screens each minor on the bitmasks the walk already keeps,
-through each rule's guard: a necessary condition on the edge masks, or,
-for torsion, the minor's closed-vertex core, screened once per distinct
-core.  A minor is built as a hypergraph only when a detector runs on it,
-and its deletion path is walked back from the walk's per-state deleted
-edges only when a detector fires on it.
+The minor walk carries each minor's closed-vertex core, and skips a
+minor whose core is empty, where no rule can fire.  It screens every
+other minor on the bitmasks the walk already keeps, through each rule's
+guard: for Theorems 4.1 and 4.5 the rule's own condition, which the
+detector decides through too; for torsion the core, screened once per
+distinct core; for Theorem 4.8 a necessary condition.  The guards share
+one 1-skeleton per minor.  A minor is built as a hypergraph only when a
+detector runs on it, which is for a hit or a Theorem 4.8 guard pass, and
+its deletion path is walked back from the walk's per-state deleted edges
+only when a detector fires on it.
 """
 
 from __future__ import annotations
@@ -39,7 +43,9 @@ from .certificates import (
     RuleOutcome,
     Witness,
     balanced_uniform_rule,
+    bicolor_evidence,
     bicolor_obstruction,
+    connected_odd_fires,
     decide_connected_odd,
     exceptional_pair_rule,
     lift_witness,
@@ -47,15 +53,14 @@ from .certificates import (
 )
 from .hypergraph import (
     LabeledHypergraph,
+    Minor,
     MinorTrace,
     NotSeparatedError,
     ReductionTrace,
     build_from_ideal,
-    closed_core,
     enumerate_minors,
     incidence_matrix,
     reduce_closed_fixpoint,
-    skeleton_components,
 )
 from .intlinalg import TorsionCertificate, torsion_check, verify_torsion_certificate
 from .model import SquarefreeIdeal, ZeroOnePolytope, polytope_from_ideal
@@ -144,29 +149,42 @@ class Rule:
     at call time, so a wrapper put on that name (as the benchmark's tracer
     does) sees the call; a record never holds the function itself.
     ``cite`` maps each verdict the rule can give to the paper statement
-    reports name.  ``guard(state, edges, screens)`` is a necessary
-    condition for the rule to fire on a minor, read from the minor's
-    vertex set and distinct edges as masks, as ``Minor`` carries them, so
-    a minor that fails every guard is never built; ``screens`` is a memo
-    the minor walk keeps for one walk.  A rule without a guard does not
-    run on minors.  Each guard is proved from what its detector checks,
-    not measured.
+    reports name.  ``guard(minor, screens)`` screens the rule on a
+    ``Minor`` of the walk, read from its masks: its vertex set, its
+    distinct edges, its carried closed-vertex core and its skeleton
+    components, which the guards share.  A minor that fails every guard
+    is never built; ``screens`` is a memo the minor walk keeps for one
+    walk.  A rule without a guard does not run on minors.
+
+    The guards of Theorems 4.1 and 4.5 and of Remark 3.2 are exact: each
+    holds iff its detector fires on the built minor.  Theorem 4.8's is a
+    necessary condition.  Each is proved from what its detector checks,
+    not measured.  None holds on a minor whose core is empty, so the walk
+    skips those.  Theorems 4.1 and 4.5 fire only on one skeleton
+    component, so on a nonempty vertex set, and only with no 1-vertex
+    edge, so with no closed vertex: their core is the whole vertex set.
+    Torsion needs a nonempty core.  Theorem 4.8's union U of two odd
+    cycles is met evenly by every edge, so no edge meets it in one
+    vertex: U has no closed vertex, lies in the core, and has at least 6
+    vertices.
     """
 
     id: str
     run: Callable[[LabeledHypergraph, EngineConfig], RuleOutcome]
     cite: dict[str, str]
-    guard: Callable[[int, Collection[int], dict[int, bool]], bool] | None = None
+    guard: Callable[[Minor, dict[int, bool]], bool] | None = None
 
 
-def _connected_odd_guard(
-    state: int, edges: Collection[int], screens: dict[int, bool]
-) -> bool:
-    """Theorem 4.1 fires only with an even vertex count and no edge of odd size.
+def _connected_odd_guard(minor: Minor, screens: dict[int, bool]) -> bool:
+    """Theorem 4.1 fires on the minor: ``connected_odd_fires`` on its masks.
 
-    An edge of odd size is an edge of even dimension.
+    Its edges must all have even size, so no edge has 1 vertex and the
+    core is the whole vertex set; other minors are rejected before their
+    skeleton is found.
     """
-    return state.bit_count() % 2 == 0 and all(edge.bit_count() % 2 == 0 for edge in edges)
+    return minor.core == minor.state and connected_odd_fires(
+        minor.state, minor.edges, minor.components
+    )
 
 
 def _core_has_torsion(core: int, edges: Collection[int]) -> bool:
@@ -180,46 +198,38 @@ def _core_has_torsion(core: int, edges: Collection[int]) -> bool:
     return torsion_check(points) is not None
 
 
-def _torsion_guard(
-    state: int, edges: Collection[int], screens: dict[int, bool]
-) -> bool:
+def _torsion_guard(minor: Minor, screens: dict[int, bool]) -> bool:
     """Remark 3.2 fires exactly when the minor's closed-vertex core has torsion.
 
     Stripping a closed vertex splits a unit column off the incidence
-    matrix, so the core (``closed_core``) has the minor's torsion, and an
-    empty core has none.  ``screens`` maps each core screened in this walk
-    to its result, so minors that share a core share one screen.
+    matrix, so the core (``closed_core``, carried by the walk) has the
+    minor's torsion, and an empty core has none.  ``screens`` maps each
+    core screened in this walk to its result, so minors that share a core
+    share one screen.
     """
-    core = closed_core(state, edges)
+    core = minor.core
     if not core:
         return False
     torsion = screens.get(core)
     if torsion is None:
-        torsion = screens[core] = _core_has_torsion(core, edges)
+        torsion = screens[core] = _core_has_torsion(core, minor.edges)
     return torsion
 
 
-def _bicolor_guard(
-    state: int, edges: Collection[int], screens: dict[int, bool]
-) -> bool:
-    """Theorem 4.5 needs a connected 1-skeleton and no 1-vertex edge.
+def _bicolor_guard(minor: Minor, screens: dict[int, bool]) -> bool:
+    """Theorem 4.5 fires on the minor: ``bicolor_evidence`` on its masks.
 
-    A connected skeleton on s vertices has at least s - 1 2-vertex edges.
-    A 1-vertex edge has red/blue imbalance 1, so the imbalance gcd is 1 and
-    no prime makes the minor 2-solvable.
+    A 1-vertex edge has red/blue imbalance 1, so the imbalance gcd is 1:
+    the core must be the whole vertex set, and other minors are rejected
+    before their skeleton is found.
     """
-    pairs = 0
-    for edge in edges:
-        size = edge.bit_count()
-        if size == 1:
-            return False
-        pairs += size == 2
-    return pairs >= state.bit_count() - 1
+    return (
+        minor.core == minor.state
+        and bicolor_evidence(minor.state, minor.edges, minor.components) is not None
+    )
 
 
-def _pair_guard(
-    state: int, edges: Collection[int], screens: dict[int, bool]
-) -> bool:
+def _pair_guard(minor: Minor, screens: dict[int, bool]) -> bool:
     """Theorem 4.8 needs two distinct simple edges with at least 3 vertices.
 
     Each candidate cycle is an even skeleton path closed by such an edge,
@@ -227,21 +237,26 @@ def _pair_guard(
     either closing edge meets the other cycle, so the two closing edges
     differ and each meets the union U of the two cycles' vertex sets in
     exactly 2 vertices.  A pair is accepted only when every edge meets U
-    evenly.  Then no 2-vertex edge has exactly one end in U, so U is a
-    union of 1-skeleton components.  Each cycle's path lies in one
-    component, and that component lies in U, so U is that component or
-    the union of the two.  The minor therefore needs such a U, either one
-    skeleton component of at least 6 vertices or two components of at
-    least 3 each, that every edge meets evenly and that two of its fat
-    simple edges meet in exactly 2 vertices.
+    evenly.  Then no edge meets U in one vertex, so U has no closed vertex
+    and lies in the core, which needs at least |U| >= 6 vertices.  No
+    2-vertex edge has exactly one end in U, so U is a union of 1-skeleton
+    components.  Each cycle's path lies in one component, and that
+    component lies in U, so U is that component or the union of the two.
+    The minor therefore needs such a U, either one skeleton component of
+    at least 6 vertices or two components of at least 3 each, that every
+    edge meets evenly and that two of its fat simple edges meet in
+    exactly 2 vertices.
     """
+    if minor.core.bit_count() < 6:
+        return False
+    edges = minor.edges
     fat = [edge for edge in edges if edge.bit_count() >= 3]
     if len(fat) < 2:
         return False
     simple = [g for g in fat if not any(f != g and f & g == f for f in edges)]
     if len(simple) < 2:
         return False
-    big = [c for c, _ in skeleton_components(state, edges) if c.bit_count() >= 3]
+    big = [c for c, _ in minor.components if c.bit_count() >= 3]
     unions = [c for c in big if c.bit_count() >= 6]
     unions += [c | d for c, d in combinations(big, 2)]
     return any(
@@ -430,38 +445,47 @@ def _minor_candidates(
 ) -> Iterator[_Candidate]:
     """Not-normal verdicts of the minor detectors, minor by minor (Theorem 3.8).
 
-    Minors come in canonical order, and on each one the rules of
-    ``MINOR_RULES`` run in that order, each only where its guard holds on
-    the walk's masks.  The guards share one memo for the walk, which the
-    torsion guard fills with one screen per distinct closed-vertex core.
-    A minor that passes a guard is built once, and the detector runs on it
-    as on the reduced hypergraph, so its certificate is the one the full
-    minor gives.  Nothing is checked here: every hit goes to ``_settle``
-    like a top-level candidate, and the walk resumes only if it was
-    demoted.  ``stats`` counts the minors examined, the minors built and
-    the torsion screens run.
+    Minors come in canonical order.  One with an empty closed-vertex core
+    is skipped, since no guard holds on it (see ``Rule``); on every other
+    one the rules of ``MINOR_RULES`` run in that order, each only where
+    its guard holds on the walk's masks.  The guards share one memo for
+    the walk, which the torsion guard fills with one screen per distinct
+    core.  A minor that passes a guard is built once, and the detector
+    runs on it as on the reduced hypergraph, so its certificate is the one
+    the full minor gives.  Nothing is checked here: every hit goes to
+    ``_settle`` like a top-level candidate, and the walk resumes only if
+    it was demoted.  ``stats`` counts the minors examined, the minors
+    screened (those with a nonempty core), the minors built and the
+    torsion screens run.
     """
     screens: dict[int, bool] = {}  # closed-vertex core -> has torsion
-    examined = built = 0
+    examined = screened = built = 0
+
+    def count() -> None:
+        stats.update(
+            minors_examined=examined,
+            minors_screened=screened,
+            minors_built=built,
+            torsion_screens=len(screens),
+        )
+
     for record in enumerate_minors(hypergraph, budget=cfg.minor_budget):
         examined += 1
-        if record.num_vertices == 0:
+        if not record.core:
             continue
-        edges = record.edges
+        screened += 1
         minor = None
         for rule in MINOR_RULES:
-            if not rule.guard(record.state, edges, screens):
+            if not rule.guard(record, screens):
                 continue
             if minor is None:
                 built += 1
                 minor = record.hypergraph
             _, found = _detect(rule, minor, cfg)
             if found is not None and found.status == NOT_NORMAL:
-                stats.update(
-                    minors_examined=examined, minors_built=built, torsion_screens=len(screens)
-                )
+                count()
                 yield found._replace(rule=RULE_MINOR, minor=record.trace, minor_rule=rule.id)
-    stats.update(minors_examined=examined, minors_built=built, torsion_screens=len(screens))
+    count()
     diagnostics.append((RULE_MINOR, f"no minor hit within budget ({examined} examined)"))
 
 

@@ -20,14 +20,17 @@ validation, since a restriction of a valid hypergraph is valid.  The
 minor walk keeps each surviving vertex set as a bitmask, with vertex v of
 n stored as bit n - v, so that integer order on masks of one size is the
 reverse of lexicographic order on their vertex tuples.  It yields each
-minor as a ``Minor`` record of masks (its vertex set and its edges), which
-builds the minor as a hypergraph, its deletion path and its
-``MinorTrace`` only when asked: the engine screens most minors on the
-masks alone, ``closed_core`` and ``skeleton_components`` included, and
-builds only those on which a detector runs.  The walk keeps one edge
-mask per discovered state, the edge whose deletion found it, and a
-``Minor`` walks those back to its deletion path on first use, which the
-engine asks for only for a hit.
+minor as a ``Minor`` record of masks (its vertex set, its edges and its
+closed-vertex core), which builds its 1-skeleton, the minor as a
+hypergraph, its deletion path and its ``MinorTrace`` only when asked:
+the engine screens minors on the masks alone and builds only those on
+which a detector runs.  The core is carried down the walk: each state's
+core is peeled from its parent's, and not at all when the deleted edge
+misses it, so a minor with an empty core costs the walk only the search
+for its children.  The walk keeps one edge mask per discovered state,
+the edge whose deletion found it, and one core per examined state, and
+a ``Minor`` walks the edges back to its deletion path on first use,
+which the engine asks for only for a hit.
 
 The 1-skeleton is the ordinary graph of the 2-vertex edges, and
 ``skeleton_components`` is its one implementation: the components of a
@@ -219,11 +222,15 @@ class LabeledHypergraph:
         return tuple(out)
 
     @cached_property
-    def skeleton(self) -> tuple[tuple[int, int | None], ...]:
-        """``skeleton_components`` of the whole vertex set, vertex v as bit n - v."""
+    def edge_masks(self) -> tuple[int, ...]:
+        """The edges in canonical order as masks, vertex v of n as bit n - v."""
         n = self.num_vertices
-        edges = [sum(1 << (n - v) for v in e) for e in self.edges]
-        return tuple(skeleton_components((1 << n) - 1, edges))
+        return tuple(sum(1 << (n - v) for v in e) for e in self.edges)
+
+    @cached_property
+    def skeleton(self) -> tuple[tuple[int, int | None], ...]:
+        """``skeleton_components`` of the whole vertex set, in ``edge_masks``' layout."""
+        return tuple(skeleton_components((1 << self.num_vertices) - 1, self.edge_masks))
 
 
 def build_from_ideal(ideal: SquarefreeIdeal) -> LabeledHypergraph:
@@ -342,11 +349,14 @@ class Minor:
 
     ``state`` is the surviving vertex set and ``edges`` the minor's
     distinct edges, each a mask in the parent's bit layout (vertex v of
-    its n vertices is bit n - v).  ``deleted`` is the walk's map from each
-    state it has found to the edge mask whose deletion found it (0 for
-    the parent itself); the state it was found from is that state with
-    the edge put back.  ``path`` (the deletion path, in the parent's
-    vertex ids), ``hypergraph`` (built by ``_restrict``, as in
+    its n vertices is bit n - v).  ``core`` is ``closed_core(state,
+    edges)``, carried down the walk from the state this one was found
+    from (see ``enumerate_minors``).  ``deleted`` is the walk's map from
+    each state it has found to the edge mask whose deletion found it (0
+    for the parent itself); the state it was found from is that state
+    with the edge put back.  ``components`` (``skeleton_components`` of
+    the masks), ``path`` (the deletion path, in the parent's vertex ids),
+    ``hypergraph`` (built by ``_restrict``, as in
     ``induced_subhypergraph``) and ``trace`` are made on first access and
     kept, so a caller that screens a minor on its masks and rejects it
     never pays for any of them.
@@ -354,12 +364,17 @@ class Minor:
 
     parent: LabeledHypergraph
     state: int
-    edges: frozenset[int]
+    edges: set[int]
+    core: int
     deleted: dict[int, int] = field(repr=False)
 
     @property
     def num_vertices(self) -> int:
         return self.state.bit_count()
+
+    @cached_property
+    def components(self) -> list[tuple[int, int | None]]:
+        return skeleton_components(self.state, self.edges)
 
     @cached_property
     def path(self) -> tuple[tuple[int, ...], ...]:
@@ -401,12 +416,26 @@ def enumerate_minors(
     highest differing bit, so it is the larger int; the heap key
     (-popcount, -mask) is therefore the tuple order.  The edges of a state
     are the distinct nonzero ``image & state`` over the images of the
-    hypergraph: the walk needs them to find the state's children, and the
-    yielded ``Minor`` carries them, so a caller can screen the minor on
-    masks and build it only if it passes.  Each deletion path is the first
-    one found, and keys never tie, so the order in which one state's
-    children are pushed cannot change the walk.  A path is kept as the
-    last edge deleted on it, per state, and built only by ``Minor.path``.
+    hypergraph, kept as a plain set: the walk needs them to find the
+    state's children, and the yielded ``Minor`` carries them, so a caller
+    can screen the minor on masks and build it only if it passes.  Each
+    deletion path is the first one found, and keys never tie, so the
+    order in which one state's children are pushed cannot change the
+    walk.  A path is kept as the last edge deleted on it, per state, and
+    built only by ``Minor.path``.
+
+    Each state's closed-vertex core is found from the core of the state
+    it was found from, its parent, kept per examined state.  Peeling
+    closed vertices is monotone: a vertex set Y with no closed vertex
+    (no edge meets Y in it alone) is never peeled from any X containing
+    Y, since an edge meeting the survivors in one vertex of Y meets Y in
+    it alone.  So core(X) is the largest subset of X with no closed
+    vertex, and S ⊆ T implies core(S) ⊆ core(T).  Hence core(child) lies
+    in core(parent) & child, which lies in child, and peeling that set
+    gives core(child).  When the deleted edge misses core(parent), every
+    edge meets core(parent) as it did in the parent, so core(child) is
+    core(parent) with nothing to peel; and an empty core stays empty in
+    every descendant.
     """
     if budget is not None and budget <= 0:
         return
@@ -415,13 +444,24 @@ def enumerate_minors(
     start = (1 << n) - 1
     # per discovered state, the edge whose deletion found it
     deleted = {start: 0}
+    # per examined state, its closed-vertex core
+    cores: dict[int, int] = {}
     heap: list[tuple[int, int]] = [(-n, -start)]
     yielded = 0
     while heap:
         _, negated = heapq.heappop(heap)
         state = -negated
-        edges = frozenset(img & state for img in images) - {0}
-        yield Minor(hypergraph, state, edges, deleted)
+        edges = {img & state for img in images}
+        edges.discard(0)
+        edge = deleted[state]
+        if edge:
+            core = cores[state | edge]  # the parent's
+            if core & edge:
+                core = closed_core(core & state, edges)
+        else:
+            core = closed_core(state, edges)
+        cores[state] = core
+        yield Minor(hypergraph, state, edges, core, deleted)
         yielded += 1
         if budget is not None and yielded >= budget:
             return

@@ -65,9 +65,9 @@ def rules_named(*ids):
     return tuple(rule for rule in RULES.values() if rule.id in ids)
 
 
-def may_fire(rule_id, state, edges):
-    """A rule's minor guard, with a fresh screen memo."""
-    return RULES[rule_id].guard(state, edges, {})
+def may_fire(rule_id, record):
+    """A rule's minor guard on a walk record, with a fresh screen memo."""
+    return RULES[rule_id].guard(record, {})
 
 
 def test_rule_records_and_their_order():
@@ -403,12 +403,17 @@ def test_rules_dispatch_through_module_level_names(load_ideal, monkeypatch):
             ("bicolor_obstruction", {}),
             ("exceptional_pair_rule", {"relaxed": relaxed}),
         ]
-    # the minor walk dispatches the same way; between them these two walks
-    # run every minor rule
+    # the minor walk dispatches the same way.  An exact guard runs its
+    # detector on a minor only where it fires, so between them these walks
+    # run every minor rule: hex6's first minor fires Theorem 4.1, and
+    # solv3's fires Theorem 4.5 once torsion, which fires there too, is
+    # taken out of the walk
     calls.clear()
     monkeypatch.setattr(engine, "STRUCTURAL_RULES", ())
-    for name in ("k24.ideal", "edge65.ideal"):
+    for name in ("hex6.ideal", "k24.ideal", "edge65.ideal"):
         analyze(load_ideal(name), EngineConfig(use_oracle=False))
+    monkeypatch.setattr(engine, "MINOR_RULES", rules_named(RULE_BICOLOR))
+    analyze(load_ideal("solv3.ideal"), EngineConfig(use_oracle=False))
     assert {name for name, _ in calls} == {
         "decide_connected_odd",
         "torsion_obstruction",
@@ -549,7 +554,7 @@ def guarded_minor_rules_that_fire(h, budget=300):
         minor = record.hypergraph
         for rule in GUARDED_RULES:
             if unguarded_fires(minor, rule):
-                assert may_fire(rule, record.state, record.edges), (rule, minor)
+                assert may_fire(rule, record), (rule, minor)
                 fired.add(rule)
     return fired
 
@@ -598,18 +603,93 @@ def pair_union_exists(minor):
 @settings(max_examples=300, deadline=None)
 @given(h=PLANTED_OR_SEPARATED)
 def test_minor_guards_are_their_stated_conditions(h):
+    # the Theorem 4.1 and 4.5 guards are their detectors: see
+    # test_exact_guards_are_their_detectors
     for record in enumerate_minors(h, budget=300):
-        s = record.num_vertices
-        if s == 0:
+        if record.num_vertices == 0:
             continue
-        minor, state, edges = record.hypergraph, record.state, record.edges
-        even = s % 2 == 0 and all(len(e) % 2 == 0 for e in minor.edges)
-        assert may_fire(RULE_CONNECTED_ODD, state, edges) == even
-        no_single = all(len(e) > 1 for e in minor.edges)
-        connectable = sum(len(e) == 2 for e in minor.edges) >= s - 1
-        assert may_fire(RULE_BICOLOR, state, edges) == (no_single and connectable)
-        assert may_fire(RULE_PAIR, state, edges) == pair_union_exists(minor)
-        assert may_fire(RULE_TORSION, state, edges) == core_screen_has_torsion(record)
+        assert may_fire(RULE_PAIR, record) == pair_union_exists(record.hypergraph)
+        assert may_fire(RULE_TORSION, record) == core_screen_has_torsion(record)
+
+
+def fixture_hypergraphs(load_ideal):
+    """Each tests/data input's hypergraph, as built and as reduced."""
+    for _, ideal in fixture_ideals(load_ideal):
+        h = build_from_ideal(ideal)
+        yield h
+        yield reduce_closed_fixpoint(h)[0]
+
+
+def assert_walk_carries_cores(h, budget=300):
+    """Each minor's carried core is its ``closed_core``, and empty cores stay empty.
+
+    A child of a minor is the minor less one of its edges; each child the
+    walk reaches from an empty-core minor must have an empty core too.
+    """
+    records = list(enumerate_minors(h, budget=budget))
+    cores = {record.state: record.core for record in records}
+    for record in records:
+        assert record.core == closed_core(record.state, record.edges), record.surviving
+        if not record.core:
+            for edge in record.edges:
+                assert cores.get(record.state ^ edge, 0) == 0, record.surviving
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=PLANTED_OR_SEPARATED)
+def test_walk_carries_each_minors_core(h):
+    assert_walk_carries_cores(h)
+
+
+def test_walk_carries_each_minors_core_on_fixtures(load_ideal):
+    for h in fixture_hypergraphs(load_ideal):
+        assert_walk_carries_cores(h)
+
+
+def assert_exact_guards_are_their_detectors(h, budget=300):
+    """Theorem 4.1's and 4.5's guards hold iff the detectors fire, and an empty core is inert.
+
+    On a minor with an empty closed-vertex core no guard holds and no
+    minor detector fires, with a strict or a relaxed connector search.
+    Returns how often each exact guard held, and the empty cores seen.
+    """
+    detectors = {RULE_CONNECTED_ODD: decide_connected_odd, RULE_BICOLOR: bicolor_obstruction}
+    held = dict.fromkeys(detectors, 0)
+    empty = 0
+    for record in enumerate_minors(h, budget=budget):
+        if record.num_vertices == 0:
+            continue
+        minor = record.hypergraph
+        for rule, detector in detectors.items():
+            fires = detector(minor).status == NOT_NORMAL
+            assert may_fire(rule, record) == fires, (rule, record.surviving)
+            held[rule] += fires
+        if record.core:
+            continue
+        empty += 1
+        for rule in engine.MINOR_RULES:
+            assert not rule.guard(record, {}), (rule.id, record.surviving)
+            for relaxed in (False, True):
+                outcome = rule.run(minor, EngineConfig(relaxed_connection=relaxed))
+                assert outcome.status != NOT_NORMAL, (rule.id, relaxed, record.surviving)
+    return held, empty
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=PLANTED_OR_SEPARATED)
+def test_exact_guards_are_their_detectors(h):
+    assert_exact_guards_are_their_detectors(h)
+
+
+def test_exact_guards_are_their_detectors_on_fixtures(load_ideal):
+    held = {RULE_CONNECTED_ODD: 0, RULE_BICOLOR: 0}
+    empty = 0
+    for h in fixture_hypergraphs(load_ideal):
+        counts, empties = assert_exact_guards_are_their_detectors(h)
+        held = {rule: held[rule] + counts[rule] for rule in held}
+        empty += empties
+    # each exact guard is seen holding, and empty cores are seen
+    assert all(held.values()) and empty > 0, (held, empty)
 
 
 def test_pairs_the_guard_rejects_are_inapplicable_on_edge65_minors(load_ideal):
@@ -618,7 +698,7 @@ def test_pairs_the_guard_rejects_are_inapplicable_on_edge65_minors(load_ideal):
     for record in enumerate_minors(reduced):
         minor = record.hypergraph
         fat_simple = [e for e in minor.simple_edges() if len(e.vertices) >= 3]
-        if len(fat_simple) < 2 or may_fire(RULE_PAIR, record.state, record.edges):
+        if len(fat_simple) < 2 or may_fire(RULE_PAIR, record):
             continue
         rejected += 1
         for relaxed in (False, True):
@@ -646,7 +726,7 @@ def assert_core_screen_is_torsion_check(h):
         points = incidence_matrix(record.hypergraph)
         torsion = torsion_check(points) is not None
         assert core_screen_has_torsion(record) == torsion, record.trace.surviving
-        assert guard(record.state, record.edges, screens) == torsion, record.trace.surviving
+        assert guard(record, screens) == torsion, record.trace.surviving
         with_torsion += torsion
     return with_torsion
 
@@ -687,21 +767,20 @@ def test_minor_walk_counters(load_ideal, monkeypatch, structural):
             continue
         walked += 1
         examined = stats["minors_examined"]
-        assert stats["minors_built"] <= examined, name
+        assert stats["minors_built"] <= stats["minors_screened"] <= examined, name
         assert stats["torsion_screens"] <= examined, name
         if report.minor is not None:
             continue  # the walk stopped inside its last minor
-        # one screen per distinct nonempty core, and one build per minor
-        # that some detector runs on
+        # one screen per distinct nonempty core, guards on every minor with
+        # a nonempty core, and one build per minor that some detector runs on
         exact += 1
         reduced, _ = reduce_closed_fixpoint(build_from_ideal(ideal))
-        records = [r for r in enumerate_minors(reduced, budget=examined) if r.state]
-        cores = {closed_core(r.state, r.edges) for r in records}
-        assert stats["torsion_screens"] == len(cores - {0}), name
+        records = list(enumerate_minors(reduced, budget=examined))
+        cores = [closed_core(r.state, r.edges) for r in records]
+        assert stats["torsion_screens"] == len(set(cores) - {0}), name
+        assert stats["minors_screened"] == sum(1 for core in cores if core), name
         built = sum(
-            1
-            for r in records
-            if any(rule.guard(r.state, r.edges, {}) for rule in engine.MINOR_RULES)
+            1 for r in records if any(rule.guard(r, {}) for rule in engine.MINOR_RULES)
         )
         assert stats["minors_built"] == built, name
     assert exact >= (1 if structural else 4)

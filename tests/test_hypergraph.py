@@ -280,6 +280,7 @@ def test_skeleton_components_are_the_built_skeletons(h):
         back = dict(enumerate(record.trace.surviving, start=1))
         components = skeleton_components(record.state, record.edges)
         assert components == skeleton_masks(minor, n, back)
+        assert record.components == components
         own = skeleton_masks(minor, minor.num_vertices, {v: v for v in minor.vertices})
         assert minor.skeleton == tuple(own)
 
