@@ -14,6 +14,7 @@ byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterator, Sequence
 
 IntMatrix = list[list[int]]
@@ -67,6 +68,54 @@ def bareiss_rank(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
 def matrix_rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank over the rationals."""
     return bareiss_rank(rows)[0]
+
+
+def row_relations(
+    rows: Sequence[Sequence[int]],
+) -> list[tuple[int, list[int]] | None]:
+    """How each row depends on the independent rows before it.
+
+    Rows are taken in order.  A row independent of the rows before it
+    gets None; a dependent row r gets (d, c), one integer c[i] per earlier
+    row, with d·r = Σ c[i]·rows[i], d > 0, c[i] = 0 at every dependent
+    row and gcd(d, *c) = 1.  The independent rows before r are linearly
+    independent, so that relation is unique, and the number of None
+    entries is the rank.
+
+    Each independent row is kept reduced against the ones kept before it,
+    with the integer combination of input rows it equals, and with the
+    first column where it is nonzero (its lead).  A new row is cleared at
+    each kept lead in turn by cross-multiplication, then divided by the
+    gcd of its entries and of its combination.  A kept row is zero at
+    every earlier lead, so a nonzero combination of kept rows is nonzero
+    at the lead of its first term: the row is dependent exactly when
+    nothing is left of it.
+    """
+    m = len(rows)
+    kept: list[tuple[int, list[int], list[int]]] = []  # (lead, row, combination)
+    out: list[tuple[int, list[int]] | None] = []
+    for index, row in enumerate(rows):
+        vec = list(row)
+        combo = [0] * m
+        combo[index] = 1
+        for lead, other, other_combo in kept:
+            f = vec[lead]
+            if f:
+                p = other[lead]
+                vec = [p * x - f * y for x, y in zip(vec, other)]
+                combo = [p * x - f * y for x, y in zip(combo, other_combo)]
+                g = gcd(*vec, *combo)
+                vec = [x // g for x in vec]
+                combo = [x // g for x in combo]
+        lead = next((j for j, x in enumerate(vec) if x), None)
+        if lead is not None:
+            kept.append((lead, vec, combo))
+            out.append(None)
+            continue
+        # 0 = Σ combo[i]·rows[i] over i ≤ index, and combo[index] != 0
+        sign = 1 if combo[index] > 0 else -1
+        out.append((sign * combo[index], [-sign * x for x in combo[:index]]))
+    return out
 
 
 def rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:

@@ -11,9 +11,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .intlinalg import matrix_rank
+from .intlinalg import row_relations
 
 
 class InputError(ValueError):
@@ -133,6 +133,18 @@ def generator_degrees(ideal: SquarefreeIdeal) -> tuple[int, ...]:
     return tuple(len(g) for g in ideal.generators)
 
 
+class CoordinateRelation(NamedTuple):
+    """denominator · x_j = constant · degree + Σ c · x_i over (i, c) in terms.
+
+    It holds at every point x of every dilation degree·P.  Each i in terms
+    is a pivot coordinate before j, and denominator > 0.
+    """
+
+    denominator: int
+    constant: int
+    terms: tuple[tuple[int, int], ...]
+
+
 @dataclass(frozen=True)
 class ZeroOnePolytope:
     """Convex hull of distinct 0-1 vectors, stored by its vertex list.
@@ -170,12 +182,41 @@ class ZeroOnePolytope:
         return len(self.vertices)
 
     @cached_property
+    def membership_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The all-ones row, then one row per coordinate, over the vertices.
+
+        Vertex multipliers x ≥ 0 with rows · x = (degree, *point) put the
+        point in degree·P.
+        """
+        return ((1,) * len(self.vertices), *zip(*self.vertices))
+
+    @cached_property
+    def coordinate_relations(self) -> tuple[CoordinateRelation | None, ...]:
+        """None at each pivot coordinate, else how the coordinate follows.
+
+        Coordinate j is a pivot when its membership row is independent of
+        the all-ones row and the coordinate rows before it.  Otherwise its
+        row is a rational combination of the all-ones row and the pivot
+        rows before it, and every point of degree·P, a combination of
+        vertices with weights summing to degree, satisfies the same
+        relation.  One integer elimination over the membership rows
+        gives every relation.
+        """
+        return tuple(
+            None
+            if relation is None
+            else CoordinateRelation(
+                relation[0],
+                relation[1][0],
+                tuple((i - 1, c) for i, c in enumerate(relation[1]) if i and c),
+            )
+            for relation in row_relations(self.membership_rows)[1:]
+        )
+
+    @cached_property
     def affine_dimension(self) -> int:
-        first = self.vertices[0]
-        diffs = [
-            [x - y for x, y in zip(v, first)] for v in self.vertices[1:]
-        ]
-        return matrix_rank(diffs) if diffs else 0
+        """The dimension of the affine hull: the number of pivot coordinates."""
+        return sum(relation is None for relation in self.coordinate_relations)
 
 
 def polytope_from_ideal(ideal: SquarefreeIdeal) -> ZeroOnePolytope:

@@ -9,9 +9,20 @@ verdict from this module is a theorem about the input, not an estimate.
 
 The exact simplex answers two questions here, both over the integer
 membership rows (the all-ones row, then one row per coordinate, with one
-column per vertex): the range of one coordinate over a prefix of those
-rows, for the lattice-point descent, and one feasible vertex, for a
-witness's coefficients.
+column per vertex): the range of one pivot coordinate over the all-ones
+row and the rows of the pivots already fixed, for the lattice-point
+descent, and one feasible vertex over all the rows, for a witness's
+coefficients.
+
+The descent searches only the pivot coordinates, those whose rows are
+independent of the rows before them; it gets every other coordinate from
+the integer relation ZeroOnePolytope.coordinate_relations gives it,
+cutting a branch where that coordinate is not an integer, so it makes
+one LP per proper prefix of the pivots it reaches and none for the rest.
+The pivots order the points as the coordinates do, and the last LP of a
+branch proves its point lies in the dilation, so the scan still meets
+the points in lexicographic order, and the least failing point and its
+witness, solved over all the rows, do not depend on the pivots.
 """
 
 from __future__ import annotations
@@ -67,18 +78,6 @@ def completeness_bound(polytope: ZeroOnePolytope) -> int:
     return min(s - 1, max(1, polytope.affine_dimension - 1))
 
 
-def _membership_rows(polytope: ZeroOnePolytope) -> list[list[int]]:
-    """The all-ones row, then one row per coordinate, over the vertices.
-
-    Vertex multipliers x ≥ 0 with rows · x = (degree, *point) put the
-    point in degree·P.
-    """
-    vertices = polytope.vertices
-    return [[1] * len(vertices)] + [
-        [v[j] for v in vertices] for j in range(polytope.ambient_dim)
-    ]
-
-
 def lp_membership(
     polytope: ZeroOnePolytope, point: Sequence[int], degree: int
 ) -> tuple[Fraction, ...] | None:
@@ -94,7 +93,7 @@ def lp_membership(
         )
     if degree < 0:
         raise ValueError("degree cannot be negative")
-    return solve_lp(_membership_rows(polytope), [degree, *point])
+    return solve_lp(polytope.membership_rows, [degree, *point])
 
 
 def enumerate_lattice_points(
@@ -102,34 +101,58 @@ def enumerate_lattice_points(
 ) -> list[tuple[int, ...]]:
     """All integer points of the dilation degree·P, lexicographically.
 
-    Coordinates are fixed left to right; each coordinate's admissible
-    integers lie between the exact minimum and maximum of that coordinate
-    over the points of degree·P that share the fixed prefix, so no
-    candidate box scan and no rounding is involved.  Both bounds come
-    from one objective_range call, which runs a single feasibility phase
-    per prefix; an infeasible prefix ends its branch.  The membership
-    rows are built once: a prefix of length j fixes the all-ones row and
-    the first j coordinate rows, and coordinate j is the objective.
+    Only the pivot coordinates of polytope.coordinate_relations are
+    searched.  Left to right, each pivot's admissible integers lie between
+    the exact minimum and maximum of that coordinate over the points of
+    degree·P that share the pivots already fixed, so no candidate box
+    scan and no rounding is involved.  Both bounds come from one
+    objective_range call over the all-ones row and the fixed pivots' rows.
+    Each other coordinate is set, with no LP, as soon as the pivots
+    before it are fixed: denominator · x_j must equal the relation's sum,
+    and a branch where the denominator does not divide it ends.
+
+    Why this lists every integer point of degree·P once, in order:
+    - order: a dependent coordinate is an affine function of the degree
+      and of earlier pivots, so two points of degree·P that first differ
+      at some coordinate first differ at a pivot, and the order of pivot
+      prefixes is the lexicographic order of the points;
+    - leaves: every value in a range is attained, since the points of
+      degree·P that share the fixed pivots form a convex set, so the last
+      range LP of a branch proves each of its leaves extends to a point
+      of degree·P, and the relations, which hold on all of degree·P, give
+      that point's other coordinates.
     """
     if degree < 0:
         raise ValueError("degree cannot be negative")
     n = polytope.ambient_dim
-    rows = _membership_rows(polytope)
+    relations = polytope.coordinate_relations
+    rows = polytope.membership_rows
+    # the all-ones row, then the pivot rows in coordinate order
+    pivot_rows = [rows[0]] + [
+        rows[j + 1] for j, relation in enumerate(relations) if relation is None
+    ]
     out: list[tuple[int, ...]] = []
 
-    def descend(prefix: list[int]) -> None:
+    def descend(prefix: list[int], rhs: list[int]) -> None:
         j = len(prefix)
+        while j < n and relations[j] is not None:
+            denominator, constant, terms = relations[j]
+            total = constant * degree + sum(c * prefix[i] for i, c in terms)
+            if total % denominator:
+                return
+            prefix = prefix + [total // denominator]
+            j += 1
         if j == n:
             out.append(tuple(prefix))
             return
-        bounds = objective_range(rows[: j + 1], [degree, *prefix], rows[j + 1])
-        if bounds is None:
-            return
+        k = len(rhs)
+        bounds = objective_range(pivot_rows[:k], rhs, pivot_rows[k])
+        assert bounds is not None, "each pivot value lies in its range"
         low, high = bounds
         for value in range(ceil(low), floor(high) + 1):
-            descend(prefix + [value])
+            descend(prefix + [value], rhs + [value])
 
-    descend([])
+    descend([], [degree])
     return out
 
 

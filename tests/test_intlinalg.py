@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from idpoly.intlinalg import (
     prime_factors,
     rank_mod,
     reduce_mod_lattice,
+    row_relations,
     smith_normal_form,
     torsion_check,
     transpose,
@@ -95,6 +97,35 @@ def test_matrix_rank_matches_sympy():
         n = rng.randint(1, 6)
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
         assert matrix_rank(rows) == sympy.Matrix(rows).rank()
+
+
+def test_row_relations_match_sympy():
+    # each dependent row's relation holds, uses only the independent rows
+    # before it, is in lowest terms, and the independent rows are as many
+    # as the rank
+    rng = random.Random(11)
+    assert row_relations([]) == []
+    assert row_relations([[0, 0], [1, 2]]) == [(1, [])] + [None]
+    for _ in range(60):
+        m = rng.randint(1, 7)
+        n = rng.randint(1, 5)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        # repeat sums of earlier rows, so that dependent rows are common
+        for i in range(1, m):
+            if rng.random() < 0.4:
+                a, b = rng.randrange(i), rng.randrange(i)
+                rows[i] = [2 * x - 3 * y for x, y in zip(rows[a], rows[b])]
+        relations = row_relations(rows)
+        assert sum(r is None for r in relations) == sympy.Matrix(rows).rank()
+        for index, relation in enumerate(relations):
+            if relation is None:
+                continue
+            d, c = relation
+            assert d > 0 and len(c) == index
+            assert math.gcd(d, *c) == 1
+            assert all(c[i] == 0 for i in range(index) if relations[i] is not None)
+            combined = [sum(c[i] * rows[i][j] for i in range(index)) for j in range(n)]
+            assert combined == [d * x for x in rows[index]]
 
 
 @st.composite

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idpoly.certificates import Witness
-from idpoly.model import ZeroOnePolytope, polytope_from_ideal
+from idpoly.intlinalg import matrix_rank
+from idpoly.model import CoordinateRelation, ZeroOnePolytope, polytope_from_ideal
 from idpoly.oracle import (
     INCONCLUSIVE,
     NORMAL,
@@ -104,8 +105,9 @@ def test_enumeration_matches_box_filter(p, degree):
 
 
 def test_enumeration_needs_no_solve_lp(monkeypatch):
-    # the descent gets both bounds of a coordinate from one
-    # objective_range call per prefix, never from solve_lp
+    # the descent gets both bounds of a pivot coordinate from one
+    # objective_range call per proper prefix of the pivots, never from
+    # solve_lp, and makes no call for a dependent coordinate
     import idpoly.oracle
 
     calls = []
@@ -121,8 +123,83 @@ def test_enumeration_needs_no_solve_lp(monkeypatch):
     monkeypatch.setattr(idpoly.oracle, "solve_lp", forbidden)
     points = enumerate_lattice_points(FOURCYC, 2)
     assert len(points) == 9
-    prefixes = {point[:k] for point in points for k in range(FOURCYC.ambient_dim)}
-    assert len(calls) == len(prefixes)
+    pivots = [j for j, r in enumerate(FOURCYC.coordinate_relations) if r is None]
+    assert pivots == [0, 1]
+    prefixes = {
+        tuple(point[j] for j in pivots[:k])
+        for point in points
+        for k in range(len(pivots))
+    }
+    assert len(calls) == len(prefixes) == 4
+
+
+@st.composite
+def polytopes_with_derived_columns(draw):
+    """Random 0-1 vertices, then columns the earlier ones determine.
+
+    Each appended column is a copy of a column, its complement 1 - x_i,
+    or a constant; none of them can be a pivot coordinate.
+    """
+    n = draw(st.integers(1, 3))
+    vertices = draw(
+        st.lists(
+            st.tuples(*[st.integers(0, 1)] * n), min_size=1, max_size=5, unique=True
+        )
+    )
+    derived = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("copy"), st.integers(0, n - 1)),
+                st.tuples(st.just("complement"), st.integers(0, n - 1)),
+                st.tuples(st.just("constant"), st.integers(0, 1)),
+            ),
+            max_size=2,
+        )
+    )
+    rows = []
+    for v in vertices:
+        row = list(v)
+        for kind, arg in derived:
+            row.append(
+                row[arg] if kind == "copy" else 1 - row[arg] if kind == "complement" else arg
+            )
+        rows.append(tuple(row))
+    return ZeroOnePolytope(tuple(rows)), n
+
+
+# x_3 = (x_0 + x_1 + x_2 - degree) / 2: the one relation here with denominator 2
+SIMPLEX_D2 = ZeroOnePolytope(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=polytopes_with_derived_columns(), degree=st.integers(0, 3))
+@example(drawn=(SIMPLEX_D2, 4), degree=2)
+@example(drawn=(SIMPLEX_D2, 4), degree=3)
+def test_dependent_coordinates_match_box_filter(drawn, degree):
+    # the descent sets dependent coordinates from integer relations; the
+    # box scan tests every candidate by solve_lp over all rows instead
+    p, base = drawn
+    relations = p.coordinate_relations
+    assert all(relations[j] is not None for j in range(base, p.ambient_dim))
+    first = p.vertices[0]
+    diffs = [[x - y for x, y in zip(v, first)] for v in p.vertices[1:]]
+    rank = matrix_rank(diffs) if diffs else 0
+    assert p.affine_dimension == sum(r is None for r in relations) == rank
+    naive = [
+        point
+        for point in product(range(degree + 1), repeat=p.ambient_dim)
+        if lp_membership(p, point, degree) is not None
+    ]
+    assert enumerate_lattice_points(p, degree) == naive
+
+
+def test_simplex_relation_has_denominator_two():
+    assert SIMPLEX_D2.coordinate_relations == (
+        None,
+        None,
+        None,
+        CoordinateRelation(2, -1, ((0, 1), (1, 1), (2, 1))),
+    )
 
 
 def test_membership_unique_combination(load_ideal):
