@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd
 from typing import Collection, Iterable, Sequence
 
@@ -27,7 +27,6 @@ from .hypergraph import (
     incidence_matrix,
 )
 from .intlinalg import TorsionCertificate, prime_factors, torsion_check
-from .model import ZeroOnePolytope
 
 NORMAL = "normal"
 NOT_NORMAL = "not_normal"
@@ -433,12 +432,12 @@ def _connection_between(
 
 def _halves_decompose(hypergraph: LabeledHypergraph, union: frozenset[int]) -> bool:
     """Whether the all-halves point on union is a sum of |union|/2 polytope vertices."""
-    from .oracle import integer_decomposition  # the oracle imports this module
+    from .oracle import vertex_sums  # the oracle imports this module
 
-    point = [len(union & img) // 2 for _, img in hypergraph.labels]
-    # vertices on the same labels are one vertex of the polytope
-    rows = dict.fromkeys(incidence_matrix(hypergraph))
-    return integer_decomposition(ZeroOnePolytope(tuple(rows)), point, len(union) // 2) is not None
+    point = tuple(len(union & img) // 2 for _, img in hypergraph.labels)
+    # only sums that stay under the point can add up to it
+    sums = vertex_sums(incidence_matrix(hypergraph), ceiling=point)
+    return point in next(islice(sums, len(union) // 2 - 1, None))
 
 
 def find_exceptional_pair(
@@ -450,9 +449,9 @@ def find_exceptional_pair(
     of 3+ vertices; pairs are tried smallest-first.  A pair qualifies when
     the cycles are fully disjoint, every edge meets their union evenly, a
     connector chain exists (a single edge by default, an edge path when
-    relaxed), and integer_decomposition finds no rewriting of the
-    all-halves point on this hypergraph's own polytope, so the witness is
-    valid by construction.  The budget caps path-search nodes;
+    relaxed), and no sum of |union|/2 vertices of this hypergraph's own
+    polytope reaches the all-halves point, so the witness is valid by
+    construction.  The budget caps path-search nodes;
     BudgetExceeded is raised when it runs out, before any pair is tried,
     so None always means "none exists".
     """

@@ -65,11 +65,6 @@ def bareiss_rank(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
     return r, prev
 
 
-def matrix_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals."""
-    return bareiss_rank(rows)[0]
-
-
 def row_relations(
     rows: Sequence[Sequence[int]],
 ) -> list[tuple[int, list[int]] | None]:

@@ -7,6 +7,14 @@ beyond dim(P)-1 add nothing, scanning a finite range of dilations decides
 the question outright.  Everything here is exact rational arithmetic; a
 verdict from this module is a theorem about the input, not an estimate.
 
+In degree k the polytopal ring is spanned by S_k, the distinct sums of k
+vertices, and the Ehrhart ring by the lattice points of kP; P is normal
+exactly when the two agree.  The scan builds S_k from S_(k-1) as the
+degrees advance and tests each lattice point of kP against it.  The
+backtracking integer_decomposition decides the same question for one
+point; only the checker, verify_coefficients, calls it, so a certificate
+is re-checked by a search the prover does not share.
+
 The exact simplex answers two questions here, both over the integer
 membership rows (the all-ones row, then one row per coordinate, with one
 column per vertex): the range of one pivot coordinate over the all-ones
@@ -30,7 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
-from typing import Sequence
+from operator import add, le
+from typing import Iterator, Sequence
 
 from .certificates import NORMAL, NOT_NORMAL, Witness
 from .model import ZeroOnePolytope
@@ -214,27 +223,55 @@ def integer_decomposition(
     return tuple(found) if found is not None else None
 
 
+def vertex_sums(
+    vertices: Sequence[Sequence[int]], ceiling: Sequence[int] | None = None
+) -> Iterator[set[tuple[int, ...]]]:
+    """S_1, S_2, ...: the distinct sums of k vertices, for k = 1, 2, ...
+
+    S_k = {p + v : p in S_(k-1), v a vertex}, and only the set in hand is
+    kept.  An integer point is a sum of k vertices, with multiplicities,
+    exactly when it lies in S_k.  With a ceiling, every sum that exceeds
+    it in some coordinate is dropped as it appears: the vertices are
+    nonnegative, so nothing built on such a sum comes back under the
+    ceiling, and each set is S_k cut down to the box under it.
+    """
+    vectors = [tuple(v) for v in vertices]
+    if ceiling is not None:
+        vectors = [v for v in vectors if all(map(le, v, ceiling))]
+    sums = set(vectors)
+    while True:
+        yield sums
+        sums = {tuple(map(add, p, v)) for p in sums for v in vectors}
+        if ceiling is not None:
+            sums = {p for p in sums if all(map(le, p, ceiling))}
+
+
 def decide_normal_bruteforce(
     polytope: ZeroOnePolytope, max_degree: int | None = None
 ) -> OracleVerdict:
-    """Scan dilations 2..bound for an undecomposable integer point.
+    """Scan dilations 2..bound for an integer point outside the sum-set.
 
-    The first failing point (least degree, lexicographically least point)
-    becomes the witness, with coefficients taken from the exact membership
-    solve; at the least failing degree those coefficients automatically
-    stay below 1.  A clean scan up to the completeness bound proves
-    normality; a scan truncated by max_degree below the bound is reported
-    inconclusive rather than guessed.
+    A lattice point of degree·P fails when it is not in S_degree, the
+    sums of degree vertices that vertex_sums builds one degree after
+    another.  The first failing point (least degree, lexicographically
+    least point) becomes the witness, with coefficients taken from the
+    exact membership solve; at the least failing degree those
+    coefficients automatically stay below 1.  A clean scan up to the
+    completeness bound proves normality; a scan truncated by max_degree
+    below the bound is reported inconclusive rather than guessed.
     """
     bound = completeness_bound(polytope)
     limit = bound if max_degree is None else max_degree
     checked: list[int] = []
     points_examined = 0
+    sums = vertex_sums(polytope.vertices)
+    next(sums)  # S_1; the scan starts at degree 2
     for degree in range(2, limit + 1):
         checked.append(degree)
+        reachable = next(sums)
         for point in enumerate_lattice_points(polytope, degree):
             points_examined += 1
-            if integer_decomposition(polytope, point, degree) is None:
+            if point not in reachable:
                 coefficients = lp_membership(polytope, point, degree)
                 assert coefficients is not None, "failing point came from the dilation"
                 witness = Witness(coefficients, degree, point)

@@ -97,6 +97,37 @@ def separated_hypergraphs(draw):
 
 
 @st.composite
+def covered_ideals(draw, max_vars: int = 8, max_gens: int = 7):
+    """Minimal ideals with 2- and 3-variable generators, most of them unreduced.
+
+    A variable that divides one generator only is added to a second one,
+    since a generator holding such a variable is a closed vertex, which
+    reduction removes before any rule or the oracle sees it.  Keeping the
+    result minimal can leave a few closed vertices all the same.
+    """
+    n = draw(st.integers(3, max_vars))
+    names = tuple(f"x{i}" for i in range(1, n + 1))
+    supports = draw(
+        st.lists(
+            st.frozensets(st.sampled_from(names), min_size=2, max_size=3),
+            min_size=4,
+            max_size=max_gens,
+            unique=True,
+        )
+    )
+    for x in names:
+        holders = [i for i, g in enumerate(supports) if x in g]
+        if len(holders) == 1:
+            others = [i for i in range(len(supports)) if i != holders[0]]
+            j = draw(st.sampled_from(others))
+            supports[j] |= {x}
+    supports = list(dict.fromkeys(supports))
+    minimal = [g for g in supports if not any(f < g for f in supports)]
+    used = tuple(x for x in names if any(x in g for g in minimal))
+    return SquarefreeIdeal(used, tuple(minimal))
+
+
+@st.composite
 def odd_cycle_pair_hypergraphs(draw):
     """Hypergraphs of two vertex-disjoint odd cycles plus a few extra generators.
 

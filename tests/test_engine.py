@@ -43,6 +43,7 @@ from idpoly.model import SquarefreeIdeal, polytope_from_ideal
 from idpoly.oracle import decide_normal_bruteforce, verify_witness
 
 from randutil import (
+    covered_ideals,
     odd_cycle_pair_hypergraphs,
     separated_hypergraphs,
     shared_vertex_cycle_pair_hypergraphs,
@@ -439,6 +440,15 @@ def test_engine_agrees_with_oracle(load_ideal, name):
     report = analyze(ideal)
     verdict = decide_normal_bruteforce(polytope_from_ideal(ideal))
     assert report.status == verdict.status
+
+
+@settings(max_examples=200, deadline=None)
+@given(ideal=covered_ideals(max_vars=8, max_gens=7))
+def test_engine_agrees_with_oracle_on_random_ideals(ideal):
+    # at most 7 vertices and 8 variables: inside the oracle's caps, so
+    # analyze decides every ideal, by reduction, a rule or the oracle
+    report = analyze(ideal)
+    assert report.status == decide_normal_bruteforce(polytope_from_ideal(ideal)).status
 
 
 def test_unreduced_and_reduced_verdicts_match(load_ideal):

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from idpoly.certificates import Witness
-from idpoly.intlinalg import matrix_rank
+from idpoly import oracle
+from idpoly.certificates import INAPPLICABLE, Witness, exceptional_pair_rule
+from idpoly.hypergraph import build_from_ideal, ideal_of
+from idpoly.intlinalg import bareiss_rank
 from idpoly.model import CoordinateRelation, ZeroOnePolytope, polytope_from_ideal
 from idpoly.oracle import (
     INCONCLUSIVE,
@@ -21,6 +24,7 @@ from idpoly.oracle import (
     lp_membership,
     verify_coefficients,
     verify_witness,
+    vertex_sums,
 )
 from idpoly.simplex import objective_range
 
@@ -183,7 +187,7 @@ def test_dependent_coordinates_match_box_filter(drawn, degree):
     assert all(relations[j] is not None for j in range(base, p.ambient_dim))
     first = p.vertices[0]
     diffs = [[x - y for x, y in zip(v, first)] for v in p.vertices[1:]]
-    rank = matrix_rank(diffs) if diffs else 0
+    rank = bareiss_rank(diffs)[0] if diffs else 0
     assert p.affine_dimension == sum(r is None for r in relations) == rank
     naive = [
         point
@@ -214,6 +218,64 @@ def test_membership_infeasible(load_ideal):
         lp_membership(p, (1, 0), 1)
     with pytest.raises(ValueError, match="degree cannot be negative"):
         lp_membership(p, (0, 0, 0), -1)
+
+
+def _decomposable(p, degree):
+    """Each point of degree·P, and whether integer_decomposition rewrites it."""
+    return {
+        point: integer_decomposition(p, point, degree) is not None
+        for point in enumerate_lattice_points(p, degree)
+    }
+
+
+def _disagreements(decomposable, reachable):
+    """The points on which a sum-set and integer_decomposition disagree."""
+    return [point for point, found in decomposable.items() if (point in reachable) != found]
+
+
+# tests/data/rem32.mat, whose least failing degree is 3
+REM32 = ZeroOnePolytope(
+    (
+        (1, 1, 0, 0, 0, 0, 0),
+        (1, 0, 1, 0, 0, 0, 0),
+        (0, 1, 1, 0, 0, 0, 1),
+        (0, 0, 0, 1, 1, 0, 0),
+        (0, 0, 0, 1, 0, 1, 0),
+        (0, 0, 0, 0, 1, 1, 1),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=zero_one_polytopes())
+@example(p=FOURCYC)
+@example(p=REM32)
+def test_sum_sets_match_integer_decomposition(p):
+    # S_k holds a point of k·P exactly when the backtracking search finds
+    # a decomposition, for k <= 4.  The mutants show the comparison has
+    # teeth: k·v, for a dropped vertex v, is in no sum-set of the others;
+    # S_(k-1) misses k·v for a nonzero v, and S_(k+1) misses k·v for v of
+    # least coordinate sum when the origin is not a vertex
+    sums = [{(0,) * p.ambient_dim}, *islice(vertex_sums(p.vertices), 5)]
+    dropped = [set(), *islice(vertex_sums(p.vertices[1:]), 4)]
+    for degree in range(1, 5):
+        decomposable = _decomposable(p, degree)
+        assert _disagreements(decomposable, sums[degree]) == []
+        assert _disagreements(decomposable, dropped[degree])
+        if any(map(any, p.vertices)):
+            assert _disagreements(decomposable, sums[degree - 1])
+        if all(map(any, p.vertices)):
+            assert _disagreements(decomposable, sums[degree + 1])
+
+
+def test_bounded_sum_sets_keep_what_fits_under_the_ceiling():
+    ceiling = (1, 1, 1, 1, 1, 1, 1)
+    bounded = list(islice(vertex_sums(REM32.vertices, ceiling), 3))
+    full = list(islice(vertex_sums(REM32.vertices), 3))
+    for cut, whole in zip(bounded, full):
+        assert cut == {p for p in whole if max(p) <= 1}
+    # the all-ones point of the counterexample is no sum of three vertices
+    assert ceiling not in bounded[2]
 
 
 def test_integer_decomposition_round_trip(load_ideal):
@@ -391,3 +453,68 @@ def test_oracle_matches_fraction_reference(load_ideal, monkeypatch):
     ref = decide_normal_bruteforce(p)
     assert ours.status == ref.status == NOT_NORMAL
     assert ours == ref
+
+
+# exceptional_pair_rule's outcome on the hypergraph of each tests/data
+# ideal, strict then relaxed; every other ideal gets inapplicable twice
+PAIR_OUTCOMES = {
+    "bowtie.ideal": (NOT_NORMAL, NOT_NORMAL),
+    "ih1.ideal": (NOT_NORMAL, NOT_NORMAL),
+    "ih2.ideal": (NOT_NORMAL, NOT_NORMAL),
+    "twin_d.ideal": (INAPPLICABLE, NOT_NORMAL),
+    "veiled_minor10.ideal": (NOT_NORMAL, NOT_NORMAL),
+}
+# the inputs whose golden oracle report comes from a full scan
+ORACLE_FIXTURES = (
+    "bowtie.ideal",
+    "fig1.ideal",
+    "fourcyc.ideal",
+    "hex6.ideal",
+    "k24.ideal",
+    "rem32.mat",
+    "sixtri.ideal",
+    "solv3.ideal",
+    "tri.ideal",
+    "twin_d.ideal",
+)
+
+
+def test_only_the_checker_calls_integer_decomposition(load_ideal, monkeypatch):
+    # the oracle decides by sum-sets, and Theorem 4.8 tests its all-halves
+    # point on a bounded sum-set, so both give every fixture's verdict with
+    # the backtracking search disabled; verify_witness still reaches it
+    from conftest import DATA
+
+    def forbidden(*args):
+        raise AssertionError("integer_decomposition was called")
+
+    monkeypatch.setattr(oracle, "integer_decomposition", forbidden)
+    witnesses = []
+    for name in ORACLE_FIXTURES:
+        p = poly(load_ideal, name)
+        golden = json.loads((DATA / "golden" / "oracle" / f"{name}.json").read_text())
+        verdict = decide_normal_bruteforce(p)
+        assert verdict.status == golden["verdict"], name
+        if verdict.witness is not None:
+            assert verdict.witness.degree == golden["witness"]["degree"], name
+            assert list(verdict.witness.point) == golden["witness"]["point"], name
+            witnesses.append((p, verdict.witness))
+    for path in sorted(DATA.glob("*.ideal")):
+        h = build_from_ideal(load_ideal(path.name))
+        outcomes = tuple(
+            exceptional_pair_rule(h, relaxed=relaxed) for relaxed in (False, True)
+        )
+        expected = PAIR_OUTCOMES.get(path.name, (INAPPLICABLE, INAPPLICABLE))
+        assert tuple(o.status for o in outcomes) == expected, path.name
+        witnesses += [
+            (polytope_from_ideal(ideal_of(h)), o.witness)
+            for o in outcomes
+            if o.witness is not None
+        ]
+    assert len(witnesses) == 15
+    for p, witness in witnesses:
+        with pytest.raises(AssertionError, match="integer_decomposition was called"):
+            verify_witness(p, witness)
+    monkeypatch.undo()
+    for p, witness in witnesses:
+        assert verify_witness(p, witness).valid
