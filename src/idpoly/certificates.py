@@ -35,6 +35,8 @@ BUDGET_EXCEEDED = "budget_exceeded"
 
 # path-search node budget of the exceptional-pair search
 PAIR_BUDGET = 200_000
+# path-search node budget of the chordless-odd-cycle search
+ODD_CYCLE_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -254,6 +256,72 @@ def balanced_uniform_rule(hypergraph: LabeledHypergraph) -> RuleOutcome:
         NORMAL,
         f"balanced with uniform generator degree {degrees[0]}",
     )
+
+
+def odd_cycle_rule(
+    hypergraph: LabeledHypergraph, budget: int = ODD_CYCLE_BUDGET
+) -> RuleOutcome:
+    """Normal by the odd cycle condition, when every generator has degree 2.
+
+    Then the ideal is the edge ideal of a simple graph G on the labels,
+    one edge per vertex, and the polytope is G's edge polytope.  That is
+    normal iff every two vertex-disjoint chordless odd cycles of G are
+    joined by an edge (Ohsugi-Hibi 1998; Simis-Vasconcelos-Villarreal
+    1998), read over all of G, so two odd cycles in different components
+    fail it.  Sufficient only: a failing pair is left to the negative
+    rules.  Each cycle is grown from its least label as a path with no
+    chord, closed when it reaches a neighbour of that label; the path
+    search runs under ``budget`` nodes.
+    """
+    labels = hypergraph.labels
+    owners = [0] * (hypergraph.num_vertices + 1)
+    for i, (_, image) in enumerate(labels):
+        for v in image:
+            owners[v] |= 1 << i
+    adjacent = [0] * len(labels)
+    for v in hypergraph.vertices:
+        degree = owners[v].bit_count()
+        if degree != 2:
+            return RuleOutcome(INAPPLICABLE, f"generator {v} has degree {degree}, not 2")
+        a, b = _members(owners[v])
+        adjacent[a] |= 1 << b
+        adjacent[b] |= 1 << a
+    cycles: set[int] = set()
+    nodes = budget
+    for s, first in enumerate(adjacent):
+        below = (2 << s) - 1  # labels a cycle from s may not use again
+        # (path, tip, labels a step may not reach: the path and the interior's neighbours)
+        stack = [((1 << s) | (1 << v), v, below | (1 << v)) for v in _members(first & ~below)]
+        while stack:
+            if nodes <= 0:
+                return RuleOutcome(
+                    BUDGET_EXCEEDED, f"odd-cycle search exceeded its budget of {budget} nodes"
+                )
+            nodes -= 1
+            path, tip, blocked = stack.pop()
+            for w in _members(adjacent[tip] & ~blocked):
+                if not adjacent[w] >> s & 1:
+                    stack.append((path | (1 << w), w, blocked | adjacent[tip]))
+                elif path.bit_count() % 2 == 0:
+                    cycles.add(path | (1 << w))
+    for one, two in combinations(sorted(cycles), 2):
+        if not one & two and not any(adjacent[u] & two for u in _members(one)):
+            one, two = (",".join(labels[u][0] for u in _members(c)) for c in (one, two))
+            return RuleOutcome(
+                INAPPLICABLE,
+                f"chordless odd cycles {{{one}}} and {{{two}}} are disjoint and not joined",
+            )
+    return RuleOutcome(
+        NORMAL, f"each two of its {len(cycles)} chordless odd cycles meet or are joined"
+    )
+
+
+def _members(mask: int) -> Iterable[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        bit = mask & -mask
+        yield bit.bit_length() - 1
+        mask ^= bit
 
 
 def torsion_obstruction(hypergraph: LabeledHypergraph) -> RuleOutcome:

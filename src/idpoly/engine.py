@@ -49,6 +49,7 @@ from .certificates import (
     decide_connected_odd,
     exceptional_pair_rule,
     lift_witness,
+    odd_cycle_rule,
     torsion_obstruction,
 )
 from .hypergraph import (
@@ -300,6 +301,11 @@ STRUCTURAL_RULES = (
         {NOT_NORMAL: "Theorem 4.8: exceptional pair of odd cycles"},
         _pair_guard,
     ),
+    Rule(
+        "odd-cycle",
+        lambda h, cfg: odd_cycle_rule(h),
+        {NORMAL: "Ohsugi-Hibi 1998, Simis-Vasconcelos-Villarreal 1998: odd cycle condition"},
+    ),
 )
 # the rules that can fire on a minor, in the order they run on each one
 MINOR_RULES = tuple(rule for rule in STRUCTURAL_RULES if rule.guard)
@@ -537,7 +543,14 @@ def analyze(
     Pipeline: closed-vertex reduction, then the structural rules in
     priority order (all of them run; the first conclusive one is
     reported), then negative detectors over minors, then the exact oracle
-    when the reduced instance fits its size caps.  Every candidate, minor
+    when the reduced instance fits its size caps.  The last structural
+    rule, ``odd-cycle``, applies only when every generator of the reduced
+    ideal has degree 2: it says normal when every two vertex-disjoint
+    chordless odd cycles of that edge ideal's graph are joined by an edge
+    (Ohsugi-Hibi 1998, Simis-Vasconcelos-Villarreal 1998), so such a graph
+    skips the minors and the oracle, and its search runs under
+    ``certificates.ODD_CYCLE_BUDGET`` nodes.  Like every normal verdict,
+    its verdict carries no certificate.  Every candidate, minor
     hits included, goes through ``_settle``: witnesses found on reduced or
     minor hypergraphs are lifted back and verified against the original
     polytope, and one that fails falls through to the next candidate.

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from itertools import combinations
 
 from hypothesis import strategies as st
 
@@ -198,3 +199,52 @@ def shared_vertex_cycle_pair_hypergraphs(draw):
             return hypergraph
         unsplit = used[violation[0] - 1]
         edges = {e - {unsplit} for e in edges if len(e - {unsplit}) > 1}
+
+
+@st.composite
+def small_graph_edge_ideals(draw, max_edges: int = 8):
+    """Edge ideals of simple graphs with at most ``max_edges`` edges and 9 nodes.
+
+    Half the draws plant two vertex-disjoint odd cycles, a triangle and a
+    triangle or a 5-cycle, and fill the edge count up with edges among
+    their nodes and up to 3 more.  The odd cycle condition then turns on
+    whether some edge joins the two cycles, and without one they may lie
+    in different components; uniform draws seldom build either case.
+    The other half are uniform graphs on at most 8 nodes.  Nodes no edge
+    touches are left out of the ideal.
+    """
+    if draw(st.booleans()):
+        first = draw(st.sampled_from((3, 5)))
+        n = draw(st.integers(first + 3, min(first + 6, 9)))
+        cycles = (range(first), range(first, first + 3))
+        edges = [frozenset((c[i - 1], c[i])) for c in cycles for i in range(len(c))]
+    else:
+        n = draw(st.integers(2, 8))
+        edges = []
+    pairs = [frozenset(pair) for pair in combinations(range(n), 2)]
+    more = st.lists(
+        st.sampled_from(pairs), min_size=0 if edges else 1, max_size=max_edges - len(edges)
+    )
+    edges = list(dict.fromkeys(edges + draw(more)))
+    used = sorted(set().union(*edges))
+    names = {v: f"x{v + 1}" for v in used}
+    return SquarefreeIdeal(
+        tuple(names[v] for v in used), tuple(frozenset(map(names.get, e)) for e in edges)
+    )
+
+
+def benchmark_edge_ideals(seed: int):
+    """The edge ideals of the benchmark's ``analyze-edge`` population ``seed``.
+
+    The same draws as ``edge_ideals`` in perfbench/workloads.py, whose
+    default population is seed 5 and whose held-out one is seed 6: 200
+    uniform graphs with 11 nodes and 14 edges, their used nodes renamed
+    x1.. in order.
+    """
+    rng = random.Random(seed)
+    for _ in range(200):
+        pairs = rng.sample(list(combinations(range(11), 2)), 14)
+        used = sorted(set().union(*pairs))
+        names = {v: f"x{i}" for i, v in enumerate(used, start=1)}
+        generators = tuple(frozenset((names[a], names[b])) for a, b in pairs)
+        yield SquarefreeIdeal(tuple(names[v] for v in used), generators)

@@ -22,6 +22,7 @@ from idpoly.certificates import (
     exceptional_witness,
     find_exceptional_pair,
     lift_witness,
+    odd_cycle_rule,
     torsion_obstruction,
 )
 from idpoly.hypergraph import (
@@ -186,6 +187,62 @@ def test_bicolor_no_obstruction_on_balanced_edges(load_ideal):
 def test_bicolor_requires_bipartite_skeleton(load_ideal):
     h = build_from_ideal(load_ideal("hex6.ideal"))
     assert bicolor_obstruction(h) == NO_BICOLOR
+
+
+def graph_hypergraph(*edges):
+    """The hypergraph of the edge ideal of a graph given by its edges."""
+    names = tuple(dict.fromkeys(name for edge in edges for name in edge))
+    return build_from_ideal(SquarefreeIdeal(names, tuple(frozenset(edge) for edge in edges)))
+
+
+# the wheel on 5 spokes: its 5 triangles and its rim are its only chordless
+# odd cycles, and a path of 4 rim nodes closed through the hub, which comes
+# last, is a 5-cycle with chords
+WHEEL = ["ab", "bc", "cd", "de", "ea"] + [(r, "h") for r in "abcde"]
+
+
+@pytest.mark.parametrize(
+    "name, outcome",
+    [
+        (
+            "tri.ideal",
+            RuleOutcome(NORMAL, "each two of its 1 chordless odd cycles meet or are joined"),
+        ),
+        (
+            "fourcyc.ideal",
+            RuleOutcome(NORMAL, "each two of its 0 chordless odd cycles meet or are joined"),
+        ),
+        (
+            "bowtie.ideal",
+            RuleOutcome(
+                INAPPLICABLE,
+                "chordless odd cycles {u1,u2,u3} and {u5,u6,u7} are disjoint and not joined",
+            ),
+        ),
+        ("solv3.ideal", RuleOutcome(INAPPLICABLE, "generator 1 has degree 3, not 2")),
+    ],
+)
+def test_odd_cycle_rule_on_fixtures(load_ideal, name, outcome):
+    assert odd_cycle_rule(build_from_ideal(load_ideal(name))) == outcome
+
+
+def test_odd_cycle_rule_lists_only_chordless_cycles():
+    assert odd_cycle_rule(graph_hypergraph(*WHEEL)) == RuleOutcome(
+        NORMAL, "each two of its 6 chordless odd cycles meet or are joined"
+    )
+    # two triangles in different components are never joined
+    assert odd_cycle_rule(graph_hypergraph("ab", "bc", "ca", "de", "ef", "fd")) == RuleOutcome(
+        INAPPLICABLE, "chordless odd cycles {a,b,c} and {d,e,f} are disjoint and not joined"
+    )
+
+
+def test_odd_cycle_budget_exhaustion_is_reported():
+    # a search cut short has not listed every cycle
+    h = graph_hypergraph(*WHEEL)
+    assert odd_cycle_rule(h, budget=3) == RuleOutcome(
+        BUDGET_EXCEEDED, "odd-cycle search exceeded its budget of 3 nodes"
+    )
+    assert odd_cycle_rule(h).status == NORMAL
 
 
 def test_torsion_obstruction(load_ideal):

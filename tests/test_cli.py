@@ -42,6 +42,7 @@ def test_analyze_json_rem32(run_cli):
         ["rem-3.2", "not_normal: invariant factor 2"],
         ["thm-4.5", "inapplicable: no unbalanced simple edge"],
         ["thm-4.8", "inapplicable: no exceptional pair found"],
+        ["odd-cycle", "inapplicable: generator 3 has degree 3, not 2"],
     ]
 
 

@@ -16,6 +16,7 @@ from idpoly.certificates import (
     bicolor_obstruction,
     decide_connected_odd,
     exceptional_pair_rule,
+    odd_cycle_rule,
 )
 from idpoly.engine import (
     NORMAL,
@@ -29,6 +30,7 @@ from idpoly.engine import (
     _core_has_torsion,
     analyze,
     citation_for,
+    oracle_report,
 )
 from idpoly.hypergraph import (
     build_from_ideal,
@@ -43,11 +45,13 @@ from idpoly.model import SquarefreeIdeal, polytope_from_ideal
 from idpoly.oracle import decide_normal_bruteforce, verify_witness
 
 from randutil import (
+    benchmark_edge_ideals,
     covered_ideals,
     odd_cycle_pair_hypergraphs,
     separated_hypergraphs,
     shared_vertex_cycle_pair_hypergraphs,
     skeleton_by_bfs,
+    small_graph_edge_ideals,
 )
 
 HALF = Fraction(1, 2)
@@ -58,6 +62,7 @@ RULE_BALANCED = "prop-3.5"
 RULE_TORSION = "rem-3.2"
 RULE_BICOLOR = "thm-4.5"
 RULE_PAIR = "thm-4.8"
+RULE_ODD_CYCLE = "odd-cycle"
 RULES = {rule.id: rule for rule in engine.STRUCTURAL_RULES}
 
 
@@ -73,13 +78,14 @@ def may_fire(rule_id, record):
 
 def test_rule_records_and_their_order():
     assert tuple(RULES) == (
-        RULE_CONNECTED_ODD, RULE_BALANCED, RULE_TORSION, RULE_BICOLOR, RULE_PAIR
+        RULE_CONNECTED_ODD, RULE_BALANCED, RULE_TORSION, RULE_BICOLOR, RULE_PAIR, RULE_ODD_CYCLE
     )
     # the minor rules are the records with a guard, in priority order
     assert engine.MINOR_RULES == rules_named(
         RULE_CONNECTED_ODD, RULE_TORSION, RULE_BICOLOR, RULE_PAIR
     )
     assert RULES[RULE_BALANCED].guard is None
+    assert RULES[RULE_ODD_CYCLE].guard is None
 
 
 def mat_ideal(name):
@@ -538,6 +544,7 @@ def test_structural_candidates_stand_on_fixture_minors(load_ideal):
         (RULE_TORSION, NOT_NORMAL),
         (RULE_BICOLOR, NOT_NORMAL),
         (RULE_PAIR, NOT_NORMAL),
+        (RULE_ODD_CYCLE, NORMAL),
     }
 
 
@@ -764,12 +771,14 @@ def fixture_ideals(load_ideal):
 @pytest.mark.parametrize("structural", [True, False])
 def test_minor_walk_counters(load_ideal, monkeypatch, structural):
     # without the structural rules every input that keeps 2 or more
-    # vertices after reduction reaches the walk
+    # vertices after reduction reaches the walk; with them, mix45's walk
+    # runs to its end
     cfg = EngineConfig()
     if not structural:
         monkeypatch.setattr(engine, "STRUCTURAL_RULES", ())
         cfg = EngineConfig(use_oracle=False)
-    walked = exact = 0
+    walked = 0
+    exhausted = []
     for name, ideal in fixture_ideals(load_ideal):
         report = analyze(ideal, cfg)
         stats = report.stats
@@ -783,7 +792,7 @@ def test_minor_walk_counters(load_ideal, monkeypatch, structural):
             continue  # the walk stopped inside its last minor
         # one screen per distinct nonempty core, guards on every minor with
         # a nonempty core, and one build per minor that some detector runs on
-        exact += 1
+        exhausted.append(name)
         reduced, _ = reduce_closed_fixpoint(build_from_ideal(ideal))
         records = list(enumerate_minors(reduced, budget=examined))
         cores = [closed_core(r.state, r.edges) for r in records]
@@ -793,8 +802,81 @@ def test_minor_walk_counters(load_ideal, monkeypatch, structural):
             1 for r in records if any(rule.guard(r, {}) for rule in engine.MINOR_RULES)
         )
         assert stats["minors_built"] == built, name
-    assert exact >= (1 if structural else 4)
+    assert "mix45.ideal" in exhausted
+    assert len(exhausted) >= (1 if structural else 4)
     assert walked >= (3 if structural else 12)
+
+
+def odd_cycle_normal_is_unopposed(h):
+    """Where the odd-cycle rule says normal, nothing finds h not normal.
+
+    No other structural rule returns not_normal, with a strict or a
+    relaxed connector search, and ``torsion_check`` finds no torsion.
+    Returns whether the rule said normal.
+    """
+    if odd_cycle_rule(h).status != NORMAL:
+        return False
+    assert torsion_check(incidence_matrix(h)) is None, h
+    for relaxed in (False, True):
+        cfg = EngineConfig(relaxed_connection=relaxed)
+        for record in engine.STRUCTURAL_RULES:
+            assert record.run(h, cfg).status != NOT_NORMAL, (record.id, relaxed, h)
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(ideal=small_graph_edge_ideals())
+def test_odd_cycle_rule_agrees_with_the_oracle(ideal):
+    # the odd cycle condition is exact on edge ideals: the rule says normal
+    # exactly where the oracle does, and is inapplicable elsewhere
+    said_normal = odd_cycle_normal_is_unopposed(build_from_ideal(ideal))
+    assert said_normal == (oracle_report(ideal).status == NORMAL)
+
+
+def test_odd_cycle_normal_is_unopposed_on_fixtures(load_ideal):
+    normal = 0
+    for h in fixture_hypergraphs(load_ideal):
+        for record in enumerate_minors(h, budget=100):
+            if record.num_vertices:
+                normal += odd_cycle_normal_is_unopposed(record.hypergraph)
+    assert normal > 0
+
+
+@pytest.mark.parametrize("seed, normal", [(5, 184), (6, 191)])
+def test_odd_cycle_rule_on_the_benchmark_edge_graphs(seed, normal):
+    # every graph of both analyze-edge populations that the rule leaves
+    # is not normal, and on the rest no negative detector fires
+    said_normal = 0
+    for ideal in benchmark_edge_ideals(seed):
+        reduced, _ = reduce_closed_fixpoint(build_from_ideal(ideal))
+        if odd_cycle_normal_is_unopposed(reduced):
+            said_normal += 1
+        else:
+            assert analyze(ideal).status == NOT_NORMAL, ideal
+    assert said_normal == normal
+
+
+def test_odd_cycle_budget_exhaustion_keeps_the_verdict(load_ideal, monkeypatch):
+    # with the search cut short, each report is the one the engine gives
+    # without the rule, plus the rule's line
+    real = engine.odd_cycle_rule
+    cut = "budget_exceeded: odd-cycle search exceeded its budget of 3 nodes"
+    cut_short = []
+    for name, ideal in fixture_ideals(load_ideal):
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "odd_cycle_rule", lambda h: real(h, budget=3))
+            short = analyze(ideal)
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "STRUCTURAL_RULES", engine.STRUCTURAL_RULES[:-1])
+            without = analyze(ideal)
+        assert short.rule != RULE_ODD_CYCLE, name
+        assert replace(short, diagnostics=()) == replace(without, diagnostics=()), name
+        others = tuple(line for line in short.diagnostics if line[0] != RULE_ODD_CYCLE)
+        assert others == without.diagnostics, name
+        if (RULE_ODD_CYCLE, cut) in short.diagnostics:
+            cut_short.append(name)
+    # edge65 is normal by the rule when its search runs to the end
+    assert "edge65.ideal" in cut_short
 
 
 def zero_witness(num_vertices, num_labels):
