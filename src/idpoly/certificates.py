@@ -26,7 +26,7 @@ from .hypergraph import (
     find_special_odd_cycle,
     incidence_matrix,
 )
-from .intlinalg import TorsionCertificate, prime_factors, torsion_check
+from .intlinalg import TorsionCertificate, common_denominator, prime_factors, torsion_check
 
 NORMAL = "normal"
 NOT_NORMAL = "not_normal"
@@ -48,6 +48,11 @@ class Witness:
     (membership plus non-decomposability) is the oracle's business, but
     the shape constraints are enforced here so a Witness is never
     structurally nonsensical.
+
+    The checks run on integers: each point entry must be an integer, each
+    coefficient's numerator must lie in [0, denominator), and with D the
+    lcm of the denominators, taken once, the numerators scaled to D must
+    sum to degree·D.
     """
 
     coefficients: tuple[Fraction, ...]
@@ -60,17 +65,20 @@ class Witness:
         object.__setattr__(self, "degree", int(self.degree))
         pt = []
         for entry in self.point:
-            value = Fraction(entry)
-            if value.denominator != 1:
-                raise ValueError(f"point entry {value} is not an integer")
-            pt.append(int(value))
+            if type(entry) is not int:
+                value = Fraction(entry)
+                if value.denominator != 1:
+                    raise ValueError(f"point entry {value} is not an integer")
+                entry = int(value)
+            pt.append(entry)
         object.__setattr__(self, "point", tuple(pt))
         if not coeffs:
             raise ValueError("witness needs at least one coefficient")
         for c in coeffs:
-            if c < 0 or c >= 1:
+            if c.numerator < 0 or c.numerator >= c.denominator:
                 raise ValueError(f"coefficient {c} out of range [0, 1)")
-        if sum(coeffs) != self.degree:
+        denominator, numerators = common_denominator(coeffs)
+        if sum(numerators) != self.degree * denominator:
             raise ValueError("coefficients do not sum to the degree")
         if self.degree < 0:
             raise ValueError("degree cannot be negative")
@@ -170,9 +178,16 @@ def _require_separated(hypergraph: LabeledHypergraph) -> None:
 def _witness_from_coefficients(
     hypergraph: LabeledHypergraph, coefficients: Sequence[Fraction], degree: int
 ) -> Witness:
-    powers = (
-        sum((coefficients[v - 1] for v in image), Fraction(0)) for _, image in hypergraph.labels
-    )
+    # each label's power on numerators over the lcm of the denominators; a
+    # fraction left over is passed on for Witness to reject
+    denominator, numerators = common_denominator(coefficients)
+    powers = []
+    for _, image in hypergraph.labels:
+        total = sum(numerators[v - 1] for v in image)
+        if total % denominator:
+            powers.append(Fraction(total, denominator))
+        else:
+            powers.append(total // denominator)
     return Witness(tuple(coefficients), degree, tuple(powers))
 
 

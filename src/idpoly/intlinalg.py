@@ -3,18 +3,26 @@
 Everything here works on plain ``list[list[int]]`` rows with arbitrary
 precision Python integers.  The matrices involved never exceed a few dozen
 rows or columns, so the textbook algorithms are used.  The one economy is
-torsion_check's screen: fraction-free (Bareiss) elimination gives the
-rank and one nonzero maximal minor, a rank count modulo each prime of that
-minor settles torsion-freeness, and only the rare input with torsion
-reaches the Smith normal form.  What matters above speed is determinism:
-pivot choices are fixed so that certificates are reproducible byte for
-byte.
+torsion_check's cascade of screens, each cheaper than the next:
+- points that are 0-1 rows with exactly two ones are the edges of a
+  graph on the columns, whose torsion is (Z/2)^(k-1) for k non-bipartite
+  components, so a breadth-first search on bitmasks settles them when k
+  is at most 1;
+- otherwise fraction-free (Bareiss) elimination gives the rank and one
+  nonzero maximal minor, and a rank count modulo each prime of that minor
+  settles torsion-freeness;
+- only the rare input with torsion reaches the Smith normal form, which
+  builds the certificate.
+
+What matters above speed is determinism: pivot choices are fixed so that
+certificates are reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterator, Sequence
 
 IntMatrix = list[list[int]]
@@ -28,6 +36,12 @@ def transpose(rows: Sequence[Sequence[int]]) -> IntMatrix:
     if not rows:
         return []
     return [[row[j] for row in rows] for j in range(len(rows[0]))]
+
+
+def common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """D, the lcm of the values' denominators, and each value times D."""
+    denominator = lcm(*(v.denominator for v in values))
+    return denominator, [v.numerator * (denominator // v.denominator) for v in values]
 
 
 def bareiss_rank(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
@@ -332,21 +346,87 @@ def _homogenized_columns(points: Sequence[Sequence[int]]) -> IntMatrix:
     return [list(row) for row in zip(*points)] + [[1] * len(points)]
 
 
+def _odd_components(points: Sequence[Sequence[int]]) -> int | None:
+    """Non-bipartite components of the graph whose edges are the points.
+
+    Each point must be a 0-1 row with exactly two ones, read as an edge
+    between those two columns (repeated rows are parallel edges); None
+    when some point is not.  Components are found by breadth-first search
+    on neighbour bitmasks.  Every edge of a search joins two vertices of
+    one level or of consecutive levels, and one inside a level closes an
+    odd cycle with the two shortest paths to its ends, so a component is
+    non-bipartite exactly when some level meets its own neighbourhood.
+    """
+    neighbours = [0] * len(points[0])
+    for point in points:
+        ends = [j for j, x in enumerate(point) if x]
+        if len(ends) != 2:
+            return None
+        i, j = ends
+        if point[i] != 1 or point[j] != 1:
+            return None
+        neighbours[i] |= 1 << j
+        neighbours[j] |= 1 << i
+    unseen = 0
+    for i, adjacent in enumerate(neighbours):
+        if adjacent:
+            unseen |= 1 << i
+    odd = 0
+    while unseen:
+        seen = frontier = unseen & -unseen
+        bipartite = True
+        while frontier:
+            reach = 0
+            rest = frontier
+            while rest:
+                low = rest & -rest
+                reach |= neighbours[low.bit_length() - 1]
+                rest ^= low
+            if reach & frontier:
+                bipartite = False
+            frontier = reach & ~seen
+            seen |= frontier
+        unseen &= ~seen
+        odd += not bipartite
+    return odd
+
+
 def torsion_check(points: Sequence[Sequence[int]]) -> TorsionCertificate | None:
     """Detect torsion in Z^{n+1} modulo the lattice of homogenized points.
 
-    Returns None when the quotient is torsion-free.  With r the rank of the
-    homogenized matrix, the torsion subgroup has order d_r, the gcd of its
-    r x r minors.  Bareiss elimination gives r and one nonzero r x r minor
-    D, which d_r divides; a prime p divides d_r exactly when the rank
-    modulo p drops below r.  So the quotient is torsion-free when |D| == 1,
-    or when the rank modulo every prime of D is r, and the Smith normal
-    form runs only when d_r > 1.  Its result is a self-verified
-    certificate: the vector is the preimage of the standard basis vector
-    at the first invariant factor exceeding 1, reduced to a canonical coset
-    representative.
+    Returns None when the quotient is torsion-free, by the cheapest screen
+    of the module's cascade that settles it.
+
+    Graph screen.  When every point is a 0-1 row with two ones, the points
+    are the edges e_i + e_j of a graph on the columns, and the torsion is
+    (Z/2)^(k-1) for its k >= 1 non-bipartite components (0 for k = 0).
+    The last coordinate of a homogenized edge is half the sum of the
+    others, so the homogenized lattice is L = {(x, |x|/2) : x in E}, E the
+    lattice of the edges, and the torsion of the quotient is sat(L)/L, the
+    classes of sat(E)/E with even coordinate sum |x|.  Per component, E is
+    {x : x(A) = x(B)} on a bipartite one with sides A and B, which is
+    saturated and has even sums, and the vectors of even sum on a
+    non-bipartite one, whose saturation adds the parity of the sum there.
+    So sat(E)/E = (Z/2)^k, one parity per non-bipartite component, and an
+    even total leaves the kernel of their sum, (Z/2)^(k-1).  The screen
+    returns None when k <= 1, and otherwise falls through.
+
+    Rank screen.  With r the rank of the homogenized matrix, the torsion
+    subgroup has order d_r, the gcd of its r x r minors.  Bareiss
+    elimination gives r and one nonzero r x r minor D, which d_r divides;
+    a prime p divides d_r exactly when the rank modulo p drops below r.  So
+    the quotient is torsion-free when |D| == 1, or when the rank modulo
+    every prime of D is r.
+
+    Only when d_r > 1 does the Smith normal form run.  Its result is a
+    self-verified certificate: the vector is the preimage of the standard
+    basis vector at the first invariant factor exceeding 1, reduced to a
+    canonical coset representative.
     """
     if not points:
+        return None
+    odd = _odd_components(points)
+    if odd is not None and odd <= 1:
         return None
     # rows are the homogenized points: the transpose has the same minors
     rows = [[*point, 1] for point in points]

@@ -38,10 +38,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
-from operator import add, le
+from operator import add, le, mul
 from typing import Iterator, Sequence
 
 from .certificates import NORMAL, NOT_NORMAL, Witness
+from .intlinalg import common_denominator
 from .model import ZeroOnePolytope
 from .simplex import objective_range, solve_lp
 
@@ -309,24 +310,20 @@ def verify_coefficients(
             f"polytope has {s} vertices",
         )
     for c in coeffs:
-        if c < 0 or c >= 1:
+        if c.numerator < 0 or c.numerator >= c.denominator:
             return VerificationResult(False, f"coefficient {c} out of range [0, 1)")
-    total = sum(coeffs)
-    if total.denominator != 1:
+    # the sum and the point on numerators over the lcm of the denominators
+    denominator, numerators = common_denominator(coeffs)
+    total = sum(numerators)
+    if total % denominator:
         return VerificationResult(
-            False, f"coefficient sum {total} is not an integer"
+            False, f"coefficient sum {Fraction(total, denominator)} is not an integer"
         )
-    degree = int(total)
-    powers = [
-        sum(
-            (coeffs[i] * polytope.vertices[i][j] for i in range(s)),
-            Fraction(0),
-        )
-        for j in range(polytope.ambient_dim)
-    ]
-    if any(p.denominator != 1 for p in powers):
+    degree = total // denominator
+    powers = [sum(map(mul, numerators, column)) for column in zip(*polytope.vertices)]
+    if any(p % denominator for p in powers):
         return VerificationResult(False, "point not integral")
-    point = tuple(int(p) for p in powers)
+    point = tuple(p // denominator for p in powers)
     decomposition = integer_decomposition(polytope, point, degree)
     if decomposition is not None:
         return VerificationResult(

@@ -30,6 +30,7 @@ from idpoly.hypergraph import (
     Cycle,
     LabeledHypergraph,
     MinorTrace,
+    ReductionTrace,
     build_from_ideal,
     ideal_of,
     induced_subhypergraph,
@@ -39,7 +40,11 @@ from idpoly.intlinalg import prime_factors, verify_torsion_certificate
 from idpoly.model import SquarefreeIdeal, polytope_from_ideal
 from idpoly.oracle import decide_normal_bruteforce, verify_witness
 
-from randutil import odd_cycle_pair_hypergraphs, shared_vertex_cycle_pair_hypergraphs
+from randutil import (
+    odd_cycle_pair_hypergraphs,
+    separated_hypergraphs,
+    shared_vertex_cycle_pair_hypergraphs,
+)
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
@@ -70,6 +75,75 @@ def test_witness_validation():
         Witness((HALF, HALF), 1, (-1,))
     w = Witness((HALF, HALF), 1, (1, 0))
     assert w.degree == 1
+
+
+@pytest.mark.parametrize(
+    "coefficients,degree,point,message",
+    [
+        ((), 0, (0,), "witness needs at least one coefficient"),
+        ((Fraction(1),), 1, (1,), "coefficient 1 out of range [0, 1)"),
+        ((Fraction(-1, 2), HALF), 0, (0,), "coefficient -1/2 out of range [0, 1)"),
+        ((HALF, Fraction(3, 2)), 2, (0,), "coefficient 3/2 out of range [0, 1)"),
+        ((HALF, HALF), 2, (1,), "coefficients do not sum to the degree"),
+        ((HALF, THIRD), 1, (1,), "coefficients do not sum to the degree"),
+        ((HALF, HALF), -1, (1,), "coefficients do not sum to the degree"),
+        ((HALF, HALF), 1, (Fraction(1, 2),), "point entry 1/2 is not an integer"),
+        ((HALF, HALF), 1, (1, "3/2"), "point entry 3/2 is not an integer"),
+        ((HALF, HALF), 1, (-1,), "point must be nonnegative"),
+        # the point is checked first, then the coefficients
+        ((Fraction(3, 2),), 9, (THIRD,), "point entry 1/3 is not an integer"),
+        ((), 0, (THIRD,), "point entry 1/3 is not an integer"),
+    ],
+)
+def test_witness_messages_verbatim(coefficients, degree, point, message):
+    with pytest.raises(ValueError) as info:
+        Witness(coefficients, degree, point)
+    assert str(info.value) == message
+
+
+def test_witness_takes_int_and_str():
+    w = Witness(("1/2", 0, HALF, "0.5", "2/4"), "2", (1, "2", Fraction(3), True))
+    assert w == Witness((HALF, Fraction(0), HALF, HALF, HALF), 2, (1, 2, 3, 1))
+    assert all(type(c) is Fraction for c in w.coefficients)
+    assert all(type(x) is int for x in w.point)
+    assert type(w.degree) is int
+
+
+# a Witness field entry: a multiple of 1/d for d in 1..4 from -1/d to 1,
+# given as a Fraction, a str or, when whole, an int
+WITNESS_VALUES = st.builds(
+    lambda a, d, form: form(Fraction(a, d)),
+    st.integers(-1, 4),
+    st.integers(1, 4),
+    st.sampled_from([Fraction, str]),
+).filter(lambda v: Fraction(v) <= 1) | st.integers(-1, 3)
+
+
+@st.composite
+def witness_fields(draw):
+    coefficients = draw(st.lists(WITNESS_VALUES, max_size=4))
+    total = sum((Fraction(c) for c in coefficients), Fraction(0))
+    degree = draw(st.sampled_from([int(total), int(total) + 1, -1]))
+    point = draw(st.lists(WITNESS_VALUES, max_size=3))
+    return coefficients, degree, point
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields=witness_fields())
+def test_witness_matches_fraction_reference(fields):
+    import fraction_witness
+
+    coefficients, degree, point = fields
+    message = fraction_witness.witness_error(coefficients, degree, point)
+    if message is not None:
+        with pytest.raises(ValueError) as info:
+            Witness(coefficients, degree, point)
+        assert str(info.value) == message
+        return
+    w = Witness(coefficients, degree, point)
+    assert w.coefficients == tuple(Fraction(c) for c in coefficients)
+    assert w.point == tuple(int(Fraction(x)) for x in point)
+    assert w.degree == degree
 
 
 def test_connected_odd_normal_odd_count(load_ideal):
@@ -490,6 +564,52 @@ def test_lift_witness_through_minor(load_ideal):
     lifted = lift_witness(trace, small)
     assert lifted.coefficients == (HALF, HALF, HALF, 0, 0, HALF, HALF, HALF)
     assert lifted.point == (1, 1, 1, 0, 1, 1, 1)
+
+
+def test_lift_witness_rejects_a_fractional_point(load_ideal):
+    h = build_from_ideal(load_ideal("bowtie.ideal"))
+    _, trace = connector_deleted(h)
+    # halves on the bowtie's vertices 1 and 2 put 1/2 on label u2 = {1, 3}
+    small = Witness((HALF, HALF, 0, 0, 0, 0), 1, (1, 0, 0, 0, 0, 0, 0))
+    with pytest.raises(ValueError) as info:
+        lift_witness(trace, small)
+    assert str(info.value) == "point entry 1/2 is not an integer"
+
+
+@st.composite
+def identity_lifts(draw):
+    """A hypergraph and a valid witness shape on its vertices.
+
+    The coefficients are multiples of 1/d in [0, 1), the last one chosen
+    so that they sum to an integer; the lift through the identity trace
+    recomputes the point, which may be fractional.
+    """
+    h = draw(separated_hypergraphs())
+    d = draw(st.integers(1, 4))
+    numerators = draw(
+        st.lists(st.integers(0, d - 1), min_size=h.num_vertices - 1, max_size=h.num_vertices - 1)
+    )
+    numerators.append(-sum(numerators) % d)
+    coefficients = tuple(Fraction(a, d) for a in numerators)
+    return h, Witness(coefficients, sum(coefficients), (0,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=identity_lifts())
+def test_lift_witness_matches_fraction_reference(case):
+    import fraction_witness
+
+    h, small = case
+    trace = ReductionTrace(h, (), tuple(h.vertices))
+    powers = fraction_witness.label_powers(h.labels, small.coefficients)
+    message = fraction_witness.witness_error(small.coefficients, small.degree, powers)
+    if message is not None:
+        with pytest.raises(ValueError) as info:
+            lift_witness(trace, small)
+        assert str(info.value) == message
+        return
+    lifted = lift_witness(trace, small)
+    assert lifted == Witness(small.coefficients, small.degree, tuple(map(int, powers)))
 
 
 def test_lift_witness_validation(load_ideal):

@@ -479,16 +479,19 @@ def test_unreduced_and_reduced_verdicts_match(load_ideal):
     assert plain.status == padded.status == NOT_NORMAL
 
 
-def structural_candidates_stand(h, relaxed_values=(False, True)):
+def structural_candidates_stand(h, relaxed_values=(False, True), oracle_statuses=None):
     """Check every candidate ``_detect`` returns on h against h's own polytope.
 
     A witness must pass ``verify_witness``, a torsion certificate
     ``verify_torsion_certificate`` on the polytope's vertices, and a normal
     outcome the oracle's verdict within ``analyze``'s vertex cap.  Returns the
-    (rule, status) pairs that fired.
+    (rule, status) pairs that fired.  ``oracle_statuses`` maps a vertex set
+    to its oracle status; pass one dict to share those verdicts between
+    calls, since many minors span the same polytope.
     """
     polytope = polytope_from_ideal(ideal_of(h))
-    oracle_status = None
+    if oracle_statuses is None:
+        oracle_statuses = {}
     fired = set()
     for relaxed in relaxed_values:
         cfg = EngineConfig(relaxed_connection=relaxed)
@@ -507,9 +510,10 @@ def structural_candidates_stand(h, relaxed_values=(False, True)):
                 continue
             assert found.status == NORMAL, (rule, h)
             if h.num_vertices <= engine.ORACLE_MAX_VERTICES:
-                if oracle_status is None:
-                    oracle_status = decide_normal_bruteforce(polytope).status
-                assert oracle_status == NORMAL, (rule, h)
+                vertices = frozenset(polytope.vertices)
+                if vertices not in oracle_statuses:
+                    oracle_statuses[vertices] = decide_normal_bruteforce(polytope).status
+                assert oracle_statuses[vertices] == NORMAL, (rule, h)
     return fired
 
 
@@ -530,13 +534,14 @@ def test_structural_candidates_stand_on_fixture_minors(load_ideal):
     from conftest import DATA
 
     fired = set()
+    oracle_statuses = {}
     for path in sorted(DATA.glob("*.ideal")) + [DATA / "rem32.mat"]:
         ideal = mat_ideal(path.name) if path.suffix == ".mat" else load_ideal(path.name)
         reduced, _ = reduce_closed_fixpoint(build_from_ideal(ideal))
         minors = [record.hypergraph for record in enumerate_minors(reduced, budget=300)]
         for h in [reduced] + minors:
             if h.num_vertices > 0:
-                fired |= structural_candidates_stand(h)
+                fired |= structural_candidates_stand(h, oracle_statuses=oracle_statuses)
     assert fired == {
         (RULE_CONNECTED_ODD, NORMAL),
         (RULE_CONNECTED_ODD, NOT_NORMAL),

@@ -283,9 +283,101 @@ def test_torsion_check_random_self_verifies():
     assert hits > 0
 
 
-def _has_torsion_by_snf(points) -> bool:
+def _invariant_factors(points) -> list[int]:
     diag, _ = smith_normal_form(transpose([list(p) + [1] for p in points]))
-    return any(d > 1 for d in diag)
+    return diag
+
+
+def _has_torsion_by_snf(points) -> bool:
+    return any(d > 1 for d in _invariant_factors(points))
+
+
+def odd_components_by_union_find(points) -> int | None:
+    """Non-bipartite components of the graph whose edges are the points.
+
+    None unless every point is a 0-1 row with exactly two ones.  A
+    reference for the graph screen that shares nothing with it: union-find
+    that keeps, for each column, the parity of its path to its root.
+    """
+    parent: dict[int, int] = {}
+    parity: dict[int, int] = {}
+    odd_roots: set[int] = set()
+
+    def find(v: int) -> tuple[int, int]:
+        p = 0
+        while parent[v] != v:
+            p ^= parity[v]
+            v = parent[v]
+        return v, p
+
+    for point in points:
+        if any(x not in (0, 1) for x in point) or sum(point) != 2:
+            return None
+        i, j = (c for c, x in enumerate(point) if x)
+        for v in (i, j):
+            parent.setdefault(v, v)
+            parity.setdefault(v, 0)
+        (ri, pi), (rj, pj) = find(i), find(j)
+        if ri == rj:
+            if pi == pj:
+                odd_roots.add(ri)
+            continue
+        parent[ri] = rj
+        parity[ri] = pi ^ pj ^ 1
+        if ri in odd_roots:
+            odd_roots.discard(ri)
+            odd_roots.add(rj)
+    return len(odd_roots)
+
+
+@st.composite
+def graph_point_sets(draw, torsion_free=False):
+    """The edges of a disjoint union of 1-4 small connected graphs, as 0-1 rows.
+
+    Each graph has 2-5 nodes: a random tree, grown from an odd cycle when
+    the graph is drawn non-bipartite, plus up to three more edges, which
+    join the tree's two colour classes when it is drawn bipartite.  An
+    optional edge joins two of the graphs, up to two rows repeat, up to two
+    zero columns are added, and columns and rows are shuffled.  With
+    torsion_free, only the first graph may have an odd cycle, so the
+    union has at most one non-bipartite component.
+    """
+    edges: list[tuple[int, int]] = []
+    ranges: list[range] = []
+    for index in range(draw(st.integers(1, 4))):
+        size = draw(st.integers(2, 5))
+        odd = size >= 3 and (index == 0 or not torsion_free) and draw(st.booleans())
+        colour = [0] * size
+        graph: list[tuple[int, int]] = []
+        start = 1
+        if odd:
+            start = draw(st.sampled_from([n for n in (3, 5) if n <= size]))
+            graph = [(i, (i + 1) % start) for i in range(start)]
+        for v in range(start, size):
+            u = draw(st.integers(0, v - 1))
+            graph.append((u, v))
+            colour[v] = 1 - colour[u]
+        pairs = [
+            (u, v)
+            for u, v in itertools.combinations(range(size), 2)
+            if odd or colour[u] != colour[v]
+        ]
+        graph += draw(st.lists(st.sampled_from(pairs), max_size=3))
+        offset = ranges[-1].stop if ranges else 0
+        edges += [(offset + u, offset + v) for u, v in graph]
+        ranges.append(range(offset, offset + size))
+    if len(ranges) > 1 and draw(st.booleans()):
+        pair = st.lists(st.sampled_from(ranges), min_size=2, max_size=2, unique=True)
+        first, second = draw(pair)
+        edges.append((draw(st.sampled_from(first)), draw(st.sampled_from(second))))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=2))
+    n = ranges[-1].stop + draw(st.integers(0, 2))
+    column = draw(st.permutations(range(n)))
+    rows = [
+        tuple(1 if c in (column[u], column[v]) else 0 for c in range(n))
+        for u, v in edges
+    ]
+    return draw(st.permutations(rows))
 
 
 @st.composite
@@ -310,23 +402,83 @@ SOLV3 = [
     (1, 0, 0, 0, 0, 1, 1), (1, 1, 0, 0, 0, 0, 0), (0, 1, 1, 0, 0, 1, 0),
     (0, 0, 1, 1, 0, 0, 0), (0, 0, 0, 1, 1, 1, 0), (0, 0, 0, 0, 1, 0, 1),
 ]
-# torsion-free, but the Bareiss minor is 2 (the triangle edge ideal) and 3,
-# so the screen decides them by ranks modulo 2 and 3
+# torsion-free, but the Bareiss minor is 2 (the triangle edge ideal and
+# MINOR2) and 3, so the rank screen decides them by ranks modulo 2 and 3;
+# the graph screen settles the triangle before it
 TRIANGLE = [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
 MINOR3 = [(0, 0, 1, 1), (0, 1, 1, 0), (1, 0, 1, 0), (1, 1, 0, 1)]
+MINOR2 = [(1, 0, 0, 0), (1, 1, 0, 1), (0, 0, 1, 1), (1, 1, 1, 0)]
+# three disjoint triangles: torsion (Z/2)^2
+TRIANGLES = [
+    tuple(1 if c in (3 * t + a, 3 * t + b) else 0 for c in range(9))
+    for t in range(3)
+    for a, b in ((0, 1), (0, 2), (1, 2))
+]
+# a triangle on columns 1, 3, 5 and the path 0-4-2-6, with the path's two
+# ends also single points: torsion Z/2, though the rows with two ones alone
+# are a graph with one non-bipartite component
+TIED_PATH = [
+    (0, 1, 0, 0, 0, 1, 0), (0, 0, 0, 1, 0, 1, 0), (0, 1, 0, 1, 0, 0, 0),
+    (1, 0, 0, 0, 1, 0, 0), (0, 0, 1, 0, 1, 0, 0), (0, 0, 1, 0, 0, 0, 1),
+    (1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 1),
+]
 
 
 @settings(max_examples=300, deadline=None)
-@given(points=zero_one_point_sets())
+@given(points=zero_one_point_sets() | graph_point_sets())
 @example(points=REM32)
 @example(points=SOLV3)
 @example(points=TRIANGLE)
 @example(points=MINOR3)
+@example(points=TRIANGLES)
+@example(points=TIED_PATH)
 def test_torsion_screen_agrees_with_smith_form(points):
     cert = torsion_check(points)
-    assert (cert is None) == (not _has_torsion_by_snf(points))
+    factors = _invariant_factors(points)
+    assert (cert is None) == all(d <= 1 for d in factors)
     if cert is not None:
         assert verify_torsion_certificate(cert, points)
+    # a graph's torsion is (Z/2)^(k-1) for its k non-bipartite components
+    k = odd_components_by_union_find(points)
+    if k is not None:
+        assert sorted(d for d in factors if d > 1) == [2] * max(k - 1, 0)
+
+
+def _forbidden(rows):
+    raise AssertionError("a torsion-free graph reached elimination")
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=graph_point_sets(torsion_free=True))
+@example(points=TRIANGLE)
+def test_torsion_free_graph_never_reaches_bareiss(points):
+    assert odd_components_by_union_find(points) <= 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(intlinalg, "bareiss_rank", _forbidden)
+        patch.setattr(intlinalg, "smith_normal_form", _forbidden)
+        assert torsion_check(points) is None
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        TRIANGLE + [(1, 0, 0)],  # a row with a single one
+        TIED_PATH,
+        [(1, 1, 0), (0, 1, 1), (1, 0, 1), (0, 0, 0)],  # a zero row
+        [(1, 1, 0), (2, 0, 1)],  # an entry 2
+        [(1, 1, 1), (1, 1, 0)],  # three ones
+    ],
+)
+def test_graph_screen_takes_only_rows_with_two_ones(points, monkeypatch):
+    seen = []
+
+    def spy(rows):
+        seen.append(rows)
+        return bareiss_rank(rows)
+
+    monkeypatch.setattr(intlinalg, "bareiss_rank", spy)
+    assert (torsion_check(points) is None) == (not _has_torsion_by_snf(points))
+    assert seen, "the graph screen took a row without exactly two ones"
 
 
 def test_torsion_free_input_skips_smith_form(load_ideal, monkeypatch):
@@ -338,7 +490,7 @@ def test_torsion_free_input_skips_smith_form(load_ideal, monkeypatch):
         assert torsion_check(polytope_from_ideal(load_ideal(name)).vertices) is None
 
 
-@pytest.mark.parametrize("points,minor", [(TRIANGLE, 2), (MINOR3, 3)])
+@pytest.mark.parametrize("points,minor", [(TRIANGLE, 2), (MINOR3, 3), (MINOR2, 2)])
 def test_torsion_screen_decides_by_rank_mod_p(points, minor, monkeypatch):
     def forbidden(rows):
         raise AssertionError("smith_normal_form ran on a torsion-free input")

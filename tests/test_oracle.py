@@ -393,6 +393,101 @@ def test_verify_coefficients_clause_order(load_ideal):
     assert res.witness == Witness((half,) * 6, 3, (1, 1, 1, 1, 1, 1, 1))
 
 
+HALF = Fraction(1, 2)
+# the unit square: its all-halves point (1, 1) is the sum of its second and
+# third vertices
+SQUARE = ZeroOnePolytope(((0, 0), (1, 0), (0, 1), (1, 1)))
+
+
+@pytest.mark.parametrize(
+    "polytope,coefficients,reason",
+    [
+        (REM32, [HALF] * 5, "coefficient count mismatch: got 5, polytope has 6 vertices"),
+        (
+            REM32,
+            [Fraction(3, 2)] * 7,
+            "coefficient count mismatch: got 7, polytope has 6 vertices",
+        ),
+        (REM32, [Fraction(-1, 2)] + [HALF] * 5, "coefficient -1/2 out of range [0, 1)"),
+        (REM32, [HALF, 1] + [HALF] * 4, "coefficient 1 out of range [0, 1)"),
+        (REM32, [Fraction(3, 2)] + [Fraction(1, 3)] * 5, "coefficient 3/2 out of range [0, 1)"),
+        (REM32, [HALF] * 5 + [Fraction(1, 3)], "coefficient sum 17/6 is not an integer"),
+        (REM32, [HALF, HALF, 0, HALF, Fraction(1, 4), Fraction(1, 4)], "point not integral"),
+        (REM32, [0] * 6, "point admits the integer decomposition (0, 0, 0, 0, 0, 0)"),
+        (SQUARE, [HALF] * 4, "point admits the integer decomposition (0, 1, 1, 0)"),
+    ],
+)
+def test_verify_coefficients_reasons_verbatim(polytope, coefficients, reason):
+    res = verify_coefficients(polytope, coefficients)
+    assert (res.valid, res.reason, res.witness) == (False, reason, None)
+
+
+def test_verify_coefficients_takes_int_and_str(load_ideal):
+    p = poly(load_ideal, "rem32.mat")
+    witness = Witness((HALF,) * 6, 3, (1, 1, 1, 1, 1, 1, 1))
+    for coefficients in (["1/2"] * 6, ["1/2", "0.5", HALF, "2/4", HALF, "1/2"]):
+        res = verify_coefficients(p, coefficients)
+        assert (res.valid, res.reason, res.witness) == (True, None, witness)
+        assert all(type(c) is Fraction for c in res.witness.coefficients)
+    res = verify_coefficients(p, [0, "0", 0, 0, Fraction(0), 0])
+    assert res.reason == "point admits the integer decomposition (0, 0, 0, 0, 0, 0)"
+    res = verify_coefficients(p, ["3/4"] + [0] * 5)
+    assert res.reason == "coefficient sum 3/4 is not an integer"
+
+
+@st.composite
+def coefficient_cases(draw):
+    """A small 0-1 polytope and a coefficient list for it, often malformed.
+
+    The polytope is random, or rem32, whose all-halves point is a valid
+    witness.  The count is sometimes off by one; each coefficient is a
+    multiple of 1/d for one d in 1..4, from -1/d to 1, or a half or a
+    zero, so valid lists, decomposable points and every failing clause all
+    occur.  Some entries are passed as int or str.
+    """
+    n = draw(st.integers(1, 5))
+    vertices = draw(
+        st.just(REM32.vertices)
+        | st.lists(st.tuples(*[st.integers(0, 1)] * n), min_size=1, max_size=6, unique=True)
+    )
+    s = len(vertices)
+    count = draw(st.sampled_from([s, s, s, s - 1, s + 1]))
+    d = draw(st.integers(1, 4))
+    value = (
+        st.integers(-1, d).map(lambda a: Fraction(a, d))
+        | st.sampled_from([Fraction(0), HALF])
+        | st.just(HALF)
+    )
+    coefficients = draw(st.lists(value, min_size=count, max_size=count))
+    forms = draw(
+        st.lists(st.sampled_from([Fraction, str, "int"]), min_size=count, max_size=count)
+    )
+    mixed = [
+        int(c) if form == "int" and c.denominator == 1 else str(c) if form is str else c
+        for c, form in zip(coefficients, forms)
+    ]
+    return ZeroOnePolytope(vertices), mixed
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=coefficient_cases())
+@example(case=(REM32, ["1/2", HALF, "1/2", HALF, "1/2", HALF]))
+def test_verify_coefficients_matches_fraction_reference(case):
+    import fraction_witness
+
+    polytope, coefficients = case
+    reason, degree, point = fraction_witness.check_coefficients(polytope.vertices, coefficients)
+    res = verify_coefficients(polytope, coefficients)
+    if reason is not None:
+        assert (res.valid, res.reason) == (False, reason)
+    elif res.valid:
+        assert res.witness == Witness(tuple(coefficients), degree, point)
+    else:
+        found = integer_decomposition(polytope, point, degree)
+        assert found is not None
+        assert res.reason == f"point admits the integer decomposition {found}"
+
+
 def test_verify_coefficients_runs_no_lp(load_ideal, monkeypatch):
     # coefficients that pass the range, sum and point clauses are a
     # membership certificate themselves, so no LP is solved
