@@ -276,17 +276,22 @@ def balanced_uniform_rule(hypergraph: LabeledHypergraph) -> RuleOutcome:
 def odd_cycle_rule(
     hypergraph: LabeledHypergraph, budget: int = ODD_CYCLE_BUDGET
 ) -> RuleOutcome:
-    """Normal by the odd cycle condition, when every generator has degree 2.
+    """Decide by the odd cycle condition, when every generator has degree 2.
 
     Then the ideal is the edge ideal of a simple graph G on the labels,
     one edge per vertex, and the polytope is G's edge polytope.  That is
     normal iff every two vertex-disjoint chordless odd cycles of G are
     joined by an edge (Ohsugi-Hibi 1998; Simis-Vasconcelos-Villarreal
     1998), read over all of G, so two odd cycles in different components
-    fail it.  Sufficient only: a failing pair is left to the negative
-    rules.  Each cycle is grown from its least label as a path with no
-    chord, closed when it reaches a neighbour of that label; the path
-    search runs under ``budget`` nodes.
+    fail it.  A failing pair C1, C2 gives the witness: 1/2 on each edge of
+    G with both ends in C1 u C2, which are exactly the |C1| + |C2| cycle
+    edges since both cycles are chordless and no edge joins them, at
+    degree (|C1| + |C2|)/2, with the indicator of C1 u C2 as its point.
+    The graph G induces on C1 u C2 is two odd cycles, which have no
+    perfect matching, so no sum of that many edges reaches the point.
+    Each cycle is grown from its least label as a path with no chord,
+    closed when it reaches a neighbour of that label; the path search
+    runs under ``budget`` nodes.
     """
     labels = hypergraph.labels
     owners = [0] * (hypergraph.num_vertices + 1)
@@ -321,10 +326,18 @@ def odd_cycle_rule(
                     cycles.add(path | (1 << w))
     for one, two in combinations(sorted(cycles), 2):
         if not one & two and not any(adjacent[u] & two for u in _members(one)):
+            union = one | two
+            half = Fraction(1, 2)
+            coefficients = [
+                half if owners[v] & union == owners[v] else Fraction(0)
+                for v in hypergraph.vertices
+            ]
+            witness = _witness_from_coefficients(hypergraph, coefficients, union.bit_count() // 2)
             one, two = (",".join(labels[u][0] for u in _members(c)) for c in (one, two))
             return RuleOutcome(
-                INAPPLICABLE,
+                NOT_NORMAL,
                 f"chordless odd cycles {{{one}}} and {{{two}}} are disjoint and not joined",
+                witness=witness,
             )
     return RuleOutcome(
         NORMAL, f"each two of its {len(cycles)} chordless odd cycles meet or are joined"

@@ -1,7 +1,7 @@
 """The decision pipeline: reduction, structural rules, minors, brute force.
 
-Rules run in a fixed priority order (exact rules first, sufficient-only
-rules next, brute force last) and the first conclusive one names the
+Rules run in a fixed priority order (structural rules first, minor
+detectors next, brute force last) and the first conclusive one names the
 verdict; everything that ran is kept as diagnostics.  Each structural
 rule is one ``Rule`` record: its id, how it runs, the paper statement
 each of its verdicts cites, and the guard that screens it on a minor.
@@ -304,7 +304,11 @@ STRUCTURAL_RULES = (
     Rule(
         "odd-cycle",
         lambda h, cfg: odd_cycle_rule(h),
-        {NORMAL: "Ohsugi-Hibi 1998, Simis-Vasconcelos-Villarreal 1998: odd cycle condition"},
+        {
+            NORMAL: "Ohsugi-Hibi 1998, Simis-Vasconcelos-Villarreal 1998: odd cycle condition",
+            NOT_NORMAL: "Ohsugi-Hibi 1998, Simis-Vasconcelos-Villarreal 1998: "
+            "two disjoint unjoined odd cycles",
+        },
     ),
 )
 # the rules that can fire on a minor, in the order they run on each one
@@ -545,12 +549,16 @@ def analyze(
     reported), then negative detectors over minors, then the exact oracle
     when the reduced instance fits its size caps.  The last structural
     rule, ``odd-cycle``, applies only when every generator of the reduced
-    ideal has degree 2: it says normal when every two vertex-disjoint
-    chordless odd cycles of that edge ideal's graph are joined by an edge
-    (Ohsugi-Hibi 1998, Simis-Vasconcelos-Villarreal 1998), so such a graph
-    skips the minors and the oracle, and its search runs under
-    ``certificates.ODD_CYCLE_BUDGET`` nodes.  Like every normal verdict,
-    its verdict carries no certificate.  Every candidate, minor
+    ideal has degree 2, and then decides both ways: the edge ideal's graph
+    is normal iff every two vertex-disjoint chordless odd cycles are
+    joined by an edge (Ohsugi-Hibi 1998, Simis-Vasconcelos-Villarreal
+    1998).  Two that are not, C1 and C2, give a witness: 1/2 on the
+    |C1| + |C2| cycle edges, at degree (|C1| + |C2|)/2, whose point, the
+    indicator of C1 u C2, no sum of that many edges reaches, since two
+    odd cycles have no perfect matching.  So such a graph skips the minors
+    and the oracle unless the search runs out of its
+    ``certificates.ODD_CYCLE_BUDGET`` nodes.  Its normal verdict, like
+    every normal verdict, carries no certificate.  Every candidate, minor
     hits included, goes through ``_settle``: witnesses found on reduced or
     minor hypergraphs are lifted back and verified against the original
     polytope, and one that fails falls through to the next candidate.

@@ -289,8 +289,11 @@ WHEEL = ["ab", "bc", "cd", "de", "ea"] + [(r, "h") for r in "abcde"]
         (
             "bowtie.ideal",
             RuleOutcome(
-                INAPPLICABLE,
+                NOT_NORMAL,
                 "chordless odd cycles {u1,u2,u3} and {u5,u6,u7} are disjoint and not joined",
+                witness=Witness(
+                    (HALF, HALF, HALF, 0, 0, HALF, HALF, HALF), 3, (1, 1, 1, 0, 1, 1, 1)
+                ),
             ),
         ),
         ("solv3.ideal", RuleOutcome(INAPPLICABLE, "generator 1 has degree 3, not 2")),
@@ -306,8 +309,48 @@ def test_odd_cycle_rule_lists_only_chordless_cycles():
     )
     # two triangles in different components are never joined
     assert odd_cycle_rule(graph_hypergraph("ab", "bc", "ca", "de", "ef", "fd")) == RuleOutcome(
-        INAPPLICABLE, "chordless odd cycles {a,b,c} and {d,e,f} are disjoint and not joined"
+        NOT_NORMAL,
+        "chordless odd cycles {a,b,c} and {d,e,f} are disjoint and not joined",
+        witness=Witness((HALF,) * 6, 3, (1,) * 6),
     )
+
+
+@pytest.mark.parametrize(
+    "edges, nonzero",
+    [
+        # a triangle and a 5-cycle whose closest nodes are two steps apart
+        (["ab", "bc", "ca", "cx", "xd", "de", "ef", "fg", "gh", "hd"], (1, 2, 3, 6, 7, 8, 9, 10)),
+        # a 5-cycle with the chord ac, and a triangle: only the chordless
+        # triangle abc of the 5-cycle pairs with it, and the chord is a
+        # triangle edge
+        (["ab", "bc", "cd", "de", "ea", "ac", "dx", "xy", "yz", "zx"], (1, 2, 6, 8, 9, 10)),
+    ],
+)
+def test_odd_cycle_witness_is_the_two_cycles(edges, nonzero):
+    # 1/2 on exactly the edges of the two cycles, at half their length,
+    # and the point is the indicator of their nodes
+    h = graph_hypergraph(*edges)
+    outcome = odd_cycle_rule(h)
+    assert outcome.status == NOT_NORMAL
+    witness = outcome.witness
+    assert witness.coefficients == tuple(HALF if v in nonzero else 0 for v in h.vertices)
+    assert witness.degree == len(nonzero) // 2
+    ends = {name for v in nonzero for name in edges[v - 1]}
+    assert witness.point == tuple(int(name in ends) for name, _ in h.labels)
+    polytope = polytope_from_ideal(ideal_of(h))
+    assert verify_witness(polytope, witness).valid
+    assert decide_normal_bruteforce(polytope).status == NOT_NORMAL
+
+
+def test_odd_cycle_rule_joined_cycles_are_normal():
+    # two triangles joined by an edge, or sharing a node, meet the condition
+    for edges in (
+        ["ab", "bc", "ca", "de", "ef", "fd", "ad"],
+        ["ab", "bc", "ca", "cd", "de", "ec"],
+    ):
+        h = graph_hypergraph(*edges)
+        assert odd_cycle_rule(h).status == NORMAL, edges
+        assert decide_normal_bruteforce(polytope_from_ideal(ideal_of(h))).status == NORMAL
 
 
 def test_odd_cycle_budget_exhaustion_is_reported():

@@ -70,23 +70,38 @@ def test_analyze_text_cites_rule(run_cli):
 
 
 def test_analyze_minor_trace_text(run_cli):
-    code, out, _ = run_cli("analyze", data_path("twin_d.ideal"))
+    code, out, _ = run_cli("analyze", data_path("mix41.ideal"))
     assert code == 0
     assert "rule: thm-3.8 (Theorem 3.8: non-normal minor)" in out
     assert "torsion certificate:" in out
     assert "  scope: minor" in out
     assert "  multiplier: 2" in out
-    assert "  vector: (0, 0, 0, 0, 0, 1, 1, 1)" in out
-    assert "  deleted edges: {5,9}" in out
-    assert "  surviving vertices: 1, 2, 3, 4, 6, 7, 8" in out
+    assert "  vector: (0, 0, 0, 0, 0, 0, 1, 1, 1, 1)" in out
+    assert "  deleted edges: {6,9,10,12}" in out
+    assert "  surviving vertices: 1, 2, 3, 4, 5, 7, 8, 11" in out
     assert "  rule: rem-3.2" in out
+    # twin_d, whose walk ended the same way, is now settled by the
+    # odd-cycle rule's witness before the walk
+    code, out, _ = run_cli("analyze", data_path("twin_d.ideal"))
+    assert code == 0
+    assert "rule: odd-cycle (Ohsugi-Hibi 1998, Simis-Vasconcelos-Villarreal 1998: " in out
+    assert "  coefficients: 1/2, 1/2, 1/2, 0/1, 0/1, 1/2, 1/2, 1/2, 0/1" in out
+    assert "  point: (1, 1, 1, 1, 1, 1, 0, 0)" in out
+    assert "minor:" not in out
 
 
 def test_analyze_exit_codes(run_cli):
-    code, out, _ = run_cli("analyze", data_path("veiled.ideal"), "--no-minors")
+    # mix41 keeps 12 vertices after reduction, past the oracle's cap, so
+    # only its minor walk decides it
+    code, out, _ = run_cli("analyze", data_path("mix41.ideal"), "--no-minors")
     assert code == 3
-    code, out, _ = run_cli("analyze", data_path("veiled.ideal"))
+    code, out, _ = run_cli("analyze", data_path("mix41.ideal"))
     assert code == 0
+    # veiled is decided by the odd-cycle rule, with or without minors
+    for flags in ((), ("--no-minors",)):
+        code, out, _ = run_cli("analyze", data_path("veiled.ideal"), *flags)
+        assert code == 0
+        assert out.startswith("verdict: not_normal\nrule: odd-cycle ")
 
 
 def test_analyze_missing_file(run_cli):

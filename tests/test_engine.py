@@ -2,11 +2,13 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
 from idpoly import certificates, engine
 from idpoly.certificates import (
@@ -41,8 +43,8 @@ from idpoly.hypergraph import (
     reduce_closed_fixpoint,
 )
 from idpoly.intlinalg import TorsionCertificate, torsion_check, verify_torsion_certificate
-from idpoly.model import SquarefreeIdeal, polytope_from_ideal
-from idpoly.oracle import decide_normal_bruteforce, verify_witness
+from idpoly.model import SquarefreeIdeal, ZeroOnePolytope, polytope_from_ideal
+from idpoly.oracle import decide_normal_bruteforce, vertex_sums, verify_witness
 
 from randutil import (
     benchmark_edge_ideals,
@@ -188,8 +190,36 @@ def test_solv3_diagnostics_record_prime(load_ideal):
     assert report.torsion_scope == "original"
 
 
-def test_twin_d_strict_goes_through_minors(load_ideal):
-    report = analyze(load_ideal("twin_d.ideal"))
+def without_rules(monkeypatch, *rules):
+    """Run the structural rules minus ``rules``, in their priority order."""
+    kept = tuple(r for r in engine.STRUCTURAL_RULES if r.id not in rules)
+    monkeypatch.setattr(engine, "STRUCTURAL_RULES", kept)
+
+
+def assert_odd_cycle_witness(ideal, report, nonzero, point):
+    """The report is the odd-cycle rule's: 1/2 on the generators ``nonzero``."""
+    assert report.status == NOT_NORMAL
+    assert report.rule == RULE_ODD_CYCLE
+    assert report.minor is None
+    assert report.torsion is None
+    assert report.verified
+    coefficients = report.witness.coefficients
+    assert tuple(i + 1 for i, c in enumerate(coefficients) if c) == nonzero
+    assert set(coefficients) == {0, HALF}
+    assert report.witness.degree == len(nonzero) // 2
+    assert report.witness.point == point
+    assert verify_witness(polytope_from_ideal(ideal), report.witness).valid
+
+
+# twin_d's triangles {a,b,c} and {e,f,g}: generators 1-3 and 6-8
+TWIN_D_ODD_CYCLES = ((1, 2, 3, 6, 7, 8), (1, 1, 1, 1, 1, 1, 0, 0))
+
+
+def test_twin_d_strict_goes_through_minors(load_ideal, monkeypatch):
+    ideal = load_ideal("twin_d.ideal")
+    assert_odd_cycle_witness(ideal, analyze(ideal), *TWIN_D_ODD_CYCLES)
+    without_rules(monkeypatch, RULE_ODD_CYCLE)
+    report = analyze(ideal)
     assert report.status == NOT_NORMAL
     assert report.rule == RULE_MINOR
     assert report.minor_rule == RULE_TORSION
@@ -222,9 +252,12 @@ def test_twin_d_relaxed_finds_pair_directly(load_ideal):
     assert report.verified
 
 
-def test_twin_d_without_minors_is_unknown(load_ideal):
+def test_twin_d_without_minors_is_unknown(load_ideal, monkeypatch):
     config = EngineConfig(minor_budget=0)
-    report = analyze(load_ideal("twin_d.ideal"), config)
+    ideal = load_ideal("twin_d.ideal")
+    assert_odd_cycle_witness(ideal, analyze(ideal, config), *TWIN_D_ODD_CYCLES)
+    without_rules(monkeypatch, RULE_ODD_CYCLE)
+    report = analyze(ideal, config)
     assert report.status == UNKNOWN
     assert report.rule is None
     assert not report.verified
@@ -234,8 +267,18 @@ def test_twin_d_without_minors_is_unknown(load_ideal):
     )
 
 
-def test_veiled_needs_minor_search(load_ideal):
-    report = analyze(load_ideal("veiled.ideal"))
+# veiled's triangle {u1,u2,u3} and 5-cycle {u5,...,u9}: generators 1-3 and 6-10
+VEILED_ODD_CYCLES = (
+    (1, 2, 3, 6, 7, 8, 9, 10),
+    (1, 1, 1, 0, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0),
+)
+
+
+def test_veiled_needs_minor_search(load_ideal, monkeypatch):
+    ideal = load_ideal("veiled.ideal")
+    assert_odd_cycle_witness(ideal, analyze(ideal), *VEILED_ODD_CYCLES)
+    without_rules(monkeypatch, RULE_ODD_CYCLE)
+    report = analyze(ideal)
     assert report.status == NOT_NORMAL
     assert report.rule == RULE_MINOR
     assert report.minor_rule == RULE_TORSION
@@ -252,7 +295,11 @@ def test_veiled_needs_minor_search(load_ideal):
 
 def test_veiled_pair_only_minor_search(load_ideal, monkeypatch):
     monkeypatch.setattr(engine, "MINOR_RULES", rules_named(RULE_PAIR))
-    report = analyze(load_ideal("veiled.ideal"), EngineConfig(minor_budget=20000))
+    ideal = load_ideal("veiled.ideal")
+    config = EngineConfig(minor_budget=20000)
+    assert_odd_cycle_witness(ideal, analyze(ideal, config), *VEILED_ODD_CYCLES)
+    without_rules(monkeypatch, RULE_ODD_CYCLE)
+    report = analyze(ideal, config)
     assert report.status == NOT_NORMAL
     assert report.rule == RULE_MINOR
     assert report.minor_rule == RULE_PAIR
@@ -271,21 +318,20 @@ def test_veiled_pair_only_minor_search(load_ideal, monkeypatch):
     assert verify_witness(poly, report.witness).valid
 
 
-def test_veiled_without_minors_is_unknown(load_ideal):
-    report = analyze(load_ideal("veiled.ideal"), EngineConfig(minor_budget=0))
+def test_veiled_without_minors_is_unknown(load_ideal, monkeypatch):
+    ideal = load_ideal("veiled.ideal")
+    config = EngineConfig(minor_budget=0)
+    assert_odd_cycle_witness(ideal, analyze(ideal, config), *VEILED_ODD_CYCLES)
+    without_rules(monkeypatch, RULE_ODD_CYCLE)
+    report = analyze(ideal, config)
     assert report.status == UNKNOWN
-
-
-def without_rules(monkeypatch, *rules):
-    """Run the structural rules minus ``rules``, in their priority order."""
-    kept = tuple(r for r in engine.STRUCTURAL_RULES if r.id not in rules)
-    monkeypatch.setattr(engine, "STRUCTURAL_RULES", kept)
 
 
 def test_closed_vertex_then_minor_witness_lift(monkeypatch):
     # bowtie plus a ninth generator z*u4: the engine reduces the closed
-    # vertex away, the pair detector is disabled, and the minor search
-    # must find the pair on the full reduced hypergraph (empty deletion)
+    # vertex away, the pair detector and the odd-cycle rule are disabled,
+    # and the minor search must find the pair on the full reduced
+    # hypergraph (empty deletion)
     ideal = SquarefreeIdeal(
         ("u1", "u2", "u3", "u4", "u5", "u6", "u7", "z"),
         (
@@ -300,7 +346,14 @@ def test_closed_vertex_then_minor_witness_lift(monkeypatch):
             {"z", "u4"},
         ),
     )
-    without_rules(monkeypatch, RULE_PAIR)
+    with monkeypatch.context() as patch:
+        # with the odd-cycle rule on, it settles the reduced graph first,
+        # with the same witness, lifted through the reduction
+        without_rules(patch, RULE_PAIR)
+        assert_odd_cycle_witness(
+            ideal, analyze(ideal), (1, 2, 3, 6, 7, 8), (1, 1, 1, 0, 1, 1, 1, 0)
+        )
+    without_rules(monkeypatch, RULE_PAIR, RULE_ODD_CYCLE)
     report = analyze(ideal)
     assert report.status == NOT_NORMAL
     assert report.rule == RULE_MINOR
@@ -376,9 +429,12 @@ def test_citation_strings():
         for status, text in rule.cite.items():
             assert text, (rule.id, status)
             assert citation_for(rule.id, status) == text
-    # only Theorem 4.1 decides both ways
+    assert citation_for(RULE_ODD_CYCLE, NOT_NORMAL) == (
+        "Ohsugi-Hibi 1998, Simis-Vasconcelos-Villarreal 1998: two disjoint unjoined odd cycles"
+    )
+    # only Theorem 4.1 and the odd cycle condition decide both ways
     assert [rule.id for rule in engine.STRUCTURAL_RULES if len(rule.cite) == 2] == [
-        RULE_CONNECTED_ODD
+        RULE_CONNECTED_ODD, RULE_ODD_CYCLE
     ]
 
 
@@ -479,15 +535,62 @@ def test_unreduced_and_reduced_verdicts_match(load_ideal):
     assert plain.status == padded.status == NOT_NORMAL
 
 
+def simplex_normality(polytope):
+    """Whether a lattice simplex is normal by its Smith form; None for a non-simplex.
+
+    The vertices are affinely independent exactly when the rows (v, 1)
+    are linearly independent, that is when the homogenized vertex matrix
+    has as many nonzero invariant factors as rows.  Such a simplex is
+    normal iff it is unimodular, iff every invariant factor is 1.  Then
+    the rows are a basis of the lattice points of their span, so every
+    point of kP is a sum of k vertices.  Otherwise some nonzero point
+    sum(c_i (v_i, 1)) of Z^(n+1) has every c_i in [0, 1), so degree
+    sum(c_i) >= 1, and no sum of vertices reaches it, since its
+    coefficients are unique and not integral.  Computed by sympy's
+    ``smith_normal_form``, so it shares no code with ``idpoly.intlinalg``.
+    """
+    matrix = sympy.Matrix([[*v, 1] for v in polytope.vertices])
+    if matrix.rows > matrix.cols:
+        return None
+    form = sympy_smith_normal_form(matrix, domain=sympy.ZZ)
+    factors = [abs(form[i, i]) for i in range(matrix.rows)]
+    if 0 in factors:
+        return None
+    return all(factor == 1 for factor in factors)
+
+
+@st.composite
+def zero_one_simplices(draw):
+    """Affinely independent 0-1 points, at most 7 in dimension at most 6."""
+    n = draw(st.integers(2, 6))
+    point = st.tuples(*[st.integers(0, 1)] * n)
+    polytope = ZeroOnePolytope(draw(st.lists(point, min_size=2, max_size=n + 1, unique=True)))
+    assume(simplex_normality(polytope) is not None)
+    return polytope
+
+
+# the standard triangle, and a tetrahedron of normalized volume 2 whose
+# point (1, 1, 1) at degree 2 is no sum of two vertices
+@example(polytope=ZeroOnePolytope([(0, 0), (1, 0), (0, 1)]))
+@example(polytope=ZeroOnePolytope([(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)]))
+@settings(max_examples=150, deadline=None)
+@given(polytope=zero_one_simplices())
+def test_simplex_normality_agrees_with_the_oracle(polytope):
+    normal = simplex_normality(polytope)
+    assert normal is not None
+    assert normal == (decide_normal_bruteforce(polytope).status == NORMAL)
+
+
 def structural_candidates_stand(h, relaxed_values=(False, True), oracle_statuses=None):
     """Check every candidate ``_detect`` returns on h against h's own polytope.
 
-    A witness must pass ``verify_witness``, a torsion certificate
-    ``verify_torsion_certificate`` on the polytope's vertices, and a normal
-    outcome the oracle's verdict within ``analyze``'s vertex cap.  Returns the
-    (rule, status) pairs that fired.  ``oracle_statuses`` maps a vertex set
-    to its oracle status; pass one dict to share those verdicts between
-    calls, since many minors span the same polytope.
+    A witness must pass ``verify_witness`` and a torsion certificate
+    ``verify_torsion_certificate`` on the polytope's vertices.  A normal
+    outcome must match ``simplex_normality`` on a lattice simplex, and on
+    any other polytope the oracle's verdict within ``analyze``'s vertex
+    cap.  Returns the (rule, status) pairs that fired.  ``oracle_statuses``
+    maps a vertex set to its status; pass one dict to share those verdicts
+    between calls, since many minors span the same polytope.
     """
     polytope = polytope_from_ideal(ideal_of(h))
     if oracle_statuses is None:
@@ -509,10 +612,14 @@ def structural_candidates_stand(h, relaxed_values=(False, True), oracle_statuses
                     assert verify_torsion_certificate(found.torsion, polytope.vertices), (rule, h)
                 continue
             assert found.status == NORMAL, (rule, h)
-            if h.num_vertices <= engine.ORACLE_MAX_VERTICES:
-                vertices = frozenset(polytope.vertices)
-                if vertices not in oracle_statuses:
+            vertices = frozenset(polytope.vertices)
+            if vertices not in oracle_statuses:
+                normal = simplex_normality(polytope)
+                if normal is not None:
+                    oracle_statuses[vertices] = NORMAL if normal else NOT_NORMAL
+                elif h.num_vertices <= engine.ORACLE_MAX_VERTICES:
                     oracle_statuses[vertices] = decide_normal_bruteforce(polytope).status
+            if vertices in oracle_statuses:
                 assert oracle_statuses[vertices] == NORMAL, (rule, h)
     return fired
 
@@ -550,6 +657,7 @@ def test_structural_candidates_stand_on_fixture_minors(load_ideal):
         (RULE_BICOLOR, NOT_NORMAL),
         (RULE_PAIR, NOT_NORMAL),
         (RULE_ODD_CYCLE, NORMAL),
+        (RULE_ODD_CYCLE, NOT_NORMAL),
     }
 
 
@@ -777,9 +885,19 @@ def fixture_ideals(load_ideal):
 def test_minor_walk_counters(load_ideal, monkeypatch, structural):
     # without the structural rules every input that keeps 2 or more
     # vertices after reduction reaches the walk; with them, mix45's walk
-    # runs to its end
+    # runs to its end.  With every rule, mix41 and mix45 alone reach the
+    # walk, so the structural run drops the odd-cycle rule, which lets
+    # twin_d and veiled walk too
     cfg = EngineConfig()
-    if not structural:
+    if structural:
+        walking = [
+            name
+            for name, ideal in fixture_ideals(load_ideal)
+            if "minors_examined" in analyze(ideal).stats
+        ]
+        assert walking == ["mix41.ideal", "mix45.ideal"]
+        without_rules(monkeypatch, RULE_ODD_CYCLE)
+    else:
         monkeypatch.setattr(engine, "STRUCTURAL_RULES", ())
         cfg = EngineConfig(use_oracle=False)
     walked = 0
@@ -833,9 +951,20 @@ def odd_cycle_normal_is_unopposed(h):
 @given(ideal=small_graph_edge_ideals())
 def test_odd_cycle_rule_agrees_with_the_oracle(ideal):
     # the odd cycle condition is exact on edge ideals: the rule says normal
-    # exactly where the oracle does, and is inapplicable elsewhere
-    said_normal = odd_cycle_normal_is_unopposed(build_from_ideal(ideal))
-    assert said_normal == (oracle_report(ideal).status == NORMAL)
+    # exactly where the oracle does, and not_normal exactly where the oracle
+    # does, with a witness that stands on the polytope and whose point no
+    # sum of that many vertices reaches
+    h = build_from_ideal(ideal)
+    said_normal = odd_cycle_normal_is_unopposed(h)
+    outcome = odd_cycle_rule(h)
+    assert outcome.status == oracle_report(ideal).status
+    assert said_normal == (outcome.status == NORMAL)
+    if outcome.status == NOT_NORMAL:
+        polytope = polytope_from_ideal(ideal)
+        witness = outcome.witness
+        assert verify_witness(polytope, witness).valid
+        sums = next(islice(vertex_sums(polytope.vertices), witness.degree - 1, None))
+        assert witness.point not in sums
 
 
 def test_odd_cycle_normal_is_unopposed_on_fixtures(load_ideal):
@@ -847,18 +976,26 @@ def test_odd_cycle_normal_is_unopposed_on_fixtures(load_ideal):
     assert normal > 0
 
 
-@pytest.mark.parametrize("seed, normal", [(5, 184), (6, 191)])
-def test_odd_cycle_rule_on_the_benchmark_edge_graphs(seed, normal):
-    # every graph of both analyze-edge populations that the rule leaves
-    # is not normal, and on the rest no negative detector fires
-    said_normal = 0
+@pytest.mark.parametrize(
+    "seed, normal, not_normal",
+    [pytest.param(5, 184, 16, id="5-184"), pytest.param(6, 191, 9, id="6-191")],
+)
+def test_odd_cycle_rule_on_the_benchmark_edge_graphs(seed, normal, not_normal):
+    # the rule decides every graph of both analyze-edge populations: where
+    # it says normal no negative detector fires, and where it says not
+    # normal the report is not_normal too; no report walks a minor
+    said = {NORMAL: 0, NOT_NORMAL: 0}
     for ideal in benchmark_edge_ideals(seed):
         reduced, _ = reduce_closed_fixpoint(build_from_ideal(ideal))
         if odd_cycle_normal_is_unopposed(reduced):
-            said_normal += 1
+            said[NORMAL] += 1
         else:
-            assert analyze(ideal).status == NOT_NORMAL, ideal
-    assert said_normal == normal
+            assert odd_cycle_rule(reduced).status == NOT_NORMAL, ideal
+            said[NOT_NORMAL] += 1
+            report = analyze(ideal)
+            assert report.status == NOT_NORMAL, ideal
+            assert "minors_examined" not in report.stats, ideal
+    assert said == {NORMAL: normal, NOT_NORMAL: not_normal}
 
 
 def test_odd_cycle_budget_exhaustion_keeps_the_verdict(load_ideal, monkeypatch):
