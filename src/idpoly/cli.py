@@ -16,7 +16,6 @@ to unknown.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import warnings
 from pathlib import Path
@@ -104,7 +103,7 @@ def _cmd_hypergraph(args: argparse.Namespace) -> int:
     ideal = _load_ideal(Path(args.file))
     hypergraph = build_from_ideal(ideal)
     if args.format == "json":
-        print(json.dumps(report.hypergraph_payload(hypergraph), indent=2))
+        print(report.to_json(report.hypergraph_payload(hypergraph)))
     else:
         print(report.hypergraph_text(hypergraph), end="")
     return EXIT_OK
@@ -115,7 +114,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     hypergraph = build_from_ideal(ideal)
     reduced, trace = reduce_closed_fixpoint(hypergraph)
     if args.format == "json":
-        print(json.dumps(report.reduction_report_payload(trace, reduced), indent=2))
+        print(report.to_json(report.reduction_report_payload(trace, reduced)))
     else:
         print(report.reduction_report_text(trace, reduced), end="")
     return EXIT_OK
@@ -127,7 +126,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     coefficients = parse_witness_text(_read_text(Path(args.witness)))
     result = verify_coefficients(polytope, coefficients)
     if args.format == "json":
-        print(json.dumps(report.verification_payload(result), indent=2))
+        print(report.to_json(report.verification_payload(result)))
     else:
         print(report.verification_text(result), end="")
     return EXIT_OK

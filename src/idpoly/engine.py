@@ -56,7 +56,6 @@ from .hypergraph import (
     LabeledHypergraph,
     Minor,
     MinorTrace,
-    NotSeparatedError,
     ReductionTrace,
     build_from_ideal,
     enumerate_minors,
@@ -565,11 +564,8 @@ def analyze(
     """
     cfg = config or EngineConfig()
     started = time.perf_counter()
-    hypergraph = build_from_ideal(ideal)
-    violation = hypergraph.separation_violation()
-    if violation is not None:
-        raise NotSeparatedError(violation)
-    reduced, reduction = reduce_closed_fixpoint(hypergraph)
+    # the hypergraph of an ideal is separated (see build_from_ideal)
+    reduced, reduction = reduce_closed_fixpoint(build_from_ideal(ideal))
     diagnostics: list[tuple[str, str]] = []
     stats: dict = {"reduction_rounds": len(reduction.rounds)}
     if reduced.num_vertices <= 1:

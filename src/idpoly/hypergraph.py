@@ -14,9 +14,13 @@ is frozen, so the structure derived from it (edges, separation, simple
 edges, 1-skeleton) is computed once per object and shared by every
 caller; none of it may be mutated.
 
-Restrictions to a vertex subset (induced subhypergraphs, the reduced
-hypergraph, every minor) are built by one private constructor that skips
-validation, since a restriction of a valid hypergraph is valid.  The
+The hypergraph of an ideal and its restrictions to a vertex subset
+(induced subhypergraphs, the reduced hypergraph, every minor) are built
+without validation, since a valid ideal gives a valid hypergraph and a
+restriction of a valid hypergraph is valid.  The hypergraph of an ideal
+is separated, and so is every restriction of a separated hypergraph, so
+they record it instead of scanning vertex pairs.  The closed-vertex
+reduction runs on each label's image as a bitmask.  The
 minor walk keeps each surviving vertex set as a bitmask, with vertex v of
 n stored as bit n - v, so that integer order on masks of one size is the
 reverse of lexicographic order on their vertex tuples.  It yields each
@@ -159,6 +163,12 @@ class LabeledHypergraph:
         return {img: tuple(names) for img, names in grouped.items()}
 
     @cached_property
+    def label_masks(self) -> tuple[int, ...]:
+        """Each label's image as a mask, in label order, vertex v of n as bit n - v."""
+        bits = [1 << (self.num_vertices - v) for v in range(self.num_vertices + 1)]
+        return tuple(sum(map(bits.__getitem__, img)) for _, img in self.labels)
+
+    @cached_property
     def edges(self) -> tuple[tuple[int, ...], ...]:
         distinct = (tuple(sorted(img)) for img in self._labels_by_image if img)
         return tuple(sorted(distinct, key=edge_sort_key))
@@ -234,17 +244,45 @@ class LabeledHypergraph:
 
 
 def build_from_ideal(ideal: SquarefreeIdeal) -> LabeledHypergraph:
-    """Hypergraph on generator indices; a variable maps to the generators it divides."""
-    labels = tuple(
-        (
-            name,
-            frozenset(
-                j + 1 for j, gen in enumerate(ideal.generators) if name in gen
-            ),
-        )
-        for name in ideal.variables
-    )
-    return LabeledHypergraph(len(ideal.generators), labels)
+    """Hypergraph on generator indices; a variable maps to the generators it divides.
+
+    One pass over the generators, and no ``__post_init__``: a valid ideal
+    meets every invariant it checks.  The labels are the ideal's
+    variables, which are distinct nonempty strings.  Each image holds
+    generator indices, so it lies in 1..s.  Each generator is nonempty
+    and uses only declared variables, so each vertex lies in the image of
+    each of its variables.  The hypergraph is also separated: the
+    generators form an antichain, so for vertices v != w some variable
+    divides generator v but not generator w, and its label contains v
+    but not w.  That is recorded, so ``separation_violation`` costs
+    nothing here or on any restriction.
+    """
+    n = len(ideal.generators)
+    images: dict[str, list[int]] = {name: [] for name in ideal.variables}
+    for vertex, generator in enumerate(ideal.generators, start=1):
+        for name in generator:
+            images[name].append(vertex)
+    labels = tuple((name, frozenset(image)) for name, image in images.items())
+    return _unchecked(n, labels, separated=True)
+
+
+def _unchecked(
+    num_vertices: int,
+    labels: tuple[tuple[str, frozenset[int]], ...],
+    separated: bool,
+) -> LabeledHypergraph:
+    """A LabeledHypergraph built without ``__post_init__``.
+
+    Its callers prove that the labels meet every invariant.  When they
+    also prove the hypergraph separated, the cached answer of
+    ``separation_violation`` is set to None, so the O(s^2) scan never runs.
+    """
+    hypergraph = object.__new__(LabeledHypergraph)
+    object.__setattr__(hypergraph, "num_vertices", num_vertices)
+    object.__setattr__(hypergraph, "labels", labels)
+    if separated:
+        vars(hypergraph)["_separation_violation"] = None
+    return hypergraph
 
 
 def ideal_of(hypergraph: LabeledHypergraph) -> SquarefreeIdeal:
@@ -305,18 +343,24 @@ def _restrict(
     __post_init__: label names stay distinct and nonempty, images stay
     frozensets inside 1..len(keep), and every kept vertex keeps an image,
     so its checks could never fail.
+
+    A restriction of a separated hypergraph is separated, and is recorded
+    so when the parent is known to be.  A hypergraph is separated when no
+    vertex's set of labels is contained in another's.  A restriction
+    keeps every label whose image holds a kept vertex, and that vertex in
+    it, so each kept vertex keeps its set of labels, and the subset order
+    of those sets does not change.
     """
+    n = hypergraph.num_vertices
+    state = sum(1 << (n - v) for v in keep)
     renumber = {old: new for new, old in enumerate(keep, start=1)}.get
     labels = []
-    for name, img in hypergraph.labels:
-        # new ids start at 1, so filter(None, ...) drops exactly the lost ones
-        contracted = frozenset(filter(None, map(renumber, img)))
-        if contracted:
-            labels.append((name, contracted))
-    restricted = object.__new__(LabeledHypergraph)
-    object.__setattr__(restricted, "num_vertices", len(keep))
-    object.__setattr__(restricted, "labels", tuple(labels))
-    return restricted
+    for (name, img), mask in zip(hypergraph.labels, hypergraph.label_masks):
+        if mask & state:
+            # new ids start at 1, so filter(None, ...) drops exactly the lost ones
+            labels.append((name, frozenset(filter(None, map(renumber, img)))))
+    separated = vars(hypergraph).get("_separation_violation", ()) is None
+    return _unchecked(len(keep), tuple(labels), separated)
 
 
 @dataclass(frozen=True)
@@ -440,7 +484,8 @@ def enumerate_minors(
     if budget is not None and budget <= 0:
         return
     n = hypergraph.num_vertices
-    images = {sum(1 << (n - v) for v in img) for img in hypergraph._labels_by_image if img}
+    images = set(hypergraph.label_masks)
+    images.discard(0)
     start = (1 << n) - 1
     # per discovered state, the edge whose deletion found it
     deleted = {start: 0}
@@ -500,22 +545,30 @@ def reduce_closed_fixpoint(
     (contracting every edge through it) preserves normality in both
     directions.  Removal is simultaneous per round and a round can close
     new vertices, hence the fixpoint.
+
+    The rounds run on ``label_masks``, as ``closed_core`` does: a label
+    covers exactly one survivor when its mask meets the survivors in one
+    bit, and the first such label in label order names the vertex.
+    Vertex v of n is bit n - v, so descending bits are ascending vertices.
     """
-    survivors = set(hypergraph.vertices)
+    n = hypergraph.num_vertices
+    survivors = (1 << n) - 1
     rounds: list[tuple[tuple[int, str], ...]] = []
     while True:
-        current: dict[int, str] = {}
-        for name, img in hypergraph.labels:
-            contracted = img & survivors
-            if len(contracted) == 1:
-                (v,) = contracted
-                current.setdefault(v, name)
-        if not current:
+        first: dict[int, str] = {}
+        for (name, _), mask in zip(hypergraph.labels, hypergraph.label_masks):
+            rest = mask & survivors
+            if rest and not rest & (rest - 1):
+                first.setdefault(rest, name)
+        if not first:
             break
-        rounds.append(tuple((v, current[v]) for v in sorted(current)))
-        survivors -= current.keys()
-    reduced, mapping = induced_subhypergraph(hypergraph, survivors)
-    return reduced, ReductionTrace(hypergraph, tuple(rounds), mapping)
+        rounds.append(
+            tuple((n + 1 - bit.bit_length(), first[bit]) for bit in sorted(first, reverse=True))
+        )
+        survivors ^= sum(first)
+    surviving = _mask_vertices(n, survivors)
+    reduced = _restrict(hypergraph, surviving)
+    return reduced, ReductionTrace(hypergraph, tuple(rounds), surviving)
 
 
 def closed_core(state: int, edges: Collection[int]) -> int:

@@ -34,6 +34,24 @@ def _check_variable_names(variables: Sequence[str]) -> None:
         seen.add(name)
 
 
+def _check_alphabet(
+    variables: tuple[str, ...], generators: tuple[frozenset[str], ...]
+) -> None:
+    """Every check of an ideal but minimality, in the order they report."""
+    _check_variable_names(variables)
+    if not generators:
+        raise InputError("an ideal needs at least one generator")
+    alphabet = set(variables)
+    for idx, gen in enumerate(generators, start=1):
+        if not gen:
+            raise InputError(f"generator {idx} is the unit monomial")
+        stray = gen - alphabet
+        if stray:
+            raise InputError(
+                f"generator {idx} uses undeclared variable {min(stray)!r}"
+            )
+
+
 @dataclass(frozen=True)
 class SquarefreeIdeal:
     """An ordered alphabet and an ordered antichain of generator supports.
@@ -52,18 +70,7 @@ class SquarefreeIdeal:
         object.__setattr__(
             self, "generators", tuple(frozenset(g) for g in self.generators)
         )
-        _check_variable_names(self.variables)
-        if not self.generators:
-            raise InputError("an ideal needs at least one generator")
-        alphabet = set(self.variables)
-        for idx, gen in enumerate(self.generators, start=1):
-            if not gen:
-                raise InputError(f"generator {idx} is the unit monomial")
-            stray = gen - alphabet
-            if stray:
-                raise InputError(
-                    f"generator {idx} uses undeclared variable {min(stray)!r}"
-                )
+        _check_alphabet(self.variables, self.generators)
         for i, gi in enumerate(self.generators):
             for j, gj in enumerate(self.generators):
                 if i != j and gi <= gj:
@@ -104,20 +111,39 @@ def minimalize_generators(
     DroppedGeneratorWarning.  Exact duplicates are rejected instead, since
     silently merging them would hide a likely input mistake.  Surviving
     generators keep their first-occurrence order.
+
+    Supports are compared as variable bitmasks, one bit per distinct name
+    (a name outside the alphabet gets a bit above every alphabet bit, and
+    the ideal's checks then reject it), so equal masks are equal supports
+    and ``low & high == low`` is containment.  The survivors form an
+    antichain by construction, so the ideal is built without checking
+    that again.
     """
+    variables = tuple(variables)
     supports = [frozenset(g) for g in generators]
     if not supports:
         raise InputError("an ideal needs at least one generator")
-    seen: dict[frozenset[str], int] = {}
+    # a name that is not a str, perhaps not even hashable, gets no bit
+    # here; the ideal's checks reject it after the generators' errors
+    bit = {name: 1 << i for i, name in enumerate(variables) if isinstance(name, str)}
+    masks: list[int] = []
+    first: dict[int, int] = {}
     for idx, sup in enumerate(supports, start=1):
-        if sup in seen:
-            raise InputError(f"generators {seen[sup]} and {idx} are identical")
-        seen[sup] = idx
+        try:
+            mask = sum(map(bit.__getitem__, sup))
+        except KeyError:
+            for name in sup.difference(bit):
+                bit[name] = 1 << (len(variables) + len(bit))
+            mask = sum(map(bit.__getitem__, sup))
+        if mask in first:
+            raise InputError(f"generators {first[mask]} and {idx} are identical")
+        first[mask] = idx
+        masks.append(mask)
     keep: list[frozenset[str]] = []
     dropped: list[int] = []
-    for idx, sup in enumerate(supports):
-        if any(other < sup for other in supports if other != sup):
-            dropped.append(idx + 1)
+    for idx, (sup, mask) in enumerate(zip(supports, masks), start=1):
+        if any(low & mask == low != mask for low in masks):
+            dropped.append(idx)
         else:
             keep.append(sup)
     if dropped:
@@ -126,7 +152,22 @@ def minimalize_generators(
             DroppedGeneratorWarning,
             stacklevel=2,
         )
-    return SquarefreeIdeal(tuple(variables), tuple(keep))
+    return _antichain_ideal(variables, tuple(keep))
+
+
+def _antichain_ideal(
+    variables: tuple[str, ...], generators: tuple[frozenset[str], ...]
+) -> SquarefreeIdeal:
+    """``SquarefreeIdeal(variables, generators)`` for generators known to be an antichain.
+
+    It runs every check of the public constructor but the quadratic
+    minimality check, which its one caller has already settled.
+    """
+    _check_alphabet(variables, generators)
+    ideal = object.__new__(SquarefreeIdeal)
+    object.__setattr__(ideal, "variables", variables)
+    object.__setattr__(ideal, "generators", generators)
+    return ideal
 
 
 def generator_degrees(ideal: SquarefreeIdeal) -> tuple[int, ...]:

@@ -26,10 +26,11 @@ def _strip_comment(line: str) -> str:
     return line.split("#", 1)[0]
 
 
-def _declared_names(rest: str, offset: int, line_no: int) -> list[str]:
+def _declared_names(line: str, line_no: int) -> list[str]:
     """Read the names on a ``vars:`` line; commas and spaces both separate."""
-    names: list[str] = []
-    for match in re.finditer(r"[^,\s]+", rest):
+    offset = len(line) - len(line.lstrip()) + len(_VARS_PREFIX)
+    names = []
+    for match in re.finditer(r"[^,\s]+", line[offset:]):
         name = match.group()
         col = offset + match.start() + 1
         if not _IDENT.match(name):
@@ -46,36 +47,49 @@ def _declared_names(rest: str, offset: int, line_no: int) -> list[str]:
     return names
 
 
-def _parse_monomial(chunk: str, chunk_col: int, line_no: int) -> frozenset[str]:
-    """Parse ``a*b*c`` into its variable set.
+def _scan_generators(line: str, line_no: int) -> list[frozenset[str]]:
+    """The generators of a line, read in one pass of ``str.split``.
 
-    chunk_col is the 1-based column of chunk[0] in the original line, so
-    error positions point into the file, not into the stripped fragment.
-    A repeated variable would make the monomial non-squarefree and is
-    rejected here rather than silently collapsed.
+    The line is split on commas and each generator on ``*``; a blank
+    piece between commas is skipped.  A generator passes when its names
+    are distinct identifiers.  The first name that fails raises, and only
+    then is its column worked out.
     """
-    seen: list[str] = []
+    generators = []
     start = 0
-    for i in range(len(chunk) + 1):
-        if i < len(chunk) and chunk[i] != "*":
-            continue
-        piece = chunk[start:i]
-        lead = len(piece) - len(piece.lstrip())
-        name = piece.strip()
-        col = chunk_col + start + lead
-        if not name:
-            raise InputError(f"line {line_no}, column {col}: empty factor in monomial")
-        if not _IDENT.match(name):
-            raise InputError(
-                f"line {line_no}, column {col}: expected a variable name, got {name!r}"
-            )
-        if name in seen:
-            raise InputError(
-                f"line {line_no}, column {col}: repeated variable {name!r} in monomial"
-            )
-        seen.append(name)
-        start = i + 1
-    return frozenset(seen)
+    for piece in line.split(","):
+        chunk = piece.strip()
+        if chunk:
+            names: list[str] = []
+            factors = chunk.split("*")
+            for factor in factors:
+                name = factor.strip()
+                if not _IDENT.match(name) or name in names:
+                    # every factor before this one gave a name
+                    col = start + len(piece) - len(piece.lstrip()) + 1
+                    col += sum(len(f) + 1 for f in factors[: len(names)])
+                    col += len(factor) - len(factor.lstrip())
+                    raise _bad_factor(line_no, col, name)
+                names.append(name)
+            generators.append(frozenset(names))
+        start += len(piece) + 1
+    return generators
+
+
+def _bad_factor(line_no: int, col: int, name: str) -> InputError:
+    """The error for a factor that failed in ``_scan_generators``.
+
+    The column is that of the name's first character; an empty factor
+    points at the ``*`` after it, or just past the generator when it
+    comes last.  A valid identifier can only have failed as a repeat.
+    """
+    if not name:
+        problem = "empty factor in monomial"
+    elif not _IDENT.match(name):
+        problem = f"expected a variable name, got {name!r}"
+    else:
+        problem = f"repeated variable {name!r} in monomial"
+    return InputError(f"line {line_no}, column {col}: {problem}")
 
 
 def parse_ideal_text(text: str) -> SquarefreeIdeal:
@@ -87,35 +101,29 @@ def parse_ideal_text(text: str) -> SquarefreeIdeal:
     by ``*``; ``#`` starts a comment.  Variables that appear in a
     generator without being declared are appended after the declared ones
     in lexicographic order.  Dominated generators are dropped with a
-    warning, duplicated generators are an error.
+    warning, duplicated generators are an error.  A repeated variable
+    would make a monomial non-squarefree and is an error too, not
+    silently collapsed.
+
+    Each line is read in one pass of ``str.split`` by ``_scan_generators``,
+    which raises the error of its first bad name, with line and column.
     """
     declared: list[str] | None = None
     generators: list[frozenset[str]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw)
-        if not line.strip():
+        if (
+            declared is None
+            and not generators
+            and line.lstrip().startswith(_VARS_PREFIX)
+        ):
+            declared = _declared_names(line, line_no)
             continue
-        stripped = line.lstrip()
-        if declared is None and not generators and stripped.startswith(_VARS_PREFIX):
-            offset = len(line) - len(stripped) + len(_VARS_PREFIX)
-            declared = _declared_names(line[offset:], offset, line_no)
-            continue
-        start = 0
-        for i in range(len(line) + 1):
-            if i < len(line) and line[i] != ",":
-                continue
-            piece = line[start:i]
-            if piece.strip():
-                lead = len(piece) - len(piece.lstrip())
-                generators.append(
-                    _parse_monomial(piece.strip(), start + lead + 1, line_no)
-                )
-            start = i + 1
+        generators.extend(_scan_generators(line, line_no))
     if not generators:
         raise InputError("no generators found: the ideal is empty")
-    used: set[str] = set().union(*generators)
-    names = list(declared or [])
-    names.extend(sorted(used - set(names)))
+    names = declared or []
+    names.extend(sorted(set().union(*generators).difference(names)))
     return minimalize_generators(tuple(names), generators)
 
 

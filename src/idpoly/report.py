@@ -2,14 +2,15 @@
 
 The JSON layout is fixed: nine top-level keys in a fixed order, rationals
 as reduced "num/den" strings, and everything timing-dependent isolated
-under "stats" so two runs on the same input differ only there.  The text
+under "stats" so two runs on the same input differ only there.  Every
+JSON report, of every subcommand, is written by ``to_json``.  The text
 renderers aim at humans and cite the applied rule by its long name.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .certificates import Witness
 from .engine import VerdictReport
@@ -89,8 +90,63 @@ def report_payload(report: VerdictReport) -> dict:
     }
 
 
+def to_json(payload) -> str:
+    """``json.dumps(payload, indent=2)``, byte for byte, for the report payloads.
+
+    A payload is built of dicts with str keys, lists, tuples, strs, ints,
+    floats, bools and None, exactly those types and no subclasses, and
+    any other value raises TypeError.  ``json.dumps`` with an indent runs
+    its pure-Python encoder; this writer lays out the same text by one
+    recursive join, and escapes strings with the C escaper behind
+    ``ensure_ascii``.  Floats are written as ``float.__repr__``, which is
+    how ``json.dumps`` writes a finite float.
+    """
+    return _json_text(payload, "\n")
+
+
+_INFINITY = float("inf")
+
+
+def _json_text(value, newline: str) -> str:
+    """``value`` as JSON; each line it opens starts with ``newline``'s indent."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = []
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(encode_basestring_ascii(key) + ": " + _json_text(item, inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if kind is float:
+        if value != value:
+            return "NaN"
+        if value == _INFINITY:
+            return "Infinity"
+        if value == -_INFINITY:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def render_json(report: VerdictReport) -> str:
-    return json.dumps(report_payload(report), indent=2)
+    return to_json(report_payload(report))
 
 
 def render_text(report: VerdictReport) -> str:

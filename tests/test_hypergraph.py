@@ -27,6 +27,7 @@ from idpoly.hypergraph import (
 )
 from idpoly.model import SquarefreeIdeal, polytope_from_ideal
 
+import reference_hypergraph as reference
 from randutil import random_minimal_ideal, separated_hypergraphs, skeleton_by_bfs
 
 
@@ -443,3 +444,60 @@ def test_minor_dedup_on_survivor_sets(load_ideal):
     assert len(states) == len(set(states))
     sizes = [len(s) for s in states]
     assert sizes == sorted(sizes, reverse=True)
+
+
+def _seeded_ideals(seed: int, count: int = 200):
+    rng = random.Random(seed)
+    return [random_minimal_ideal(rng, 12, 10) for _ in range(count)]
+
+
+def fresh_separation_violation(h: LabeledHypergraph) -> tuple[int, int] | None:
+    """``separation_violation()`` scanned anew, whatever the object has cached."""
+    return LabeledHypergraph._separation_violation.func(h)
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_build_from_ideal_is_the_validated_construction(seed):
+    for ideal in _seeded_ideals(seed):
+        h = build_from_ideal(ideal)
+        expected = reference.build_from_ideal(ideal)
+        assert h == expected
+        assert h.label_masks == expected.label_masks
+        assert h.separation_violation() is None
+        assert fresh_separation_violation(h) is None
+
+
+def _assert_reduction_matches_reference(h: LabeledHypergraph) -> None:
+    reduced, trace = reduce_closed_fixpoint(h)
+    expected, rounds, surviving = reference.reduce_closed_fixpoint(h)
+    assert trace.original is h
+    assert trace.rounds == rounds
+    assert trace.surviving == surviving
+    assert reduced == expected
+    assert reduced.separation_violation() == fresh_separation_violation(reduced)
+
+
+@pytest.mark.parametrize("seed", [5, 13])
+def test_mask_reduction_is_the_set_reduction_on_ideals(seed):
+    for ideal in _seeded_ideals(seed):
+        _assert_reduction_matches_reference(build_from_ideal(ideal))
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=small_hypergraphs() | wide_hypergraphs() | separated_hypergraphs())
+def test_mask_reduction_is_the_set_reduction(h):
+    _assert_reduction_matches_reference(h)
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=small_hypergraphs() | separated_hypergraphs())
+def test_restrictions_answer_separation_as_a_fresh_scan(h):
+    # a restriction of a separated hypergraph is recorded separated; of
+    # any other, it is scanned when asked
+    separated = h.is_separated
+    reduced, _ = reduce_closed_fixpoint(h)
+    restrictions = [reduced] + [m.hypergraph for m in enumerate_minors(reduced, budget=100)]
+    for sub in restrictions:
+        if separated:
+            assert vars(sub)["_separation_violation"] is None
+        assert sub.separation_violation() == fresh_separation_violation(sub)

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from idpoly.model import DroppedGeneratorWarning, InputError, SquarefreeIdeal
+from idpoly.model import (
+    DroppedGeneratorWarning,
+    InputError,
+    SquarefreeIdeal,
+    minimalize_generators,
+)
 from idpoly.parsing import (
     parse_ideal_text,
     parse_matrix_text,
@@ -16,6 +21,7 @@ from idpoly.parsing import (
     print_ideal,
 )
 
+import reference_parsing
 from randutil import random_minimal_ideal
 
 
@@ -181,6 +187,117 @@ def test_parsers_raise_only_input_error(text):
                 parse(text)
             except InputError:
                 pass
+
+
+def _outcome(build):
+    """What ``build()`` returns or its InputError message, and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = build()
+        except InputError as exc:
+            result = f"InputError: {exc}"
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+# names the grammar takes, and strings it rejects in a name's place
+_GOOD_NAMES = ("a", "b", "c", "x1", "x10", "_z")
+_BAD_NAMES = ("", "1q", "a-b", "\u00e9", "a b", "vars:", "x.1")
+_PAD = st.sampled_from(("", "", "", " ", "  ", "\t", "\u00a0"))
+_NAME = st.sampled_from(_GOOD_NAMES) | st.sampled_from(_BAD_NAMES)
+_COMMENT = st.sampled_from(("", "", "", " # note", "#", "# a*b, c"))
+
+
+@st.composite
+def _monomials(draw):
+    names = draw(st.lists(st.sampled_from(_GOOD_NAMES), min_size=1, max_size=3, unique=True))
+    if not draw(st.integers(0, 5)):
+        # a bad name, an empty factor or a repeated variable somewhere
+        names.insert(draw(st.integers(0, len(names))), draw(_NAME))
+    return "*".join(draw(_PAD) + name + draw(_PAD) for name in names)
+
+
+@st.composite
+def _generator_lines(draw):
+    pieces = draw(st.lists(_monomials() | _monomials() | _PAD, min_size=1, max_size=4))
+    return draw(_PAD) + ",".join(pieces) + draw(_COMMENT)
+
+
+@st.composite
+def _vars_lines(draw):
+    names = draw(st.lists(st.sampled_from(_GOOD_NAMES), max_size=5, unique=True))
+    if not draw(st.integers(0, 3)):
+        # a bad or repeated name somewhere
+        names.insert(draw(st.integers(0, len(names))), draw(_NAME.filter(bool)))
+    separators = draw(
+        st.lists(
+            st.sampled_from((" ", ",", ", ", " ,", "\t")),
+            min_size=len(names),
+            max_size=len(names),
+        )
+    )
+    body = "".join(sep + name for sep, name in zip(separators, names))
+    return draw(_PAD) + "vars:" + body + draw(_PAD) + draw(_COMMENT)
+
+
+@st.composite
+def ideal_texts(draw):
+    """Ideal files, valid and mutated.
+
+    A vars: line (sometimes, and sometimes a second one later) and lines
+    of generators, with bad names, empty factors, repeated variables,
+    duplicate and dominated generators, stray commas, comments and blank
+    lines; then, sometimes, one character inserted or deleted anywhere.
+    """
+    lines = draw(
+        st.lists(_generator_lines() | _generator_lines() | _COMMENT, min_size=1, max_size=6)
+    )
+    if draw(st.booleans()):
+        lines.insert(0, draw(_vars_lines()))
+    if draw(st.integers(0, 9)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(_vars_lines()))
+    text = "\n".join(lines) + draw(st.sampled_from(("", "\n", "\r\n")))
+    edit = draw(st.integers(0, 5))
+    if edit and text:
+        at = draw(st.integers(0, len(text) - 1))
+        if edit == 1:
+            text = text[:at] + text[at + 1 :]
+        elif edit == 2:
+            text = text[:at] + draw(st.sampled_from("*,#: \n\tab1")) + text[at:]
+    return text
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=ideal_texts())
+@example(text="vars: a b c\na*b, a, b*c\n")
+@example(text="a*b, , b*c\n\nc * a, a*b*c # all three\n")
+@example(text="a*b\n  vars: a b\n")
+@example(text="a*  ,b\n")
+@example(text="vars: a, b ,, a\n")
+@example(text="x*y*x\n")
+def test_one_pass_parser_matches_the_reference(text):
+    expected = _outcome(lambda: reference_parsing.parse_ideal_text(text))
+    assert _outcome(lambda: parse_ideal_text(text)) == expected
+
+
+@pytest.mark.parametrize(
+    "variables, generators",
+    [
+        (("a", "b"), [{"a"}, {"a", "c"}]),
+        (("a", "b"), [{"a", "c"}, {"b", "d"}]),
+        (("a", "a"), [{"a"}]),
+        (("a", ""), [{"a"}]),
+        (("a", ["b"]), [{"a"}, {"a", "c"}]),
+        (("a", 1), [{"a"}, {1}, {"a"}]),
+        (("a", "b"), [set(), {"a"}, {"b"}]),
+        (("a", "b"), [{"a"}, {"b"}, {"a"}]),
+        (("a", "b", "c"), [{"a", "b"}, {"c"}, {"b"}, {"a", "b", "c"}]),
+        (("a",), []),
+    ],
+)
+def test_minimalize_generators_matches_the_reference(variables, generators):
+    expected = _outcome(lambda: reference_parsing.minimalize_generators(variables, generators))
+    assert _outcome(lambda: minimalize_generators(variables, generators)) == expected
 
 
 def test_matrix_spaced_and_contiguous_rows():
