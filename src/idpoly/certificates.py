@@ -2,10 +2,11 @@
 
 Every rule maps a labeled hypergraph to a RuleOutcome: a verdict for its
 class of hypergraphs, or inapplicable, with the reason reports print.  A
-negative verdict carries a TorsionCertificate or a Witness: a rational
-combination in the half-open unit box whose point is integral but admits
-no integral rewriting, which the oracle can replay without trusting any
-of the structure theory here.
+negative verdict carries a Witness: a rational combination in the
+half-open unit box whose point is integral but admits no integral
+rewriting, which the oracle can replay without trusting any of the
+structure theory here.  Remark 3.2's verdict also carries the
+TorsionCertificate its witness is derived from.
 """
 
 from __future__ import annotations
@@ -26,7 +27,13 @@ from .hypergraph import (
     find_special_odd_cycle,
     incidence_matrix,
 )
-from .intlinalg import TorsionCertificate, common_denominator, prime_factors, torsion_check
+from .intlinalg import (
+    TorsionCertificate,
+    common_denominator,
+    prime_factors,
+    row_relations,
+    torsion_check,
+)
 
 NORMAL = "normal"
 NOT_NORMAL = "not_normal"
@@ -92,15 +99,15 @@ class RuleOutcome:
 
     status is one of normal / not_normal / inapplicable / budget_exceeded;
     only the first two are verdicts.  reason is human-readable and ends up
-    in diagnostic reports verbatim.  not_normal carries a witness, or a
-    torsion certificate with the lattice points it is re-checked against.
+    in diagnostic reports verbatim.  not_normal carries a witness on the
+    hypergraph the rule ran on; Remark 3.2's carries its torsion
+    certificate too, which reports show in place of the witness.
     """
 
     status: str
     reason: str
     witness: Witness | None = None
     torsion: TorsionCertificate | None = None
-    lattice: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def is_conclusive(self) -> bool:
@@ -353,14 +360,25 @@ def _members(mask: int) -> Iterable[int]:
 
 
 def torsion_obstruction(hypergraph: LabeledHypergraph) -> RuleOutcome:
-    """Torsion in the lattice quotient of the ideal's exponent rows: not normal."""
+    """Torsion in the lattice quotient of the ideal's exponent rows: not normal.
+
+    The certificate comes with a witness on the same hypergraph.  With w_i
+    the homogenized exponent rows (v_i, 1), ``torsion_check`` has checked
+    that m·u lies in their lattice, so u lies in their rational span and
+    ``row_relations`` gives d·u = Σ c_i·w_i.  Taking away the lattice
+    vector Σ ⌊c_i/d⌋·w_i leaves Σ ((c_i mod d)/d)·w_i: coefficients in
+    [0, 1), and an integral point congruent to u, so outside the lattice,
+    which no sum of vertices reaches (Bruns-Gubeladze 2009, ch. 2).
+    """
     points = incidence_matrix(hypergraph)
     certificate = torsion_check(points)
     if certificate is None:
         return RuleOutcome(INAPPLICABLE, "lattice quotient torsion-free")
-    return RuleOutcome(
-        NOT_NORMAL, f"invariant factor {certificate.m}", torsion=certificate, lattice=points
-    )
+    u = certificate.u
+    d, c = row_relations([[*point, 1] for point in points] + [list(u)])[-1]
+    degree = u[-1] - sum(x // d for x in c)
+    witness = _witness_from_coefficients(hypergraph, [Fraction(x % d, d) for x in c], degree)
+    return RuleOutcome(NOT_NORMAL, f"invariant factor {certificate.m}", witness, certificate)
 
 
 def bicolor_evidence(

@@ -13,10 +13,12 @@ rule answers through a function in ``certificates`` with a
 ``RuleOutcome``; one dispatcher, ``_detect``, runs a record on the
 reduced hypergraph and on each minor alike.  Every candidate verdict, a
 minor hit included, goes through one settle site, ``_settle``, which
-lifts its evidence and re-verifies it against the original polytope
+lifts its witness and re-verifies it against the original polytope
 before it is reported, so a bug in a structural detector can cost
-completeness but never soundness.  When nothing conclusive fits within
-budget the answer is unknown, never a guess.
+completeness but never soundness.  A torsion verdict carries a witness
+derived from its certificate, so it is re-checked the same way.  When
+nothing conclusive fits within budget the answer is unknown, never a
+guess.
 
 The minor walk carries each minor's closed-vertex core, and skips a
 minor whose core is empty, where no rule can fire.  It screens every
@@ -62,7 +64,7 @@ from .hypergraph import (
     incidence_matrix,
     reduce_closed_fixpoint,
 )
-from .intlinalg import TorsionCertificate, torsion_check, verify_torsion_certificate
+from .intlinalg import TorsionCertificate, torsion_check
 from .model import SquarefreeIdeal, ZeroOnePolytope, polytope_from_ideal
 from .oracle import INCONCLUSIVE, decide_normal_bruteforce, verify_witness
 
@@ -318,15 +320,14 @@ class _Candidate(NamedTuple):
     """A verdict one rule proposes; it stands once ``_settle`` re-checks it.
 
     A witness is on the hypergraph the rule ran on: the minor when
-    ``minor`` is set, else the reduced hypergraph.  ``lattice`` holds the
-    points a torsion certificate is re-checked against.
+    ``minor`` is set, else the reduced hypergraph.  A torsion certificate
+    is carried beside its derived witness for the report only.
     """
 
     rule: str | None
     status: str = NOT_NORMAL
     witness: Witness | None = None
     torsion: TorsionCertificate | None = None
-    lattice: tuple[tuple[int, ...], ...] | None = None
     minor: MinorTrace | None = None
     minor_rule: str | None = None
 
@@ -339,9 +340,7 @@ def _detect(
     diagnostic = f"{outcome.status}: {outcome.reason}"
     if not outcome.is_conclusive:
         return diagnostic, None
-    return diagnostic, _Candidate(
-        rule.id, outcome.status, outcome.witness, outcome.torsion, outcome.lattice
-    )
+    return diagnostic, _Candidate(rule.id, outcome.status, outcome.witness, outcome.torsion)
 
 
 def _settle(
@@ -356,19 +355,20 @@ def _settle(
     """Report the first candidate that survives re-verification, else unknown.
 
     This is the one place that lifts and re-checks evidence, whichever
-    rule found it.  A witness is lifted through its minor, if any, and
-    through the reduction when that removed vertices (otherwise it is
-    checked exactly as found); when ``verify`` is on it is then checked
-    against the original polytope, built on first use.  A torsion
-    certificate is re-checked against its lattice.  A candidate that fails
-    is demoted with a diagnostic and the next one is drawn, so a later
-    rule, or a later minor, runs only when every earlier candidate fell.
+    rule found it, and every not_normal candidate has a witness: a torsion
+    candidate's is derived from its certificate.  A witness is lifted
+    through its minor, if any, and through the reduction when that removed
+    vertices (otherwise it is checked exactly as found); when ``verify`` is
+    on it is then checked against the original polytope, built on first
+    use.  A candidate that fails is demoted with a diagnostic and the next
+    one is drawn, so a later rule, or a later minor, runs only when every
+    earlier candidate fell.  A torsion verdict reports its certificate and
+    not the witness.
     """
     original: ZeroOnePolytope | None = None
     for candidate in candidates:
-        minor = candidate.minor
-        if candidate.witness is not None:
-            witness = candidate.witness
+        witness, minor = candidate.witness, candidate.minor
+        if witness is not None:
             if minor is not None:
                 witness = lift_witness(minor, witness)
             if reduction.removed:
@@ -388,20 +388,7 @@ def _settle(
                         )
                     )
                     continue
-            settled = candidate._replace(witness=witness)
-            break
-        if (
-            verify
-            and candidate.torsion is not None
-            and not verify_torsion_certificate(candidate.torsion, candidate.lattice)
-        ):
-            diagnostics.append(
-                (candidate.rule, "demoted: certificate failed re-check")
-                if minor is None
-                else (candidate.minor_rule, f"torsion certificate failed on minor {minor.surviving}")
-            )
-            continue
-        settled = candidate
+        settled = candidate._replace(witness=None if candidate.torsion else witness)
         break
     else:
         settled = _Candidate(None, UNKNOWN)

@@ -241,7 +241,7 @@ def test_two_solvable_certificate(load_ideal):
     out = bicolor_obstruction(build_from_ideal(load_ideal("solv3.ideal")))
     assert out.status == NOT_NORMAL
     assert out.reason == "p=3, simple edge (1, 3, 5) has 3 red / 0 blue"
-    assert out.torsion is None and out.lattice is None
+    assert out.torsion is None
 
 
 def test_bicolor_obstruction_solv3(load_ideal):
@@ -364,14 +364,14 @@ def test_odd_cycle_budget_exhaustion_is_reported():
 
 def test_torsion_obstruction(load_ideal):
     # solv3's vertex lattice quotient has invariant factor 3; the
-    # certificate comes with the exponent rows it was found on
+    # certificate comes with a witness derived from it on the same rows
     ideal = load_ideal("solv3.ideal")
     out = torsion_obstruction(build_from_ideal(ideal))
     assert out.status == NOT_NORMAL
     assert out.reason == "invariant factor 3"
-    assert out.witness is None
-    assert out.lattice == polytope_from_ideal(ideal).vertices
-    assert verify_torsion_certificate(out.torsion, out.lattice)
+    polytope = polytope_from_ideal(ideal)
+    assert verify_witness(polytope, out.witness).valid
+    assert verify_torsion_certificate(out.torsion, polytope.vertices)
 
     out = torsion_obstruction(build_from_ideal(load_ideal("tri.ideal")))
     assert out == RuleOutcome(INAPPLICABLE, "lattice quotient torsion-free")

@@ -18,7 +18,9 @@ from idpoly.certificates import (
     bicolor_obstruction,
     decide_connected_odd,
     exceptional_pair_rule,
+    lift_witness,
     odd_cycle_rule,
+    torsion_obstruction,
 )
 from idpoly.engine import (
     NORMAL,
@@ -40,9 +42,17 @@ from idpoly.hypergraph import (
     enumerate_minors,
     ideal_of,
     incidence_matrix,
+    induced_subhypergraph,
     reduce_closed_fixpoint,
 )
-from idpoly.intlinalg import TorsionCertificate, torsion_check, verify_torsion_certificate
+from idpoly.intlinalg import (
+    TorsionCertificate,
+    column_echelon,
+    lattice_member,
+    torsion_check,
+    transpose,
+    verify_torsion_certificate,
+)
 from idpoly.model import SquarefreeIdeal, ZeroOnePolytope, polytope_from_ideal
 from idpoly.oracle import decide_normal_bruteforce, vertex_sums, verify_witness
 
@@ -584,11 +594,12 @@ def test_simplex_normality_agrees_with_the_oracle(polytope):
 def structural_candidates_stand(h, relaxed_values=(False, True), oracle_statuses=None):
     """Check every candidate ``_detect`` returns on h against h's own polytope.
 
-    A witness must pass ``verify_witness`` and a torsion certificate
-    ``verify_torsion_certificate`` on the polytope's vertices.  A normal
-    outcome must match ``simplex_normality`` on a lattice simplex, and on
-    any other polytope the oracle's verdict within ``analyze``'s vertex
-    cap.  Returns the (rule, status) pairs that fired.  ``oracle_statuses``
+    Every not_normal candidate has a witness, which must pass
+    ``verify_witness``; only Remark 3.2's also has a torsion certificate,
+    which must pass ``verify_torsion_certificate`` on the polytope's
+    vertices.  A normal outcome must match ``simplex_normality`` on a
+    lattice simplex, and on any other polytope the oracle's verdict within
+    ``analyze``'s vertex cap.  Returns the (rule, status) pairs that fired.  ``oracle_statuses``
     maps a vertex set to its status; pass one dict to share those verdicts
     between calls, since many minors span the same polytope.
     """
@@ -605,10 +616,9 @@ def structural_candidates_stand(h, relaxed_values=(False, True), oracle_statuses
                 continue
             fired.add((rule, found.status))
             if found.status == NOT_NORMAL:
-                assert (found.witness is None) != (found.torsion is None), (rule, h)
-                if found.witness is not None:
-                    assert verify_witness(polytope, found.witness).valid, (rule, h)
-                else:
+                assert verify_witness(polytope, found.witness).valid, (rule, h)
+                assert (found.torsion is not None) == (rule == RULE_TORSION), (rule, h)
+                if found.torsion is not None:
                     assert verify_torsion_certificate(found.torsion, polytope.vertices), (rule, h)
                 continue
             assert found.status == NORMAL, (rule, h)
@@ -1109,7 +1119,8 @@ def test_demoted_oracle_witness_is_unknown_at_once(load_ideal, monkeypatch):
 
 def test_demoted_torsion_certificate_goes_on_to_the_oracle(load_ideal, monkeypatch):
     def planted(points):
-        # u = 0 lies in every lattice, so the re-check must reject it
+        # u = 0 lies in every lattice: its derived witness is the zero point,
+        # the empty sum of vertices, so the re-check must reject it
         return TorsionCertificate((0,) * (len(points[0]) + 1), 2, (2,))
 
     monkeypatch.setattr(certificates, "torsion_check", planted)
@@ -1121,5 +1132,99 @@ def test_demoted_torsion_certificate_goes_on_to_the_oracle(load_ideal, monkeypat
     assert report.verified
     assert report.diagnostics == (
         (RULE_TORSION, "not_normal: invariant factor 2"),
-        (RULE_TORSION, "demoted: certificate failed re-check"),
+        (
+            RULE_TORSION,
+            "demoted: witness failed verification: "
+            "point admits the integer decomposition (0, 0, 0, 0, 0, 0)",
+        ),
     )
+
+
+def test_demoted_minor_torsion_certificate_continues_the_walk(load_ideal, monkeypatch):
+    # mix41's walk ends in its one hit, Remark 3.2 on its 7th minor; a
+    # planted u = 0 there gives the zero witness, which fails once lifted,
+    # and the walk runs on to its end
+    ideal = load_ideal("mix41.ideal")
+    assert analyze(ideal).stats["minors_examined"] == 7
+    real = certificates.torsion_check
+
+    def planted(points):
+        certificate = real(points)
+        if certificate is None:
+            return None
+        return TorsionCertificate((0,) * len(certificate.u), 2, (2,))
+
+    monkeypatch.setattr(certificates, "torsion_check", planted)
+    report = analyze(ideal)
+    assert report.status == UNKNOWN
+    assert report.torsion is None and report.minor is None
+    assert not report.verified
+    assert report.stats["minors_examined"] == 207
+    assert report.diagnostics[6:] == (
+        (
+            RULE_TORSION,
+            "lifted witness from minor (1, 2, 3, 4, 5, 7, 8, 11) failed verification: "
+            "point admits the integer decomposition (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)",
+        ),
+        (RULE_MINOR, "no minor hit within budget (207 examined)"),
+        (
+            RULE_ORACLE,
+            "skipped: instance size (12 vertices, dimension 10) exceeds the oracle caps",
+        ),
+    )
+
+
+def derived_torsion_witness_stands(ideal):
+    """Re-derive the witness behind a torsion verdict, and check it; False if none.
+
+    The certificate is found again on the hypergraph its scope names: the
+    minor, else the reduced hypergraph.  (point, degree) - u of the derived
+    witness must lie in that hypergraph's homogenized lattice, and the
+    witness, lifted as ``_settle`` lifts it, must pass ``verify_witness``
+    on the original polytope.
+    """
+    report = analyze(ideal, EngineConfig(use_oracle=False))
+    if report.torsion is None:
+        return False
+    minor = report.minor
+    h, _ = reduce_closed_fixpoint(build_from_ideal(ideal))
+    if minor is not None:
+        h, _ = induced_subhypergraph(h, minor.surviving)
+    out = torsion_obstruction(h)
+    assert out.torsion == report.torsion
+    witness = out.witness
+    rows = [[*point, 1] for point in incidence_matrix(h)]
+    moved = [x - y for x, y in zip((*witness.point, witness.degree), out.torsion.u)]
+    assert lattice_member(moved, column_echelon(transpose(rows)))
+    if minor is not None:
+        witness = lift_witness(minor, witness)
+    if report.reduction.removed:
+        witness = lift_witness(report.reduction, witness)
+    assert verify_witness(polytope_from_ideal(ideal), witness).valid
+    return True
+
+
+# two disjoint triangles and a pendant edge, whose reduction leaves the triangles
+TRIANGLES_AND_PENDANT = SquarefreeIdeal(
+    tuple("abcdefg"),
+    tuple(frozenset(e) for e in ("ab", "bc", "ac", "de", "ef", "df", "cg")),
+)
+
+
+@example(ideal=TRIANGLES_AND_PENDANT)
+@settings(max_examples=150, deadline=None)
+@given(ideal=small_graph_edge_ideals() | odd_cycle_pair_hypergraphs().map(ideal_of))
+def test_derived_torsion_witness_stands_on_the_original_polytope(ideal):
+    derived_torsion_witness_stands(ideal)
+
+
+def test_derived_torsion_witness_stands_on_fixtures(load_ideal):
+    # scope original on ih1, k24 and solv3, minor on mix41; the example
+    # above has scope reduced
+    assert analyze(TRIANGLES_AND_PENDANT).torsion_scope == "reduced"
+    standing = [
+        name
+        for name, ideal in fixture_ideals(load_ideal)
+        if derived_torsion_witness_stands(ideal)
+    ]
+    assert standing == ["ih1.ideal", "k24.ideal", "mix41.ideal", "solv3.ideal"]
