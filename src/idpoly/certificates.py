@@ -6,7 +6,10 @@ negative verdict carries a Witness: a rational combination in the
 half-open unit box whose point is integral but admits no integral
 rewriting, which the oracle can replay without trusting any of the
 structure theory here.  Remark 3.2's verdict also carries the
-TorsionCertificate its witness is derived from.
+TorsionCertificate its witness is derived from.  Every rule builds its
+witness on integers, numerators over one denominator with the point
+summed from them, through ``Witness.over``, and lift_witness carries it
+to a parent hypergraph the same way.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ PAIR_BUDGET = 200_000
 ODD_CYCLE_BUDGET = 200_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Witness:
     """A degree-t rational combination that blocks normality.
 
@@ -56,41 +59,102 @@ class Witness:
     the shape constraints are enforced here so a Witness is never
     structurally nonsensical.
 
-    The checks run on integers: each point entry must be an integer, each
-    coefficient's numerator must lie in [0, denominator), and with D the
-    lcm of the denominators, taken once, the numerators scaled to D must
-    sum to degree·D.
+    A witness is held on integers: ``numerators`` over one
+    ``denominator``, the lcm of the coefficients' reduced denominators,
+    so equal coefficient vectors give equal fields, and equality and the
+    hash follow the coefficients.  ``coefficients`` gives them back as
+    Fractions.  ``Witness(coefficients, degree, point)`` takes any values
+    Fraction takes; ``Witness.over`` is the producers' builder, which
+    takes the numerators and the point scaled by the denominator and
+    never makes a Fraction.  Both check, in order and with the same
+    messages: each point entry is an integer, there is a coefficient,
+    each numerator lies in [0, denominator), the numerators sum to
+    degree·denominator, the degree and the point are nonnegative.
     """
 
-    coefficients: tuple[Fraction, ...]
+    denominator: int
+    numerators: tuple[int, ...]
     degree: int
     point: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(Fraction(c) for c in self.coefficients)
-        object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "degree", int(self.degree))
+    def __init__(self, coefficients, degree, point) -> None:
+        coeffs = tuple(Fraction(c) for c in coefficients)
+        degree = int(degree)
         pt = []
-        for entry in self.point:
+        for entry in point:
             if type(entry) is not int:
                 value = Fraction(entry)
                 if value.denominator != 1:
                     raise ValueError(f"point entry {value} is not an integer")
                 entry = int(value)
             pt.append(entry)
-        object.__setattr__(self, "point", tuple(pt))
         if not coeffs:
             raise ValueError("witness needs at least one coefficient")
-        for c in coeffs:
-            if c.numerator < 0 or c.numerator >= c.denominator:
-                raise ValueError(f"coefficient {c} out of range [0, 1)")
         denominator, numerators = common_denominator(coeffs)
-        if sum(numerators) != self.degree * denominator:
-            raise ValueError("coefficients do not sum to the degree")
-        if self.degree < 0:
-            raise ValueError("degree cannot be negative")
-        if any(x < 0 for x in self.point):
-            raise ValueError("point must be nonnegative")
+        _settle_witness(self, denominator, numerators, degree, pt)
+
+    @classmethod
+    def over(
+        cls, denominator: int, numerators: Sequence[int], degree: int, scaled: Sequence[int]
+    ) -> Witness:
+        """The witness numerators/denominator whose point is scaled/denominator.
+
+        ``scaled`` is the point times the denominator, as producers sum it
+        from the numerators; an entry the denominator does not divide is
+        a point entry that is not an integer.
+        """
+        point = []
+        for entry in scaled:
+            if entry % denominator:
+                raise ValueError(
+                    f"point entry {fraction_text(entry, denominator)} is not an integer"
+                )
+            point.append(entry // denominator)
+        if not numerators:
+            raise ValueError("witness needs at least one coefficient")
+        witness = object.__new__(cls)
+        _settle_witness(witness, denominator, numerators, degree, point)
+        return witness
+
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.denominator) for n in self.numerators)
+
+
+def _settle_witness(
+    witness: Witness,
+    denominator: int,
+    numerators: Sequence[int],
+    degree: int,
+    point: Sequence[int],
+) -> None:
+    """Check the coefficient, degree and point clauses, then set the fields."""
+    for n in numerators:
+        if n < 0 or n >= denominator:
+            raise ValueError(f"coefficient {fraction_text(n, denominator)} out of range [0, 1)")
+    if sum(numerators) != degree * denominator:
+        raise ValueError("coefficients do not sum to the degree")
+    if degree < 0:
+        raise ValueError("degree cannot be negative")
+    if any(x < 0 for x in point):
+        raise ValueError("point must be nonnegative")
+    common = gcd(denominator, *numerators)
+    if common > 1:
+        denominator //= common
+        numerators = [n // common for n in numerators]
+    fill = object.__setattr__
+    fill(witness, "denominator", denominator)
+    fill(witness, "numerators", tuple(numerators))
+    fill(witness, "degree", degree)
+    fill(witness, "point", tuple(point))
+
+
+def fraction_text(numerator: int, denominator: int) -> str:
+    """``str(Fraction(numerator, denominator))``, on ints."""
+    common = gcd(numerator, denominator)
+    numerator //= common
+    denominator //= common
+    return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
 
 
 @dataclass(frozen=True)
@@ -182,20 +246,18 @@ def _require_separated(hypergraph: LabeledHypergraph) -> None:
         raise NotSeparatedError(violation)
 
 
-def _witness_from_coefficients(
-    hypergraph: LabeledHypergraph, coefficients: Sequence[Fraction], degree: int
+def _witness_on(
+    hypergraph: LabeledHypergraph, denominator: int, numerators: Sequence[int], degree: int
 ) -> Witness:
-    # each label's power on numerators over the lcm of the denominators; a
-    # fraction left over is passed on for Witness to reject
-    denominator, numerators = common_denominator(coefficients)
-    powers = []
-    for _, image in hypergraph.labels:
-        total = sum(numerators[v - 1] for v in image)
-        if total % denominator:
-            powers.append(Fraction(total, denominator))
-        else:
-            powers.append(total // denominator)
-    return Witness(tuple(coefficients), degree, tuple(powers))
+    """The witness numerators/denominator on the vertices, its point on the labels.
+
+    Each label's power is the sum of the numerators of the vertices in its
+    image, over the same denominator; ``Witness.over`` rejects a power
+    the denominator does not divide.
+    """
+    indexed = [0, *numerators]  # vertices count from 1
+    scaled = [sum(map(indexed.__getitem__, image)) for _, image in hypergraph.labels]
+    return Witness.over(denominator, numerators, degree, scaled)
 
 
 def connected_odd_fires(
@@ -231,8 +293,7 @@ def decide_connected_odd(hypergraph: LabeledHypergraph) -> RuleOutcome:
     skeleton = hypergraph.skeleton
     s = hypergraph.num_vertices
     if connected_odd_fires((1 << s) - 1, hypergraph.edge_masks, skeleton):
-        half = Fraction(1, 2)
-        witness = _witness_from_coefficients(hypergraph, [half] * s, s // 2)
+        witness = _witness_on(hypergraph, 2, [1] * s, s // 2)
         return RuleOutcome(
             NOT_NORMAL,
             f"vertex count {s} is even and every edge has odd dimension",
@@ -259,7 +320,10 @@ def balanced_uniform_rule(hypergraph: LabeledHypergraph) -> RuleOutcome:
     if hypergraph.num_vertices == 0:
         return RuleOutcome(INAPPLICABLE, "empty hypergraph")
     # generator v is the product of the labels whose image holds v
-    degrees = [sum(v in image for _, image in hypergraph.labels) for v in hypergraph.vertices]
+    degrees = [0] * hypergraph.num_vertices
+    for _, image in hypergraph.labels:
+        for v in image:
+            degrees[v - 1] += 1
     if len(set(degrees)) != 1:
         listing = ",".join(str(d) for d in degrees)
         return RuleOutcome(
@@ -326,20 +390,27 @@ def odd_cycle_rule(
                 )
             nodes -= 1
             path, tip, blocked = stack.pop()
-            for w in _members(adjacent[tip] & ~blocked):
-                if not adjacent[w] >> s & 1:
-                    stack.append((path | (1 << w), w, blocked | adjacent[tip]))
+            steps = adjacent[tip] & ~blocked
+            grown = blocked | adjacent[tip]
+            while steps:
+                bit = steps & -steps
+                steps ^= bit
+                if not bit & first:
+                    stack.append((path | bit, bit.bit_length() - 1, grown))
                 elif path.bit_count() % 2 == 0:
-                    cycles.add(path | (1 << w))
-    for one, two in combinations(sorted(cycles), 2):
-        if not one & two and not any(adjacent[u] & two for u in _members(one)):
+                    cycles.add(path | bit)
+    ordered = sorted(cycles)
+    for i, one in enumerate(ordered):
+        # the cycle and every label next to it
+        near = one
+        for u in _members(one):
+            near |= adjacent[u]
+        for two in ordered[i + 1 :]:
+            if near & two:
+                continue
             union = one | two
-            half = Fraction(1, 2)
-            coefficients = [
-                half if owners[v] & union == owners[v] else Fraction(0)
-                for v in hypergraph.vertices
-            ]
-            witness = _witness_from_coefficients(hypergraph, coefficients, union.bit_count() // 2)
+            numerators = [int(owners[v] & union == owners[v]) for v in hypergraph.vertices]
+            witness = _witness_on(hypergraph, 2, numerators, union.bit_count() // 2)
             one, two = (",".join(labels[u][0] for u in _members(c)) for c in (one, two))
             return RuleOutcome(
                 NOT_NORMAL,
@@ -377,7 +448,7 @@ def torsion_obstruction(hypergraph: LabeledHypergraph) -> RuleOutcome:
     u = certificate.u
     d, c = row_relations([[*point, 1] for point in points] + [list(u)])[-1]
     degree = u[-1] - sum(x // d for x in c)
-    witness = _witness_from_coefficients(hypergraph, [Fraction(x % d, d) for x in c], degree)
+    witness = _witness_on(hypergraph, d, [x % d for x in c], degree)
     return RuleOutcome(NOT_NORMAL, f"invariant factor {certificate.m}", witness, certificate)
 
 
@@ -434,16 +505,13 @@ def bicolor_obstruction(hypergraph: LabeledHypergraph) -> RuleOutcome:
     edge = tuple(v for v in hypergraph.vertices if designated >> (n - v) & 1)
     r = len(red.intersection(edge))
     b = len(edge) - r
-    coeffs = [
-        Fraction(1, p) if v in red else Fraction(p - 1, p)
-        for v in hypergraph.vertices
-    ]
-    degree = sum(coeffs)
-    assert degree.denominator == 1, "2-solvability makes the total integral"
+    numerators = [1 if v in red else p - 1 for v in hypergraph.vertices]
+    degree, rest = divmod(sum(numerators), p)
+    assert not rest, "2-solvability makes the total integral"
     return RuleOutcome(
         NOT_NORMAL,
         f"p={p}, simple edge {edge} has {r} red / {b} blue",
-        witness=_witness_from_coefficients(hypergraph, coeffs, int(degree)),
+        witness=_witness_on(hypergraph, p, numerators, degree),
     )
 
 
@@ -629,11 +697,8 @@ def exceptional_witness(
             )
     if _halves_decompose(hypergraph, union):
         raise ValueError("the all-halves point decomposes")
-    coeffs = [
-        Fraction(1, 2) if v in union else Fraction(0)
-        for v in hypergraph.vertices
-    ]
-    return _witness_from_coefficients(hypergraph, coeffs, len(union) // 2)
+    numerators = [int(v in union) for v in hypergraph.vertices]
+    return _witness_on(hypergraph, 2, numerators, len(union) // 2)
 
 
 def exceptional_pair_rule(
@@ -669,13 +734,13 @@ def lift_witness(
     else:
         raise TypeError(f"cannot lift through {type(context).__name__}")
     surviving = context.surviving
-    if len(witness.coefficients) != len(surviving):
+    if len(witness.numerators) != len(surviving):
         raise ValueError(
-            f"witness has {len(witness.coefficients)} coefficients but the "
+            f"witness has {len(witness.numerators)} coefficients but the "
             f"trace keeps {len(surviving)} vertices"
         )
-    lifted = [Fraction(0)] * parent.num_vertices
-    for reduced_index, original_vertex in enumerate(surviving):
-        lifted[original_vertex - 1] = witness.coefficients[reduced_index]
-    # Witness rejects the recomputed point when it is not integral
-    return _witness_from_coefficients(parent, lifted, witness.degree)
+    lifted = [0] * parent.num_vertices
+    for numerator, original_vertex in zip(witness.numerators, surviving):
+        lifted[original_vertex - 1] = numerator
+    # Witness.over rejects the recomputed point when it is not integral
+    return _witness_on(parent, witness.denominator, lifted, witness.degree)

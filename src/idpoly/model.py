@@ -95,7 +95,16 @@ class SquarefreeIdeal:
         return tuple(1 if v in gen else 0 for v in self.variables)
 
     def exponent_matrix(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.exponent_row(i) for i in range(len(self.generators)))
+        """Every generator's exponent row, in generator order."""
+        column = {name: j for j, name in enumerate(self.variables)}
+        zero = [0] * len(self.variables)
+        rows = []
+        for gen in self.generators:
+            row = zero.copy()
+            for name in gen:
+                row[column[name]] = 1
+            rows.append(tuple(row))
+        return tuple(rows)
 
     def monomial_string(self, index: int) -> str:
         gen = self.generators[index]
@@ -103,7 +112,10 @@ class SquarefreeIdeal:
 
 
 def minimalize_generators(
-    variables: Sequence[str], generators: Iterable[Iterable[str]]
+    variables: Sequence[str],
+    generators: Iterable[Iterable[str]],
+    *,
+    alphabet_checked: bool = False,
 ) -> SquarefreeIdeal:
     """Build an ideal from raw generators, dropping dominated ones.
 
@@ -115,9 +127,17 @@ def minimalize_generators(
     Supports are compared as variable bitmasks, one bit per distinct name
     (a name outside the alphabet gets a bit above every alphabet bit, and
     the ideal's checks then reject it), so equal masks are equal supports
-    and ``low & high == low`` is containment.  The survivors form an
-    antichain by construction, so the ideal is built without checking
-    that again.
+    and ``low & high == low`` is containment.  Only a support with fewer
+    variables can be strictly contained in another, so each support is
+    compared only with those; generators of one degree, as in an edge
+    ideal, need no comparison.  The survivors form an antichain by
+    construction, so the ideal is built without checking that again.
+
+    ``alphabet_checked=True`` is the caller's word that the alphabet
+    already passes every other check of an ideal: its names are distinct
+    nonempty strs, there is a generator, none is the unit monomial and
+    each uses only declared names.  The parser's output does, so it
+    passes it; every other caller keeps the checks.
     """
     variables = tuple(variables)
     supports = [frozenset(g) for g in generators]
@@ -139,10 +159,19 @@ def minimalize_generators(
             raise InputError(f"generators {first[mask]} and {idx} are identical")
         first[mask] = idx
         masks.append(mask)
+    # each support size -> the masks of every support with fewer variables
+    by_size: dict[int, list[int]] = {}
+    for mask in masks:
+        by_size.setdefault(mask.bit_count(), []).append(mask)
+    fewer: dict[int, list[int]] = {}
+    smaller: list[int] = []
+    for size in sorted(by_size):
+        fewer[size] = smaller
+        smaller = smaller + by_size[size]
     keep: list[frozenset[str]] = []
     dropped: list[int] = []
     for idx, (sup, mask) in enumerate(zip(supports, masks), start=1):
-        if any(low & mask == low != mask for low in masks):
+        if any(low & mask == low for low in fewer[mask.bit_count()]):
             dropped.append(idx)
         else:
             keep.append(sup)
@@ -152,21 +181,11 @@ def minimalize_generators(
             DroppedGeneratorWarning,
             stacklevel=2,
         )
-    return _antichain_ideal(variables, tuple(keep))
-
-
-def _antichain_ideal(
-    variables: tuple[str, ...], generators: tuple[frozenset[str], ...]
-) -> SquarefreeIdeal:
-    """``SquarefreeIdeal(variables, generators)`` for generators known to be an antichain.
-
-    It runs every check of the public constructor but the quadratic
-    minimality check, which its one caller has already settled.
-    """
-    _check_alphabet(variables, generators)
+    if not alphabet_checked:
+        _check_alphabet(variables, tuple(keep))
     ideal = object.__new__(SquarefreeIdeal)
     object.__setattr__(ideal, "variables", variables)
-    object.__setattr__(ideal, "generators", generators)
+    object.__setattr__(ideal, "generators", tuple(keep))
     return ideal
 
 
@@ -261,5 +280,12 @@ class ZeroOnePolytope:
 
 
 def polytope_from_ideal(ideal: SquarefreeIdeal) -> ZeroOnePolytope:
-    """Vertex i is the exponent vector of generator i, in variable order."""
-    return ZeroOnePolytope(ideal.exponent_matrix())
+    """Vertex i is the exponent vector of generator i, in variable order.
+
+    An ideal's exponent rows are 0-1 rows of one length, and distinct,
+    since its generators are an antichain, so the polytope is built
+    without repeating ZeroOnePolytope's checks of them.
+    """
+    polytope = object.__new__(ZeroOnePolytope)
+    object.__setattr__(polytope, "vertices", ideal.exponent_matrix())
+    return polytope

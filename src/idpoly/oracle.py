@@ -12,8 +12,14 @@ vertices, and the Ehrhart ring by the lattice points of kP; P is normal
 exactly when the two agree.  The scan builds S_k from S_(k-1) as the
 degrees advance and tests each lattice point of kP against it.  The
 backtracking integer_decomposition decides the same question for one
-point; only the checker, verify_coefficients, calls it, so a certificate
-is re-checked by a search the prover does not share.
+point; only the checker calls it, so a certificate is re-checked by a
+search the prover does not share.  The checker runs on integers:
+verify_witness takes a witness's numerators over its denominator as they
+are, verify_coefficients puts its rationals over one denominator once,
+and both then run one integer check, whose last clause is the search.
+The search packs the point into one int and prunes before it branches,
+and it keeps the plain backtracking's answer, the lexicographically
+least decomposition.
 
 The exact simplex answers two questions here, both over the integer
 membership rows (the all-ones row, then one row per coordinate, with one
@@ -37,11 +43,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, compress
 from math import ceil, floor
-from operator import add, le, mul
+from operator import add, le, mul, or_
 from typing import Iterator, Sequence
 
-from .certificates import NORMAL, NOT_NORMAL, Witness
+from .certificates import NORMAL, NOT_NORMAL, Witness, fraction_text
 from .intlinalg import common_denominator
 from .model import ZeroOnePolytope
 from .simplex import objective_range, solve_lp
@@ -173,55 +180,86 @@ def integer_decomposition(
 
     Backtracks over vertices in input order with ascending multiplicity,
     so a returned vector is the lexicographically least decomposition.
-    Pruning: per-vertex caps from remaining coordinates, a failure memo,
-    and a coverage check that the leftover support is still reachable.
+    Only the vertices under the point can take part, so every other one
+    gets 0 and the search runs on the rest.  The point's positive
+    coordinates are packed into one int, a field per coordinate with a
+    guard bit on top, so taking a vertex away is one subtraction and the
+    guard bits tell whether it fits.  Before it branches, a node is cut
+    when a positive coordinate is on no vertex left (reachability), when
+    the coordinate sum left cannot be made of the multiplicity left times
+    the weights (support sizes) of the vertices left, or when it failed
+    before (a memo); and a multiplicity is tried only when it clears
+    every coordinate that no later vertex covers.
     """
-    n = polytope.ambient_dim
-    if len(point) != n:
+    if len(point) != polytope.ambient_dim:
         raise ValueError("point dimension mismatch")
     if degree < 0:
         return None
-    s = polytope.num_vertices
-    supports = [
-        frozenset(j for j in range(n) if polytope.vertices[i][j])
-        for i in range(s)
-    ]
-    reachable: list[frozenset[int]] = [frozenset()] * (s + 1)
-    for i in range(s - 1, -1, -1):
-        reachable[i] = reachable[i + 1] | supports[i]
-    dead: set[tuple[int, tuple[int, ...], int]] = set()
+    point = [int(x) for x in point]
+    if min(point, default=0) < 0:
+        return None
+    # each field holds a coordinate of the point, or less, below its top bit
+    width = max(point, default=0).bit_length() + 1
+    # the point and every vertex packed, one field per positive coordinate
+    # of the point; a vertex with a 1 where the point is 0 is not under it
+    indices = range(polytope.num_vertices)
+    bits = [0] * polytope.num_vertices
+    over: set[int] = set()
+    packed_point = 0
+    unit = 1
+    for x, column in zip(point, polytope.membership_rows[1:]):
+        if x:
+            for i in compress(indices, column):
+                bits[i] += unit
+            packed_point += x * unit
+            unit <<= width
+        else:
+            over.update(compress(indices, column))
+    fields = unit - 1  # every bit of every field
+    fill = (1 << width) - 1  # one field's bits
+    guards = fields // fill << (width - 1)
+    packed = [bits[i] for i in indices if i not in over]
+    weights = [b.bit_count() for b in packed]
+    m = len(packed)
+    # from vertex k on: the field bits no vertex covers, the least and the
+    # greatest weight; the entries at m stand for no vertex at all
+    covers = [*accumulate(reversed(packed), or_)][::-1]
+    outside = [fields & ~(cover * fill) for cover in covers] + [fields]
+    low = [*accumulate(reversed(weights), min)][::-1] + [0]
+    high = [*accumulate(reversed(weights), max)][::-1] + [0]
+    dead: set[tuple[int, int, int]] = set()
 
-    def search(
-        index: int, remaining: tuple[int, ...], budget: int
-    ) -> list[int] | None:
+    def search(k: int, rest: int, budget: int, total: int) -> list[int] | None:
         if budget == 0:
-            return [0] * (s - index) if not any(remaining) else None
-        if index == s:
+            return [0] * (m - k) if not rest else None
+        if k == m or not budget * low[k] <= total <= budget * high[k]:
             return None
-        key = (index, remaining, budget)
+        key = (k, rest, budget)
         if key in dead:
             return None
-        positive = {j for j, r in enumerate(remaining) if r}
-        if not positive <= reachable[index]:
-            dead.add(key)
-            return None
-        cap = budget
-        for j in supports[index]:
-            cap = min(cap, remaining[j])
-        for count in range(cap + 1):
-            if count:
-                remaining = tuple(
-                    r - 1 if j in supports[index] else r
-                    for j, r in enumerate(remaining)
-                )
-            tail = search(index + 1, remaining, budget - count)
-            if tail is not None:
-                return [count] + tail
+        vertex, weight, beyond = packed[k], weights[k], outside[k + 1]
+        for count in range(budget + 1):
+            if not rest & beyond:
+                tail = search(k + 1, rest, budget - count, total)
+                if tail is not None:
+                    return [count, *tail]
+            if count == budget:
+                break
+            taken = (rest | guards) - vertex
+            if taken & guards != guards:
+                break
+            rest = taken ^ guards
+            total -= weight
         dead.add(key)
         return None
 
-    found = search(0, tuple(int(x) for x in point), degree)
-    return tuple(found) if found is not None else None
+    if packed_point & outside[0]:
+        return None
+    found = search(0, packed_point, degree, sum(point))
+    if found is None:
+        return None
+    counts = iter(found)
+    return tuple(0 if i in over else next(counts) for i in indices)
 
 
 def vertex_sums(
@@ -299,57 +337,66 @@ def verify_coefficients(
     and absence of any integer decomposition.  The coefficients that pass
     the first four are themselves a combination putting the point in
     degree·P, so no membership LP is needed.  The first failure is
-    reported; success returns the assembled Witness.
+    reported; success returns the assembled Witness.  The coefficients
+    are put over one denominator once, and the clauses run on the
+    numerators, as verify_witness runs them.
+    """
+    denominator, numerators = common_denominator(tuple(Fraction(c) for c in coefficients))
+    reason, degree, point = _check_numerators(polytope, denominator, numerators)
+    if reason is not None:
+        return VerificationResult(False, reason)
+    scaled = [x * denominator for x in point]
+    return VerificationResult(True, None, Witness.over(denominator, numerators, degree, scaled))
+
+
+def _check_numerators(
+    polytope: ZeroOnePolytope, denominator: int, numerators: Sequence[int]
+) -> tuple[str | None, int, list[int]]:
+    """The clauses of verify_coefficients on numerators/denominator, on ints.
+
+    Returns the reason of the first clause that fails, or None with the
+    degree and the point the numerators give.
     """
     s = polytope.num_vertices
-    coeffs = tuple(Fraction(c) for c in coefficients)
-    if len(coeffs) != s:
-        return VerificationResult(
-            False,
-            f"coefficient count mismatch: got {len(coeffs)}, "
-            f"polytope has {s} vertices",
-        )
-    for c in coeffs:
-        if c.numerator < 0 or c.numerator >= c.denominator:
-            return VerificationResult(False, f"coefficient {c} out of range [0, 1)")
-    # the sum and the point on numerators over the lcm of the denominators
-    denominator, numerators = common_denominator(coeffs)
+    if len(numerators) != s:
+        reason = f"coefficient count mismatch: got {len(numerators)}, polytope has {s} vertices"
+        return reason, 0, []
+    for n in numerators:
+        if n < 0 or n >= denominator:
+            return f"coefficient {fraction_text(n, denominator)} out of range [0, 1)", 0, []
     total = sum(numerators)
     if total % denominator:
-        return VerificationResult(
-            False, f"coefficient sum {Fraction(total, denominator)} is not an integer"
-        )
+        return f"coefficient sum {fraction_text(total, denominator)} is not an integer", 0, []
     degree = total // denominator
-    powers = [sum(map(mul, numerators, column)) for column in zip(*polytope.vertices)]
-    if any(p % denominator for p in powers):
-        return VerificationResult(False, "point not integral")
-    point = tuple(p // denominator for p in powers)
+    scaled = [sum(map(mul, numerators, column)) for column in polytope.membership_rows[1:]]
+    if any(p % denominator for p in scaled):
+        return "point not integral", 0, []
+    point = [p // denominator for p in scaled]
     decomposition = integer_decomposition(polytope, point, degree)
     if decomposition is not None:
-        return VerificationResult(
-            False,
-            f"point admits the integer decomposition {decomposition}",
-        )
-    return VerificationResult(True, None, Witness(coeffs, degree, point))
+        return f"point admits the integer decomposition {decomposition}", 0, []
+    return None, degree, point
 
 
 def verify_witness(
     polytope: ZeroOnePolytope, witness: Witness
 ) -> VerificationResult:
-    """Full check of a structured witness, including its declared fields."""
-    result = verify_coefficients(polytope, witness.coefficients)
-    if not result.valid:
-        return result
-    derived = result.witness
-    assert derived is not None
-    if witness.degree != derived.degree:
+    """Full check of a structured witness, including its declared fields.
+
+    The clauses of verify_coefficients run on the witness's own numerators
+    over its denominator.  A witness that passes is returned as it is:
+    its fields are then the ones the clauses derive.
+    """
+    reason, degree, point = _check_numerators(polytope, witness.denominator, witness.numerators)
+    if reason is not None:
+        return VerificationResult(False, reason)
+    if witness.degree != degree:
         return VerificationResult(
             False,
-            f"declared degree {witness.degree} does not match "
-            f"coefficient sum {derived.degree}",
+            f"declared degree {witness.degree} does not match coefficient sum {degree}",
         )
-    if witness.point != derived.point:
+    if list(witness.point) != point:
         return VerificationResult(
             False, "declared point does not match the coefficient combination"
         )
-    return result
+    return VerificationResult(True, None, witness)

@@ -124,7 +124,10 @@ def parse_ideal_text(text: str) -> SquarefreeIdeal:
         raise InputError("no generators found: the ideal is empty")
     names = declared or []
     names.extend(sorted(set().union(*generators).difference(names)))
-    return minimalize_generators(tuple(names), generators)
+    # the parse has settled every check of the alphabet: each name is an
+    # identifier, a vars: line repeats none, undeclared names were appended
+    # and no generator is empty
+    return minimalize_generators(tuple(names), generators, alphabet_checked=True)
 
 
 def print_ideal(ideal: SquarefreeIdeal) -> str:

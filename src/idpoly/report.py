@@ -9,8 +9,8 @@ renderers aim at humans and cite the applied rule by its long name.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import gcd
 
 from .certificates import Witness
 from .engine import VerdictReport
@@ -27,11 +27,6 @@ from .oracle import VerificationResult
 from .parsing import print_ideal
 
 
-def rational_string(value: Fraction) -> str:
-    frac = Fraction(value)
-    return f"{frac.numerator}/{frac.denominator}"
-
-
 def _edge_text(vertices) -> str:
     return "{" + ",".join(str(v) for v in vertices) + "}"
 
@@ -40,11 +35,21 @@ def _join(values, empty: str = "none") -> str:
     return ", ".join(str(v) for v in values) or empty
 
 
+def _coefficient_strings(witness: Witness) -> list[str]:
+    """Each coefficient as a reduced "num/den" string, "0/1" for zero."""
+    denominator = witness.denominator
+    out = []
+    for numerator in witness.numerators:
+        common = gcd(numerator, denominator)
+        out.append(f"{numerator // common}/{denominator // common}")
+    return out
+
+
 def witness_payload(witness: Witness | None) -> dict | None:
     if witness is None:
         return None
     return {
-        "coefficients": [rational_string(c) for c in witness.coefficients],
+        "coefficients": _coefficient_strings(witness),
         "degree": witness.degree,
         "point": list(witness.point),
     }
@@ -167,9 +172,7 @@ def render_text(report: VerdictReport) -> str:
         w = report.witness
         lines.append("witness:")
         lines.append(f"  degree: {w.degree}")
-        lines.append(
-            "  coefficients: " + ", ".join(rational_string(c) for c in w.coefficients)
-        )
+        lines.append("  coefficients: " + ", ".join(_coefficient_strings(w)))
         lines.append("  point: (" + ", ".join(str(x) for x in w.point) + ")")
     if report.torsion is not None:
         lines.append("torsion certificate:")

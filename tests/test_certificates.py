@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -144,6 +145,60 @@ def test_witness_matches_fraction_reference(fields):
     assert w.coefficients == tuple(Fraction(c) for c in coefficients)
     assert w.point == tuple(int(Fraction(x)) for x in point)
     assert w.degree == degree
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields=witness_fields(), scale=st.integers(1, 3))
+def test_witness_over_matches_fraction_reference(fields, scale):
+    # the integer builder takes the numerators over a common denominator,
+    # here any multiple of the lcm of every denominator drawn, and the
+    # point times it; it raises the public constructor's messages, in the
+    # same order, and on success builds an equal witness
+    import fraction_witness
+
+    coefficients, degree, point = fields
+    values = [Fraction(c) for c in coefficients]
+    entries = [Fraction(x) for x in point]
+    denominator = scale * math.lcm(*(v.denominator for v in values + entries))
+    numerators = [int(v * denominator) for v in values]
+    scaled = [int(x * denominator) for x in entries]
+    message = fraction_witness.witness_error(coefficients, degree, point)
+    if message is not None:
+        with pytest.raises(ValueError) as info:
+            Witness.over(denominator, numerators, degree, scaled)
+        assert str(info.value) == message
+        return
+    assert Witness.over(denominator, numerators, degree, scaled) == Witness(
+        coefficients, degree, point
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.integers(1, 6),
+    numerators=st.lists(st.integers(0, 5), min_size=1, max_size=5),
+    scale=st.integers(1, 4),
+    point=st.lists(st.integers(0, 3), max_size=3),
+)
+def test_integer_and_fraction_witnesses_agree(d, numerators, scale, point):
+    # a witness built from Fractions and one built on integers, over a
+    # denominator that need not be the least, are equal, hash alike, give
+    # the same coefficients and keep the same canonical denominator: the
+    # lcm of the reduced denominators
+    numerators = [a % d for a in numerators]
+    numerators[-1] = (numerators[-1] - sum(numerators)) % d
+    coefficients = [Fraction(a, d) for a in numerators]
+    degree = sum(numerators) // d
+    by_fractions = Witness(coefficients, degree, point)
+    on_integers = Witness.over(
+        d * scale, [a * scale for a in numerators], degree, [x * d * scale for x in point]
+    )
+    assert by_fractions == on_integers
+    assert hash(by_fractions) == hash(on_integers)
+    assert by_fractions.coefficients == on_integers.coefficients == tuple(coefficients)
+    least = math.lcm(*(c.denominator for c in coefficients))
+    assert by_fractions.denominator == on_integers.denominator == least
+    assert by_fractions.numerators == on_integers.numerators
 
 
 def test_connected_odd_normal_odd_count(load_ideal):

@@ -201,6 +201,16 @@ def test_verify_valid_witness(run_cli):
     assert out == "valid: witness of degree 3\n"
 
 
+def test_verify_names_the_least_decomposition(run_cli):
+    # all halves on the four-cycle land on (1, 1, 1, 1) at degree 2, which
+    # is v1 + v3 and v2 + v4; the report names the lexicographically least
+    code, out, _ = run_cli(
+        "verify", data_path("fourcyc.ideal"), "--witness", data_path("fourcyc_halves.w")
+    )
+    assert code == 0
+    assert out == "invalid: point admits the integer decomposition (0, 1, 0, 1)\n"
+
+
 def test_verify_count_mismatch_is_completed_run(run_cli):
     # wrong arity is a verdict about the witness, not an input error
     code, out, _ = run_cli(

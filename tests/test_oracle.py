@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import operator
 from fractions import Fraction
 from itertools import islice, product
 
@@ -298,6 +299,49 @@ def test_integer_decomposition_round_trip(load_ideal):
     assert integer_decomposition(p, (1, 0, 0, 0), 0) is None
 
 
+@st.composite
+def decomposition_cases(draw):
+    """A polytope, a point and a degree, for the search and its reference.
+
+    The point is mostly a sum of drawn vertices, so that a decomposition
+    exists, often more than one; then it may be nudged by -1..2 per
+    coordinate, which gives zero coordinates, coordinates above 1 and
+    points with no decomposition, and the degree may be off by one.
+    """
+    p = draw(zero_one_polytopes())
+    chosen = draw(st.lists(st.sampled_from(p.vertices), max_size=4))
+    point = [sum(column) for column in zip(*chosen)] or [0] * p.ambient_dim
+    if draw(st.booleans()):
+        nudges = st.integers(-1, 2)
+        point = [x + draw(nudges) for x in point]
+    degree = len(chosen) + draw(st.sampled_from([0, 0, -1, 1]))
+    return p, tuple(point), degree
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=decomposition_cases())
+@example(case=(FOURCYC, (1, 1, 1, 1), 2))
+@example(case=(FOURCYC, (2, 2, 2, 2), 4))
+@example(case=(FOURCYC, (0, 0, 0, 0), 0))
+@example(case=(REM32, (1, 1, 1, 1, 1, 1, 1), 3))
+@example(case=(ZeroOnePolytope(((0, 0), (1, 0), (1, 1))), (2, 1), 3))
+def test_integer_decomposition_matches_backtracking_reference(case):
+    # the pruned search returns exactly what the plain backtracking one
+    # does: the lexicographically least decomposition, or None, so a search
+    # that settles for another decomposition fails here (on fourcyc the
+    # all-ones point is v2 + v4 and v1 + v3, and (0, 1, 0, 1) is the least)
+    import reference_decomposition
+
+    p, point, degree = case
+    found = integer_decomposition(p, point, degree)
+    assert found == reference_decomposition.integer_decomposition(p, point, degree)
+    if found is not None:
+        assert sum(found) == degree
+        assert [sum(map(operator.mul, found, column)) for column in zip(*p.vertices)] == list(
+            point
+        )
+
+
 @pytest.mark.parametrize(
     "name,status",
     [
@@ -525,7 +569,8 @@ def test_verify_witness_degree_mismatch_unreachable_via_witness(load_ideal):
     half = Fraction(1, 2)
     good = Witness((half,) * 6, 3, (1, 1, 1, 1, 1, 1, 1))
     bad = object.__new__(Witness)
-    object.__setattr__(bad, "coefficients", good.coefficients)
+    object.__setattr__(bad, "denominator", good.denominator)
+    object.__setattr__(bad, "numerators", good.numerators)
     object.__setattr__(bad, "degree", 4)
     object.__setattr__(bad, "point", good.point)
     res = verify_witness(p, bad)

@@ -84,3 +84,30 @@ def test_writer_is_json_dumps_on_nested_payloads(payload):
 def test_writer_rejects_what_the_schema_never_holds(payload):
     with pytest.raises(TypeError):
         to_json(payload)
+
+
+@pytest.mark.parametrize(
+    "name", ["twin_d.ideal", "mix41.ideal", "hex6.ideal", "bowtie.ideal", "k24.ideal"]
+)
+def test_a_witness_verdict_makes_no_fraction(name, monkeypatch):
+    # the odd-cycle witness of twin_d, the torsion witness of mix41's minor
+    # hit lifted through the minor and the reduction, and the witnesses of
+    # Theorems 4.1 and 4.8 and of k24's torsion are built, lifted, verified
+    # and written on integers: analyze and render_json run with Fraction
+    # replaced by a stub that raises, in every module that held it (report
+    # no longer imports it), and write the golden report
+    from idpoly import certificates, oracle, report
+
+    def no_fraction(*args, **kwargs):
+        raise AssertionError("a Fraction was made")
+
+    ideal = _load_ideal(DATA / name)
+    for module in (certificates, oracle, report):
+        monkeypatch.setattr(module, "Fraction", no_fraction, raising=False)
+    result = analyze(ideal)
+    rendered = report.render_json(result)
+    monkeypatch.undo()
+    assert result.verified
+    payload = json.loads(rendered)
+    del payload["stats"]
+    assert json.dumps(payload, indent=2) + "\n" == (DATA / "golden" / f"{name}.json").read_text()
