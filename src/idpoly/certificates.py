@@ -129,15 +129,26 @@ def _settle_witness(
     point: Sequence[int],
 ) -> None:
     """Check the coefficient, degree and point clauses, then set the fields."""
-    for n in numerators:
-        if n < 0 or n >= denominator:
-            raise ValueError(f"coefficient {fraction_text(n, denominator)} out of range [0, 1)")
+    reason = range_error(denominator, numerators)
+    if reason is not None:
+        raise ValueError(reason)
     if sum(numerators) != degree * denominator:
         raise ValueError("coefficients do not sum to the degree")
     if degree < 0:
         raise ValueError("degree cannot be negative")
     if any(x < 0 for x in point):
         raise ValueError("point must be nonnegative")
+    _fill_witness(witness, denominator, numerators, degree, point)
+
+
+def _fill_witness(
+    witness: Witness,
+    denominator: int,
+    numerators: Sequence[int],
+    degree: int,
+    point: Sequence[int],
+) -> Witness:
+    """Set the fields of checked data, numerators over the least denominator."""
     common = gcd(denominator, *numerators)
     if common > 1:
         denominator //= common
@@ -147,6 +158,15 @@ def _settle_witness(
     fill(witness, "numerators", tuple(numerators))
     fill(witness, "degree", degree)
     fill(witness, "point", tuple(point))
+    return witness
+
+
+def range_error(denominator: int, numerators: Sequence[int]) -> str | None:
+    """Why a coefficient numerator/denominator is outside [0, 1), or None."""
+    for n in numerators:
+        if n < 0 or n >= denominator:
+            return f"coefficient {fraction_text(n, denominator)} out of range [0, 1)"
+    return None
 
 
 def fraction_text(numerator: int, denominator: int) -> str:

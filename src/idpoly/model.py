@@ -112,10 +112,7 @@ class SquarefreeIdeal:
 
 
 def minimalize_generators(
-    variables: Sequence[str],
-    generators: Iterable[Iterable[str]],
-    *,
-    alphabet_checked: bool = False,
+    variables: Sequence[str], generators: Iterable[Iterable[str]]
 ) -> SquarefreeIdeal:
     """Build an ideal from raw generators, dropping dominated ones.
 
@@ -131,15 +128,25 @@ def minimalize_generators(
     variables can be strictly contained in another, so each support is
     compared only with those; generators of one degree, as in an edge
     ideal, need no comparison.  The survivors form an antichain by
-    construction, so the ideal is built without checking that again.
-
-    ``alphabet_checked=True`` is the caller's word that the alphabet
-    already passes every other check of an ideal: its names are distinct
-    nonempty strs, there is a generator, none is the unit monomial and
-    each uses only declared names.  The parser's output does, so it
-    passes it; every other caller keeps the checks.
+    construction, so the ideal is built without checking that again;
+    every other check of an ideal runs on them.
     """
     variables = tuple(variables)
+    ideal = _minimal_ideal(variables, generators, stacklevel=3)
+    _check_alphabet(variables, ideal.generators)
+    return ideal
+
+
+def _minimal_ideal(
+    variables: tuple[str, ...], generators: Iterable[Iterable[str]], stacklevel: int
+) -> SquarefreeIdeal:
+    """minimalize_generators without the checks of the alphabet.
+
+    The parser calls it directly: its output already passes them (its
+    names are distinct identifiers, there is a generator, none is the
+    unit monomial and each uses only declared names).  ``stacklevel`` is
+    the DroppedGeneratorWarning's, counted from here.
+    """
     supports = [frozenset(g) for g in generators]
     if not supports:
         raise InputError("an ideal needs at least one generator")
@@ -179,10 +186,8 @@ def minimalize_generators(
         warnings.warn(
             f"dropped dominated generator(s) {dropped} during minimalization",
             DroppedGeneratorWarning,
-            stacklevel=2,
+            stacklevel=stacklevel,
         )
-    if not alphabet_checked:
-        _check_alphabet(variables, tuple(keep))
     ideal = object.__new__(SquarefreeIdeal)
     object.__setattr__(ideal, "variables", variables)
     object.__setattr__(ideal, "generators", tuple(keep))

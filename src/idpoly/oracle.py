@@ -48,7 +48,14 @@ from math import ceil, floor
 from operator import add, le, mul, or_
 from typing import Iterator, Sequence
 
-from .certificates import NORMAL, NOT_NORMAL, Witness, fraction_text
+from .certificates import (
+    NORMAL,
+    NOT_NORMAL,
+    Witness,
+    _fill_witness,
+    fraction_text,
+    range_error,
+)
 from .intlinalg import common_denominator
 from .model import ZeroOnePolytope
 from .simplex import objective_range, solve_lp
@@ -345,8 +352,9 @@ def verify_coefficients(
     reason, degree, point = _check_numerators(polytope, denominator, numerators)
     if reason is not None:
         return VerificationResult(False, reason)
-    scaled = [x * denominator for x in point]
-    return VerificationResult(True, None, Witness.over(denominator, numerators, degree, scaled))
+    # the clauses passed cover every check of a Witness
+    witness = _fill_witness(object.__new__(Witness), denominator, numerators, degree, point)
+    return VerificationResult(True, None, witness)
 
 
 def _check_numerators(
@@ -361,9 +369,9 @@ def _check_numerators(
     if len(numerators) != s:
         reason = f"coefficient count mismatch: got {len(numerators)}, polytope has {s} vertices"
         return reason, 0, []
-    for n in numerators:
-        if n < 0 or n >= denominator:
-            return f"coefficient {fraction_text(n, denominator)} out of range [0, 1)", 0, []
+    reason = range_error(denominator, numerators)
+    if reason is not None:
+        return reason, 0, []
     total = sum(numerators)
     if total % denominator:
         return f"coefficient sum {fraction_text(total, denominator)} is not an integer", 0, []

@@ -15,7 +15,7 @@ from .model import (
     InputError,
     SquarefreeIdeal,
     ZeroOnePolytope,
-    minimalize_generators,
+    _minimal_ideal,
 )
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -127,7 +127,7 @@ def parse_ideal_text(text: str) -> SquarefreeIdeal:
     # the parse has settled every check of the alphabet: each name is an
     # identifier, a vars: line repeats none, undeclared names were appended
     # and no generator is empty
-    return minimalize_generators(tuple(names), generators, alphabet_checked=True)
+    return _minimal_ideal(tuple(names), generators, stacklevel=2)
 
 
 def print_ideal(ideal: SquarefreeIdeal) -> str:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idpoly import parsing
 from idpoly.model import (
     DroppedGeneratorWarning,
     InputError,
@@ -16,6 +17,7 @@ from idpoly.model import (
     minimalize_generators,
     polytope_from_ideal,
 )
+from idpoly.parsing import parse_ideal_text
 
 from randutil import random_minimal_ideal
 
@@ -74,6 +76,26 @@ def test_minimalize_drops_dominated_with_warning():
 def test_minimalize_rejects_duplicates():
     with pytest.raises(InputError, match="generators 1 and 3 are identical"):
         minimalize_generators(("a", "b"), [{"a", "b"}, {"a"}, {"a", "b"}])
+
+
+def test_dropped_generator_warning_points_at_the_caller():
+    with pytest.warns(DroppedGeneratorWarning) as record:
+        minimalize_generators(("a", "b"), [{"a", "b"}, {"a"}])
+    assert record[0].filename == __file__
+    with pytest.warns(DroppedGeneratorWarning) as record:
+        parse_ideal_text("a*b\na\n")
+    assert record[0].filename == parsing.__file__
+
+
+def test_minimalize_keeps_every_check_of_an_ideal():
+    with pytest.raises(InputError, match="generator 1 uses undeclared variable 'c'"):
+        minimalize_generators(("a", "b"), [{"a", "c"}])
+    with pytest.raises(InputError, match="invalid variable name ''"):
+        minimalize_generators(("a", ""), [{"a"}])
+    with pytest.raises(InputError, match="duplicate variable name 'a'"):
+        minimalize_generators(("a", "a"), [{"a"}])
+    with pytest.raises(InputError, match="generator 1 is the unit monomial"):
+        minimalize_generators(("a",), [set()])
 
 
 def test_minimalize_keeps_antichain_untouched():
