@@ -9,16 +9,20 @@ structure theory here.  Remark 3.2's verdict also carries the
 TorsionCertificate its witness is derived from.  Every rule builds its
 witness on integers, numerators over one denominator with the point
 summed from them, through ``Witness.over``, and lift_witness carries it
-to a parent hypergraph the same way.
+to a parent hypergraph the same way.  Theorem 4.8's search runs on the
+edge masks that the engine's minor guard reads; its sum-set test is the
+one check of its pair here, and the engine re-checks the witness.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations
 from math import gcd
-from typing import Collection, Iterable, Sequence
+from operator import le
+from typing import Callable, Collection, Iterable, Sequence
 
 from .hypergraph import (
     BudgetExceeded,
@@ -206,8 +210,8 @@ class ExceptionalPair:
     edges, which meet the cycle vertices in exactly two vertices apiece.
     The connection is a chain of edges avoiding all cycle vertices that
     starts on special_one's off-cycle part and ends on special_two's.
-    The designated edges may share a vertex off the cycles;
-    exceptional_witness checks the point they give.
+    The designated edges may share a vertex off the cycles.  A plain
+    record: ``find_exceptional_pair`` builds it only after every check.
     """
 
     cycle_one: Cycle
@@ -215,49 +219,6 @@ class ExceptionalPair:
     special_one: tuple[int, ...]
     special_two: tuple[int, ...]
     connection: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        c1, c2 = self.cycle_one, self.cycle_two
-        for cycle in (c1, c2):
-            if len(cycle) < 3 or len(cycle) % 2 == 0:
-                raise ValueError("cycles must be odd of length at least 3")
-        v1, v2 = set(c1.vertices), set(c2.vertices)
-        shared = v1 & v2
-        if shared:
-            raise ValueError(f"cycles share vertex {min(shared)}")
-        e1 = {frozenset(e) for e in c1.edges}
-        e2 = {frozenset(e) for e in c2.edges}
-        if e1 & e2:
-            raise ValueError("cycles share an edge")
-        cycle_vertices = v1 | v2
-        for cycle, special in ((c1, self.special_one), (c2, self.special_two)):
-            fs = frozenset(special)
-            if fs not in {frozenset(e) for e in cycle.edges}:
-                raise ValueError(f"{special} is not an edge of its cycle")
-            for e in cycle.edges:
-                if frozenset(e) != fs and len(e) != 2:
-                    raise ValueError(f"non-designated cycle edge {e} is not 1-dimensional")
-            if len(fs & cycle_vertices) != 2:
-                raise ValueError(
-                    f"designated edge {special} must meet the cycles in exactly 2 vertices"
-                )
-        if not self.connection:
-            raise ValueError("connection cannot be empty")
-        for e in self.connection:
-            if set(e) & cycle_vertices:
-                raise ValueError(f"connection edge {e} touches a cycle vertex")
-        chain = [set(e) for e in self.connection]
-        for first, second in zip(chain, chain[1:]):
-            if not first & second:
-                raise ValueError("connection edges do not chain up")
-        if not chain[0] & (set(self.special_one) - cycle_vertices):
-            raise ValueError("connection does not reach the first designated edge")
-        if not chain[-1] & (set(self.special_two) - cycle_vertices):
-            raise ValueError("connection does not reach the second designated edge")
-
-    @property
-    def cycle_vertices(self) -> frozenset[int]:
-        return frozenset(self.cycle_one.vertices) | frozenset(self.cycle_two.vertices)
 
 
 def _require_separated(hypergraph: LabeledHypergraph) -> None:
@@ -535,111 +496,104 @@ def bicolor_obstruction(hypergraph: LabeledHypergraph) -> RuleOutcome:
     )
 
 
-def _odd_cycle_candidates(
-    hypergraph: LabeledHypergraph, budget: int
-) -> list[tuple[tuple[int, ...], Cycle, tuple[int, ...]]]:
-    """Odd cycles made of skeleton edges plus one fat simple edge.
+def fat_simple_edges(edges: Collection[int]) -> list[int]:
+    """The edge masks of 3+ vertices holding no other edge, in order.
 
-    For each simple edge G with at least 3 vertices and each vertex pair
-    x < y in G, enumerate even-length skeleton paths from x to y whose
-    interior avoids G; the path closed by G is an odd cycle meeting G in
-    exactly two vertices.  Deduplicated on (vertex set, G) and sorted by
-    (size, vertex tuple, G).  Raises BudgetExceeded when the path search
-    runs out of its node budget, since the list is then incomplete.
+    Theorem 4.8 closes each of its cycles with one; its search and the
+    engine's minor guard both take them from here.
     """
-    # canonical edge order lists each vertex's neighbours ascending
-    adjacency: dict[int, list[int]] = {v: [] for v in hypergraph.vertices}
-    for edge in hypergraph.edges:
-        if len(edge) == 2:
-            v, w = edge
-            adjacency[v].append(w)
-            adjacency[w].append(v)
-    found: dict[tuple[tuple[int, ...], tuple[int, ...]], Cycle] = {}
-    nodes = budget
-
-    def paths(x: int, y: int, forbidden: set[int]) -> Iterable[tuple[int, ...]]:
-        stack: list[tuple[int, ...]] = [(x,)]
-        nonlocal nodes
-        while stack:
-            if nodes <= 0:
-                raise BudgetExceeded(
-                    f"exceptional-pair search exceeded its budget of {budget} nodes"
-                )
-            nodes -= 1
-            path = stack.pop()
-            tip = path[-1]
-            for w in reversed(adjacency[tip]):
-                if w == y:
-                    if len(path) % 2 == 0 and len(path) >= 2:
-                        yield path + (y,)
-                    continue
-                if w in forbidden or w in path:
-                    continue
-                stack.append(path + (w,))
-
-    for simple in hypergraph.simple_edges():
-        g = simple.vertices
-        if len(g) < 3:
-            continue
-        g_set = set(g)
-        for x, y in combinations(g, 2):
-            for path in paths(x, y, g_set):
-                key = (tuple(sorted(path)), g)
-                if key in found:
-                    continue
-                skeleton_edges = tuple(
-                    tuple(sorted((path[i], path[i + 1])))
-                    for i in range(len(path) - 1)
-                )
-                found[key] = Cycle(path, skeleton_edges + (g,))
-    items = [
-        (vertices, cycle, g) for (vertices, g), cycle in sorted(found.items())
+    return [
+        g
+        for g in edges
+        if g.bit_count() >= 3 and not any(f != g and f & g == f for f in edges)
     ]
-    items.sort(key=lambda item: (len(item[0]), item[0], item[2]))
-    return items
+
+
+def _odd_cycle_candidates(
+    hypergraph: LabeledHypergraph, spend: Callable[[int], None]
+) -> list[tuple[int, int, Cycle]]:
+    """(vertex mask, closing edge mask, cycle) for each candidate cycle.
+
+    For each fat simple edge g and each vertex pair x < y in g, a
+    depth-first search, spending a node per path it pops, lists the
+    even-length skeleton paths from x to y whose interior avoids g; g
+    closes each into an odd cycle.  The first path found per (vertex
+    mask, g) is kept.  Sorting by (size, -vertex mask, -g) is sorting by
+    (size, vertex tuple, g tuple): on masks of one size, and on simple
+    edges, which never hold each other, integer order reverses tuple order.
+    """
+    n = hypergraph.num_vertices
+    masks = hypergraph.edge_masks
+    bits = [1 << (n - v) for v in range(n + 1)]
+    # each vertex's skeleton neighbours descending, so the stack pops them ascending
+    neighbours: list[list[int]] = [[] for _ in bits]
+    for v, w in reversed([edge for edge in hypergraph.edges if len(edge) == 2]):
+        neighbours[v].append(w)
+        neighbours[w].append(v)
+    vertices_of = dict(zip(masks, hypergraph.edges))
+    found: dict[tuple[int, int], Cycle] = {}
+    for g in fat_simple_edges(masks):
+        closing = vertices_of[g]
+        for x, y in combinations(closing, 2):
+            stack = [((x,), bits[x])]
+            while stack:
+                spend(1)
+                path, mask = stack.pop()
+                for w in neighbours[path[-1]]:
+                    if w == y:
+                        key = (mask | bits[y], g)
+                        if len(path) % 2 == 0 and key not in found:
+                            cycle = path + (y,)
+                            edges = tuple(tuple(sorted(step)) for step in zip(cycle, cycle[1:]))
+                            found[key] = Cycle(cycle, edges + (closing,))
+                    elif not bits[w] & (g | mask):
+                        stack.append((path + (w,), mask | bits[w]))
+    ordered = sorted(found, key=lambda key: (key[0].bit_count(), -key[0], -key[1]))
+    return [(vertices, g, found[vertices, g]) for vertices, g in ordered]
 
 
 def _connection_between(
-    hypergraph: LabeledHypergraph,
-    cycle_vertices: frozenset[int],
-    source: set[int],
-    target: set[int],
-    relaxed: bool,
-) -> tuple[tuple[int, ...], ...] | None:
-    """Chain of off-cycle edges from source vertices to target vertices."""
-    outside = [
-        e for e in hypergraph.edges if not cycle_vertices.intersection(e)
-    ]
+    outside: Sequence[int], source: int, target: int, relaxed: bool
+) -> tuple[int, ...] | None:
+    """A chain of edge masks of ``outside`` from ``source`` to ``target``.
+
+    Strict: the first edge meeting both.  Relaxed: the first chain a
+    breadth-first search over edges finds, expanding in order.
+    """
     if not relaxed:
-        for e in outside:
-            if source.intersection(e) and target.intersection(e):
-                return (e,)
-        return None
-    # breadth-first over edges, expanding in canonical order
-    queue: list[tuple[tuple[int, ...], ...]] = [
-        (e,) for e in outside if source.intersection(e)
-    ]
+        return next(((e,) for e in outside if e & source and e & target), None)
+    queue = deque((e,) for e in outside if e & source)
     seen = {chain[-1] for chain in queue}
     while queue:
-        chain = queue.pop(0)
-        last = set(chain[-1])
-        if target & last:
+        chain = queue.popleft()
+        if chain[-1] & target:
             return chain
         for e in outside:
-            if e not in seen and last.intersection(e):
+            if e not in seen and chain[-1] & e:
                 seen.add(e)
                 queue.append(chain + (e,))
     return None
 
 
-def _halves_decompose(hypergraph: LabeledHypergraph, union: frozenset[int]) -> bool:
-    """Whether the all-halves point on union is a sum of |union|/2 polytope vertices."""
+def _halves_decompose(
+    hypergraph: LabeledHypergraph, union: int, spend: Callable[[int], None]
+) -> bool:
+    """Whether the all-halves point on the mask ``union`` is a sum of |union|/2 vertices.
+
+    ``oracle.vertex_sums`` gives S_k, the sums of k vertices under the
+    point.  Each step is paid for before it is taken: |S_(k-1)| times the
+    number of vertices under the point.
+    """
     from .oracle import vertex_sums  # the oracle imports this module
 
-    point = tuple(len(union & img) // 2 for _, img in hypergraph.labels)
-    # only sums that stay under the point can add up to it
-    sums = vertex_sums(incidence_matrix(hypergraph), ceiling=point)
-    return point in next(islice(sums, len(union) // 2 - 1, None))
+    point = tuple((mask & union).bit_count() // 2 for mask in hypergraph.label_masks)
+    rows = incidence_matrix(hypergraph)
+    under = sum(all(map(le, row, point)) for row in rows)
+    steps, sums = vertex_sums(rows, ceiling=point), {(0,) * len(point)}
+    for _ in range(union.bit_count() // 2):
+        spend(len(sums) * under)
+        sums = next(steps)
+    return point in sums
 
 
 def find_exceptional_pair(
@@ -648,93 +602,70 @@ def find_exceptional_pair(
     """Search for two connected odd cycles forming an obstruction pattern.
 
     Candidate cycles consist of skeleton edges closed by one simple edge
-    of 3+ vertices; pairs are tried smallest-first.  A pair qualifies when
-    the cycles are fully disjoint, every edge meets their union evenly, a
-    connector chain exists (a single edge by default, an edge path when
-    relaxed), and no sum of |union|/2 vertices of this hypergraph's own
-    polytope reaches the all-halves point, so the witness is valid by
-    construction.  The budget caps path-search nodes;
-    BudgetExceeded is raised when it runs out, before any pair is tried,
-    so None always means "none exists".
+    of 3+ vertices; pairs are tried smallest-first, on vertex masks.  A
+    pair qualifies when the cycles are fully disjoint, neither closing
+    edge meets the other cycle, every edge meets their union evenly, a
+    connector chain of edges missing the union exists (a single edge by
+    default, an edge path when relaxed), and no sum of |union|/2 vertices
+    of this hypergraph's own polytope reaches the all-halves point, so
+    the witness is valid by construction.  The budget caps path-search
+    nodes and sum-set additions together, and BudgetExceeded is raised
+    when it runs out, so None always means "none exists".
     """
-    candidates = _odd_cycle_candidates(hypergraph, budget)
-    all_edges = hypergraph.edges
-    for i in range(len(candidates)):
-        vertices_one, cycle_one, g_one = candidates[i]
-        set_one = frozenset(vertices_one)
-        for j in range(i + 1, len(candidates)):
-            vertices_two, cycle_two, g_two = candidates[j]
-            set_two = frozenset(vertices_two)
-            if set_one & set_two:
-                continue
-            union = set_one | set_two
-            if set(g_one) & set_two or set(g_two) & set_one:
-                continue
-            if any(len(union.intersection(e)) % 2 for e in all_edges):
-                continue
-            connection = _connection_between(
-                hypergraph,
-                union,
-                set(g_one) - union,
-                set(g_two) - union,
-                relaxed,
+    nodes = budget
+
+    def spend(count: int) -> None:
+        nonlocal nodes
+        if count > nodes:
+            raise BudgetExceeded(
+                f"exceptional-pair search exceeded its budget of {budget} nodes"
             )
-            if connection is None:
+        nodes -= count
+
+    candidates = _odd_cycle_candidates(hypergraph, spend)
+    masks = hypergraph.edge_masks
+    for i, (one, g_one, cycle_one) in enumerate(candidates):
+        for two, g_two, cycle_two in candidates[i + 1 :]:
+            if one & two or g_one & two or g_two & one:
                 continue
-            if _halves_decompose(hypergraph, union):
+            union = one | two
+            if any((e & union).bit_count() % 2 for e in masks):
                 continue
-            return ExceptionalPair(cycle_one, cycle_two, g_one, g_two, connection)
+            outside = [e for e in masks if not e & union]
+            connection = _connection_between(outside, g_one & ~union, g_two & ~union, relaxed)
+            if connection is None or _halves_decompose(hypergraph, union, spend):
+                continue
+            vertices_of = dict(zip(masks, hypergraph.edges))
+            return ExceptionalPair(
+                cycle_one,
+                cycle_two,
+                vertices_of[g_one],
+                vertices_of[g_two],
+                tuple(map(vertices_of.__getitem__, connection)),
+            )
     return None
-
-
-def exceptional_witness(
-    hypergraph: LabeledHypergraph, pair: ExceptionalPair
-) -> Witness:
-    """All-halves combination on the pair's cycle vertices.
-
-    Validates the pair against the hypergraph and raises ValueError when
-    anything fails: its edges must exist, its designated edges be simple,
-    every edge meet the cycles evenly (exactly what makes the point
-    integral), and the point must have no integer decomposition.
-    """
-    edge_set = {frozenset(e) for e in hypergraph.edges}
-    for cycle in (pair.cycle_one, pair.cycle_two):
-        for e in cycle.edges:
-            if frozenset(e) not in edge_set:
-                raise ValueError(f"cycle edge {e} is not an edge of the hypergraph")
-    simple = {s.vertices for s in hypergraph.simple_edges()}
-    for g in (pair.special_one, pair.special_two):
-        if tuple(sorted(g)) not in simple:
-            raise ValueError(f"designated edge {g} is not a simple edge")
-    for e in pair.connection:
-        if frozenset(e) not in edge_set:
-            raise ValueError(f"connection edge {e} is not an edge of the hypergraph")
-    union = pair.cycle_vertices
-    for e in hypergraph.edges:
-        if len(union.intersection(e)) % 2:
-            raise ValueError(
-                f"edge {e} meets the cycles in an odd number of vertices"
-            )
-    if _halves_decompose(hypergraph, union):
-        raise ValueError("the all-halves point decomposes")
-    numerators = [int(v in union) for v in hypergraph.vertices]
-    return _witness_on(hypergraph, 2, numerators, len(union) // 2)
 
 
 def exceptional_pair_rule(
     hypergraph: LabeledHypergraph, relaxed: bool = False
 ) -> RuleOutcome:
-    """Theorem 4.8: an exceptional pair of odd cycles, and its all-halves witness."""
+    """Theorem 4.8: an exceptional pair of odd cycles, and its all-halves witness.
+
+    The witness is 1/2 on the vertices of both cycles, whose point the
+    search has already found to admit no decomposition.
+    """
     try:
         pair = find_exceptional_pair(hypergraph, relaxed=relaxed)
     except BudgetExceeded as exc:
         return RuleOutcome(BUDGET_EXCEEDED, str(exc))
     if pair is None:
         return RuleOutcome(INAPPLICABLE, "no exceptional pair found")
+    union = {*pair.cycle_one.vertices, *pair.cycle_two.vertices}
+    numerators = [int(v in union) for v in hypergraph.vertices]
     return RuleOutcome(
         NOT_NORMAL,
         f"cycles {pair.cycle_one.vertices} and {pair.cycle_two.vertices}",
-        witness=exceptional_witness(hypergraph, pair),
+        witness=_witness_on(hypergraph, 2, numerators, len(union) // 2),
     )
 
 

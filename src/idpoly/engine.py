@@ -50,6 +50,7 @@ from .certificates import (
     connected_odd_fires,
     decide_connected_odd,
     exceptional_pair_rule,
+    fat_simple_edges,
     lift_witness,
     odd_cycle_rule,
     torsion_obstruction,
@@ -252,10 +253,7 @@ def _pair_guard(minor: Minor, screens: dict[int, bool]) -> bool:
     if minor.core.bit_count() < 6:
         return False
     edges = minor.edges
-    fat = [edge for edge in edges if edge.bit_count() >= 3]
-    if len(fat) < 2:
-        return False
-    simple = [g for g in fat if not any(f != g and f & g == f for f in edges)]
+    simple = fat_simple_edges(edges)
     if len(simple) < 2:
         return False
     big = [c for c, _ in minor.components if c.bit_count() >= 3]

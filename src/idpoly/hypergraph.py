@@ -10,8 +10,8 @@ rules combinatorial statements about edges, cycles and vertex parity.
 Everything in this module is pure and deterministic: edges are kept in a
 fixed canonical order (smallest vertex, then size, then lexicographic),
 and all searches enumerate candidates in that order.  A LabeledHypergraph
-is frozen, so the structure derived from it (edges, separation, simple
-edges, 1-skeleton) is computed once per object and shared by every
+is frozen, so the structure derived from it (edges, their masks,
+separation, 1-skeleton) is computed once per object and shared by every
 caller; none of it may be mutated.
 
 The hypergraph of an ideal and its restrictions to a vertex subset
@@ -217,20 +217,6 @@ class LabeledHypergraph:
         closed = set(self.closed_vertices())
         return tuple(v for v in self.vertices if v not in closed)
 
-    def simple_edges(self) -> tuple[Edge, ...]:
-        """Edges containing no other edge as a proper subset."""
-        return self._simple_edges
-
-    @cached_property
-    def _simple_edges(self) -> tuple[Edge, ...]:
-        images = self._labels_by_image
-        out = []
-        for e in self.edges:
-            es = frozenset(e)
-            if not any(f < es for f in images if f):
-                out.append(Edge(e, images[es]))
-        return tuple(out)
-
     @cached_property
     def edge_masks(self) -> tuple[int, ...]:
         """The edges in canonical order as masks, vertex v of n as bit n - v."""
@@ -312,10 +298,11 @@ def incidence_matrix(hypergraph: LabeledHypergraph) -> tuple[tuple[int, ...], ..
     column), which makes the matrix coincide with the exponent matrix of
     the corresponding ideal.
     """
-    return tuple(
-        tuple(1 if v in img else 0 for _, img in hypergraph.labels)
-        for v in hypergraph.vertices
-    )
+    rows = [[0] * len(hypergraph.labels) for _ in hypergraph.vertices]
+    for column, (_, img) in enumerate(hypergraph.labels):
+        for v in img:
+            rows[v - 1][column] = 1
+    return tuple(map(tuple, rows))
 
 
 def induced_subhypergraph(
@@ -650,7 +637,9 @@ def find_special_odd_cycle(
     """Search for an odd cycle whose edges each meet it in exactly 2 vertices.
 
     Exact backtracking in canonical order: smallest start vertex first,
-    then edges in canonical order and next vertices ascending.  Raises
+    then edges in canonical order and next vertices ascending.  Each path
+    on the search's stack keeps a generator of its moves, so no path
+    length reaches the interpreter's recursion limit.  Raises
     BudgetExceeded when the node budget runs out before the search space
     is exhausted, in which case absence has not been established.
     """
@@ -661,19 +650,9 @@ def find_special_odd_cycle(
     for e in edges:
         for v in e:
             by_vertex[v].append(e)
-    nodes_left = budget
 
-    def extend(
-        path: list[int],
-        used: list[tuple[int, ...]],
-        covered: set[int],
-    ) -> Cycle | None:
-        nonlocal nodes_left
-        if nodes_left <= 0:
-            raise BudgetExceeded(
-                f"special-cycle search exceeded its budget of {budget} nodes"
-            )
-        nodes_left -= 1
+    def moves(path: list[int], used: tuple[tuple[int, ...], ...], covered: set[int]) -> Iterator:
+        # the cycle an edge closes, or each path one edge longer, in search order
         tip = path[-1]
         start = path[0]
         path_set = set(path)
@@ -682,21 +661,29 @@ def find_special_odd_cycle(
                 continue
             overlap = path_set.intersection(edge)
             if len(path) >= 3 and len(path) % 2 == 1 and overlap == {tip, start}:
-                return Cycle(tuple(path), tuple(used) + (edge,))
+                yield Cycle(tuple(path), used + (edge,))
             if overlap != {tip}:
                 continue
+            grown = covered.union(edge)
             for w in sorted(set(edge) - covered):
-                if w <= start:
-                    continue
-                found = extend(path + [w], used + [edge], covered | set(edge))
-                if found is not None:
-                    return found
-        return None
+                if w > start:
+                    yield path + [w], used + (edge,), grown
 
-    for start in hypergraph.vertices:
-        found = extend([start], [], {start})
-        if found is not None:
-            return found
+    nodes_left = budget
+    stack = [(([v], (), {v}) for v in hypergraph.vertices)]  # the one-vertex paths at the bottom
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+        elif isinstance(step, Cycle):
+            return step
+        else:
+            if nodes_left <= 0:
+                raise BudgetExceeded(
+                    f"special-cycle search exceeded its budget of {budget} nodes"
+                )
+            nodes_left -= 1
+            stack.append(moves(*step))
     return None
 
 

@@ -287,9 +287,11 @@ def vertex_sums(
     sums = set(vectors)
     while True:
         yield sums
-        sums = {tuple(map(add, p, v)) for p in sums for v in vectors}
-        if ceiling is not None:
-            sums = {p for p in sums if all(map(le, p, ceiling))}
+        if ceiling is None:
+            sums = {tuple(map(add, p, v)) for p in sums for v in vectors}
+        else:
+            grown = (tuple(map(add, p, v)) for p in sums for v in vectors)
+            sums = {p for p in grown if all(map(le, p, ceiling))}
 
 
 def decide_normal_bruteforce(

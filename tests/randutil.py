@@ -202,6 +202,41 @@ def shared_vertex_cycle_pair_hypergraphs(draw):
 
 
 @st.composite
+def chorded_cycle_pair_hypergraphs(draw):
+    """Two odd cycles with chords, closed by fat edges and linked by a network.
+
+    Each cycle is a path of 2-vertex edges, with up to two chords between
+    its vertices, closed by a fat edge holding the path's two ends and an
+    off-cycle port of its own.  A chord lets two paths of one vertex set
+    join the ends, which the pair search must tell apart by the order it
+    finds them in.  Up to five 2-vertex edges among the two ports and
+    three more off-cycle vertices form the network that can connect the
+    cycles, through one edge or through chains of several, with choices
+    that a breadth-first search takes in order.
+    """
+    first = draw(st.sampled_from((3, 5, 7)))
+    second = draw(st.sampled_from((3, 5)))
+    one = tuple(range(1, first + 1))
+    two = tuple(range(first + 1, first + second + 1))
+    port = first + second + 1
+    edges = set()
+    for cycle, own_port in ((one, port), (two, port + 1)):
+        edges.update(frozenset(pair) for pair in zip(cycle, cycle[1:]))
+        chords = st.frozensets(st.sampled_from(cycle), min_size=2, max_size=2)
+        edges.update(draw(st.lists(chords, max_size=2)))
+        edges.add(frozenset((cycle[0], cycle[-1], own_port)))
+    network = st.frozensets(st.sampled_from(range(port, port + 5)), min_size=2, max_size=2)
+    edges.update(draw(st.lists(network, min_size=1, max_size=5)))
+    used = sorted(set().union(*edges))
+    rename = {old: new for new, old in enumerate(used, start=1)}
+    labels = tuple(
+        (f"e{i}", frozenset(rename[v] for v in edge))
+        for i, edge in enumerate(sorted(edges, key=sorted))
+    )
+    return LabeledHypergraph(len(used), labels)
+
+
+@st.composite
 def small_graph_edge_ideals(draw, max_edges: int = 8):
     """Edge ideals of simple graphs with at most ``max_edges`` edges and 9 nodes.
 
@@ -248,3 +283,26 @@ def benchmark_edge_ideals(seed: int):
         names = {v: f"x{i}" for i, v in enumerate(used, start=1)}
         generators = tuple(frozenset((names[a], names[b])) for a, b in pairs)
         yield SquarefreeIdeal(tuple(names[v] for v in used), generators)
+
+
+def cycle_edge_ideal(length: int) -> SquarefreeIdeal:
+    """The edge ideal of the cycle x0 - x1 - ... - x(length-1) - x0."""
+    names = tuple(f"x{i}" for i in range(length))
+    generators = tuple(frozenset((names[i], names[(i + 1) % length])) for i in range(length))
+    return SquarefreeIdeal(names, generators)
+
+
+def linked_cycles_ideal(length: int) -> SquarefreeIdeal:
+    """The edge ideal of two cycles x and y of one length, joined by x0*z and z*y0."""
+    cycles = [cycle_edge_ideal(length), cycle_edge_ideal(length)]
+    ys = {f"x{i}": f"y{i}" for i in range(length)}
+    generators = [*cycles[0].generators]
+    generators += [frozenset(map(ys.get, g)) for g in cycles[1].generators]
+    generators += [frozenset(("x0", "z")), frozenset(("z", "y0"))]
+    return SquarefreeIdeal((*cycles[0].variables, *ys.values(), "z"), tuple(generators))
+
+
+def ideal_text(ideal: SquarefreeIdeal) -> str:
+    """The ideal in the input format, its variables declared in order."""
+    generators = ", ".join("*".join(sorted(g, key=ideal.variables.index)) for g in ideal.generators)
+    return f"vars: {' '.join(ideal.variables)}\n{generators}\n"

@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from idpoly.certificates import exceptional_witness, find_exceptional_pair
+from idpoly.certificates import exceptional_pair_rule, find_exceptional_pair
 from idpoly.engine import NORMAL, NOT_NORMAL, UNKNOWN, analyze
 from idpoly.hypergraph import (
     build_from_ideal,
@@ -118,7 +118,7 @@ def test_criterion_4_exceptional_pairs(load_ideal):
         h = build_from_ideal(ideal)
         pair = find_exceptional_pair(h)
         assert pair is not None, name
-        witness = exceptional_witness(h, pair)
+        witness = exceptional_pair_rule(h).witness
         assert witness.degree == degree
         poly = polytope_from_ideal(ideal)
         assert verify_witness(poly, witness).valid

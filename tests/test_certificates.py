@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idpoly import certificates
@@ -13,6 +13,7 @@ from idpoly.certificates import (
     INAPPLICABLE,
     NORMAL,
     NOT_NORMAL,
+    PAIR_BUDGET,
     ExceptionalPair,
     RuleOutcome,
     Witness,
@@ -20,7 +21,6 @@ from idpoly.certificates import (
     bicolor_obstruction,
     decide_connected_odd,
     exceptional_pair_rule,
-    exceptional_witness,
     find_exceptional_pair,
     lift_witness,
     odd_cycle_rule,
@@ -28,11 +28,11 @@ from idpoly.certificates import (
 )
 from idpoly.hypergraph import (
     BudgetExceeded,
-    Cycle,
     LabeledHypergraph,
     MinorTrace,
     ReductionTrace,
     build_from_ideal,
+    enumerate_minors,
     ideal_of,
     induced_subhypergraph,
     reduce_closed_fixpoint,
@@ -41,7 +41,10 @@ from idpoly.intlinalg import prime_factors, verify_torsion_certificate
 from idpoly.model import SquarefreeIdeal, polytope_from_ideal
 from idpoly.oracle import decide_normal_bruteforce, verify_witness
 
+import reference_search
 from randutil import (
+    chorded_cycle_pair_hypergraphs,
+    linked_cycles_ideal,
     odd_cycle_pair_hypergraphs,
     separated_hypergraphs,
     shared_vertex_cycle_pair_hypergraphs,
@@ -441,7 +444,7 @@ def test_exceptional_pair_bowtie(load_ideal):
     assert tuple(sorted(pair.special_one)) == (2, 3, 4)
     assert tuple(sorted(pair.special_two)) == (5, 6, 7)
     assert pair.connection == ((4, 5),)
-    witness = exceptional_witness(h, pair)
+    witness = exceptional_pair_rule(h).witness
     assert witness.coefficients == (HALF, HALF, HALF, 0, 0, HALF, HALF, HALF)
     assert witness.degree == 3
     assert verify_witness(polytope_from_ideal(load_ideal("bowtie.ideal")), witness).valid
@@ -473,7 +476,7 @@ def test_exceptional_pair_larger_instances(load_ideal, name, degree):
     h = build_from_ideal(load_ideal(name))
     pair = find_exceptional_pair(h)
     assert pair is not None
-    witness = exceptional_witness(h, pair)
+    witness = exceptional_pair_rule(h).witness
     assert witness.degree == degree
     assert verify_witness(polytope_from_ideal(load_ideal(name)), witness).valid
 
@@ -491,7 +494,7 @@ def test_exceptional_pair_relaxed_connection(load_ideal):
     pair = find_exceptional_pair(h, relaxed=True)
     assert pair is not None
     assert pair.connection == ((4, 9), (5, 9))
-    witness = exceptional_witness(h, pair)
+    witness = exceptional_pair_rule(h, relaxed=True).witness
     assert witness.degree == 3
     assert witness.point == (1, 1, 1, 1, 1, 1, 0, 0)
 
@@ -522,32 +525,8 @@ def test_exceptional_pair_witness_stands_on_its_own_polytope(h, relaxed):
     pair = find_exceptional_pair(h, relaxed=relaxed)
     if pair is not None:
         polytope = polytope_from_ideal(ideal_of(h))
-        assert verify_witness(polytope, exceptional_witness(h, pair)).valid
-
-
-def test_exceptional_witness_rejects_foreign_pair(load_ideal):
-    bowtie = build_from_ideal(load_ideal("bowtie.ideal"))
-    pair = find_exceptional_pair(bowtie)
-    other = build_from_ideal(load_ideal("tri.ideal"))
-    with pytest.raises(ValueError):
-        exceptional_witness(other, pair)
-
-
-def test_exceptional_pair_structural_validation():
-    c1 = Cycle((1, 2, 3), ((1, 2), (2, 3), (1, 3)))
-    c2 = Cycle((4, 5, 6), ((4, 5), (5, 6), (4, 6)))
-    with pytest.raises(ValueError, match="is not an edge of its cycle"):
-        ExceptionalPair(c1, c2, (9, 10), (4, 5), ((7, 8),))
-    with pytest.raises(ValueError, match="connection cannot be empty"):
-        ExceptionalPair(c1, c2, (1, 2), (4, 5), ())
-    with pytest.raises(ValueError, match="touches a cycle vertex"):
-        ExceptionalPair(c1, c2, (1, 2), (4, 5), ((3, 7),))
-    shared = Cycle((3, 7, 8), ((3, 7), (7, 8), (3, 8)))
-    with pytest.raises(ValueError, match="share vertex 3"):
-        ExceptionalPair(c1, shared, (1, 2), (7, 8), ((9, 10),))
-    even = Cycle((1, 2, 3, 4), ((1, 2), (2, 3), (3, 4), (1, 4)))
-    with pytest.raises(ValueError, match="odd"):
-        ExceptionalPair(even, c2, (1, 2), (4, 5), ((7, 8),))
+        witness = exceptional_pair_rule(h, relaxed=relaxed).witness
+        assert verify_witness(polytope, witness).valid
 
 
 def edge_hypergraph(num_vertices, edges):
@@ -562,11 +541,6 @@ def test_exceptional_witness_rejects_a_lone_shared_vertex():
     h = edge_hypergraph(
         9, ((1, 2), (2, 3), (1, 3, 7, 9), (4, 5), (5, 6), (4, 6, 7, 8), (8, 9))
     )
-    fat1 = Cycle((1, 2, 3), ((1, 2), (2, 3), (1, 3, 7, 9)))
-    fat2 = Cycle((4, 5, 6), ((4, 5), (5, 6), (4, 6, 7, 8)))
-    pair = ExceptionalPair(fat1, fat2, (1, 3, 7, 9), (4, 6, 7, 8), ((8, 9),))
-    with pytest.raises(ValueError, match="the all-halves point decomposes"):
-        exceptional_witness(h, pair)
     assert find_exceptional_pair(h) is None
 
 
@@ -578,11 +552,6 @@ def test_exceptional_pair_skips_a_decomposing_shared_vertex_on_a_third_edge(rela
     h = edge_hypergraph(
         9, ((1, 2), (2, 3), (1, 3, 7, 8), (4, 5), (5, 6), (4, 6, 7, 9), (8, 9), (1, 4, 7))
     )
-    fat1 = Cycle((1, 2, 3), ((1, 2), (2, 3), (1, 3, 7, 8)))
-    fat2 = Cycle((4, 5, 6), ((4, 5), (5, 6), (4, 6, 7, 9)))
-    pair = ExceptionalPair(fat1, fat2, (1, 3, 7, 8), (4, 6, 7, 9), ((8, 9),))
-    with pytest.raises(ValueError, match="the all-halves point decomposes"):
-        exceptional_witness(h, pair)
     assert find_exceptional_pair(h, relaxed=relaxed) is None
 
 
@@ -598,7 +567,7 @@ def test_exceptional_pair_keeps_a_shared_vertex_on_a_third_edge(relaxed):
     assert (pair.special_one, pair.special_two) == ((1, 3, 7, 8), (4, 6, 7))
     assert pair.connection == ((7, 9),)
     polytope = polytope_from_ideal(ideal_of(h))
-    assert verify_witness(polytope, exceptional_witness(h, pair)).valid
+    assert verify_witness(polytope, exceptional_pair_rule(h, relaxed=relaxed).witness).valid
 
 
 @pytest.mark.parametrize("relaxed", [False, True])
@@ -610,10 +579,88 @@ def test_every_pair_is_checked_for_a_decomposition(load_ideal, monkeypatch, rela
     h = build_from_ideal(load_ideal("bowtie.ideal"))
     pair = find_exceptional_pair(h, relaxed=relaxed)
     assert not set(pair.special_one) & set(pair.special_two)
-    monkeypatch.setattr(certificates, "_halves_decompose", lambda hypergraph, union: True)
+    monkeypatch.setattr(certificates, "_halves_decompose", lambda hypergraph, union, spend: True)
     assert find_exceptional_pair(h, relaxed=relaxed) is None
-    with pytest.raises(ValueError, match="the all-halves point decomposes"):
-        exceptional_witness(h, pair)
+
+
+def pair_search_outcomes(h):
+    """Each (relaxed, budget) pair's search result, or its budget message, by both searches."""
+    for relaxed in (False, True):
+        for budget in (PAIR_BUDGET, 5, 40):
+            found = []
+            for search in (find_exceptional_pair, reference_search.find_exceptional_pair):
+                try:
+                    found.append(search(h, relaxed=relaxed, budget=budget))
+                except BudgetExceeded as exc:
+                    found.append(str(exc))
+            yield (relaxed, budget), *found
+
+
+# the chords (1, 3) and (2, 4) give two paths from 1 to 5 through 1..5,
+# of which the search keeps the first, 1-2-3-4-5
+CHORDED_PENTAGON = edge_hypergraph(
+    10,
+    ((1, 2), (2, 3), (3, 4), (4, 5), (1, 3), (2, 4), (1, 5, 6), (7, 8), (8, 9), (7, 9, 10),
+     (6, 10)),
+)
+# two relaxed connections of three edges, through 10 and through 11, of
+# which breadth-first search in canonical order finds the first
+FORKED_CONNECTION = edge_hypergraph(
+    11,
+    ((1, 2), (2, 3), (1, 3, 4), (5, 6), (6, 7), (5, 7, 8), (4, 9), (9, 10), (9, 11), (8, 10),
+     (8, 11)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    h=separated_hypergraphs()
+    | odd_cycle_pair_hypergraphs()
+    | shared_vertex_cycle_pair_hypergraphs()
+    | chorded_cycle_pair_hypergraphs()
+)
+@example(h=CHORDED_PENTAGON)
+@example(h=FORKED_CONNECTION)
+def test_exceptional_pair_matches_the_tuple_search(h):
+    # the same cycles, vertex order, designated edges and connection, or
+    # the same budget message
+    for setting, found, expected in pair_search_outcomes(h):
+        assert found == expected, setting
+
+
+def test_exceptional_pair_keeps_the_first_path_and_chain():
+    pair = find_exceptional_pair(CHORDED_PENTAGON)
+    assert pair.cycle_two.vertices == (1, 2, 3, 4, 5)
+    assert find_exceptional_pair(FORKED_CONNECTION) is None
+    pair = find_exceptional_pair(FORKED_CONNECTION, relaxed=True)
+    assert pair.connection == ((4, 9), (9, 10), (8, 10))
+
+
+def test_exceptional_pair_matches_the_tuple_search_on_fixture_minors(load_ideal):
+    from conftest import DATA
+
+    kinds = set()
+    for path in sorted(DATA.glob("*.ideal")):
+        h = build_from_ideal(load_ideal(path.name))
+        reduced, _ = reduce_closed_fixpoint(h)
+        minors = (record.hypergraph for record in enumerate_minors(reduced, budget=400))
+        for g in (h, reduced, *minors):
+            for setting, found, expected in pair_search_outcomes(g):
+                assert found == expected, (path.name, setting)
+                kinds.add(type(found))
+    # pairs, their absence and exhausted budgets are all compared
+    assert kinds == {ExceptionalPair, type(None), str}
+
+
+@pytest.mark.parametrize("length", [15, 51])
+def test_all_halves_test_runs_under_the_pair_budget(length):
+    # the two cycles form an exceptional pair, whose all-halves test is a
+    # sum set of 2·length vertices at degree length; it exhausts the
+    # budget at a step it has not begun, instead of memory
+    h = build_from_ideal(linked_cycles_ideal(length))
+    with pytest.raises(BudgetExceeded) as exhausted:
+        find_exceptional_pair(h)
+    assert str(exhausted.value) == "exceptional-pair search exceeded its budget of 200000 nodes"
 
 
 def test_lift_witness_through_reduction():
@@ -639,7 +686,7 @@ def test_lift_witness_through_reduction():
     assert reduced.num_vertices == 8
     pair = find_exceptional_pair(reduced)
     assert pair is not None
-    small = exceptional_witness(reduced, pair)
+    small = exceptional_pair_rule(reduced).witness
     lifted = lift_witness(trace, small)
     assert lifted.coefficients == small.coefficients + (Fraction(0),)
     assert lifted.degree == small.degree

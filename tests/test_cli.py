@@ -5,6 +5,7 @@ import json
 import pytest
 
 from conftest import DATA, data_path
+from randutil import cycle_edge_ideal, ideal_text, linked_cycles_ideal
 
 
 def test_analyze_json_rem32(run_cli):
@@ -102,6 +103,36 @@ def test_analyze_exit_codes(run_cli):
         code, out, _ = run_cli("analyze", data_path("veiled.ideal"), *flags)
         assert code == 0
         assert out.startswith("verdict: not_normal\nrule: odd-cycle ")
+
+
+def test_analyze_a_cycle_longer_than_the_recursion_limit(run_cli, tmp_path):
+    # prop-3.5's special-cycle search closes the 1201-cycle 1201 vertices
+    # deep, past the interpreter's default limit of 1000 frames
+    path = tmp_path / "cycle1201.ideal"
+    path.write_text(ideal_text(cycle_edge_ideal(1201)))
+    code, out, _ = run_cli("analyze", str(path))
+    assert code == 0
+    assert out.startswith("verdict: normal\nrule: thm-4.1 ")
+    assert "\n  prop-3.5: inapplicable: special odd cycle on vertices (1, 2, 3, " in out
+    code, out, _ = run_cli("hypergraph", str(path))
+    assert code == 0
+    assert "\nbalanced: no\n" in out
+
+
+@pytest.mark.parametrize("length", [15, 51])
+def test_analyze_linked_odd_cycles_within_the_pair_budget(run_cli, tmp_path, length):
+    # Theorem 4.8's all-halves test on the two cycles runs out of the pair
+    # budget, and the odd-cycle rule decides
+    path = tmp_path / f"linked{length}.ideal"
+    path.write_text(ideal_text(linked_cycles_ideal(length)))
+    code, out, _ = run_cli("analyze", str(path))
+    assert code == 0
+    assert out.startswith("verdict: not_normal\nrule: odd-cycle ")
+    assert "\nverified: yes\n" in out
+    assert (
+        "\n  thm-4.8: budget_exceeded: exceptional-pair search exceeded its budget of 200000 nodes\n"
+        in out
+    )
 
 
 def test_analyze_missing_file(run_cli):

@@ -65,6 +65,7 @@ from randutil import (
     skeleton_by_bfs,
     small_graph_edge_ideals,
 )
+from reference_search import quadratic_simple_edges
 
 HALF = Fraction(1, 2)
 
@@ -730,7 +731,7 @@ def pair_union_exists(minor):
     more, that every edge meets evenly and two fat simple edges meet in
     exactly 2 vertices.
     """
-    fat_simple = [set(e.vertices) for e in minor.simple_edges() if len(e.vertices) >= 3]
+    fat_simple = [set(e.vertices) for e in quadratic_simple_edges(minor) if len(e.vertices) >= 3]
     big = [c for c, _ in skeleton_by_bfs(minor) if len(c) >= 3]
     unions = [c for c in big if len(c) >= 6] + [c | d for c, d in combinations(big, 2)]
     return any(
@@ -837,7 +838,7 @@ def test_pairs_the_guard_rejects_are_inapplicable_on_edge65_minors(load_ideal):
     rejected = 0
     for record in enumerate_minors(reduced):
         minor = record.hypergraph
-        fat_simple = [e for e in minor.simple_edges() if len(e.vertices) >= 3]
+        fat_simple = [e for e in quadratic_simple_edges(minor) if len(e.vertices) >= 3]
         if len(fat_simple) < 2 or may_fire(RULE_PAIR, record):
             continue
         rejected += 1

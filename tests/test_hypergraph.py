@@ -2,15 +2,16 @@ from __future__ import annotations
 
 import heapq
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idpoly.hypergraph import (
+    CYCLE_BUDGET,
     BudgetExceeded,
     Cycle,
-    Edge,
     LabeledHypergraph,
     NotSeparatedError,
     build_from_ideal,
@@ -28,7 +29,15 @@ from idpoly.hypergraph import (
 from idpoly.model import SquarefreeIdeal, polytope_from_ideal
 
 import reference_hypergraph as reference
-from randutil import random_minimal_ideal, separated_hypergraphs, skeleton_by_bfs
+import reference_search
+from randutil import (
+    cycle_edge_ideal,
+    odd_cycle_pair_hypergraphs,
+    random_minimal_ideal,
+    separated_hypergraphs,
+    shared_vertex_cycle_pair_hypergraphs,
+    skeleton_by_bfs,
+)
 
 
 def test_rem32_label_images():
@@ -154,22 +163,6 @@ def test_separation_violation_matches_quadratic_scan(h):
     assert h.separation_violation() == quadratic_separation_violation(h)
 
 
-def quadratic_simple_edges(h: LabeledHypergraph) -> tuple[Edge, ...]:
-    """Reference: edges with no other edge strictly inside, labels by a full scan."""
-    edge_set = {frozenset(e) for e in h.edges}
-    return tuple(
-        Edge(e, tuple(name for name, img in h.labels if img == frozenset(e)))
-        for e in h.edges
-        if not any(f < frozenset(e) for f in edge_set if f != frozenset(e))
-    )
-
-
-@settings(max_examples=400, deadline=None)
-@given(h=small_hypergraphs())
-def test_simple_edges_match_quadratic_scan(h):
-    assert h.simple_edges() == quadratic_simple_edges(h)
-
-
 def pointer_chasing_minors(h: LabeledHypergraph, budget: int | None = None):
     """Reference walk: a parent pointer per state, chased back on every yield."""
     if budget is not None and budget <= 0:
@@ -289,7 +282,6 @@ def test_skeleton_components_are_the_built_skeletons(h):
 def test_derived_structure_is_computed_once(load_ideal):
     h = build_from_ideal(load_ideal("fig1.ideal"))
     assert h.skeleton is h.skeleton
-    assert h.simple_edges() is h.simple_edges()
     merged = LabeledHypergraph(2, (("a", frozenset({1, 2})), ("b", frozenset({1, 2}))))
     assert merged.separation_violation() is merged.separation_violation()
 
@@ -304,10 +296,6 @@ def test_closed_open_simple(load_ideal):
     h = build_from_ideal(load_ideal("fig1.ideal"))
     assert h.closed_vertices() == (2, 3, 4)
     assert h.open_vertices() == (1,)
-    # an edge is simple when no other edge sits strictly inside it, so the
-    # singletons disqualify every edge containing them
-    simple = [e.vertices for e in h.simple_edges()]
-    assert simple == [(2,), (3,), (4,)]
 
 
 def test_skeleton_structure(load_ideal):
@@ -392,6 +380,14 @@ def test_incidence_matrix(load_ideal):
     assert mat == ((1, 1, 0), (1, 0, 1), (0, 1, 1))
 
 
+@settings(max_examples=200, deadline=None)
+@given(h=small_hypergraphs())
+def test_incidence_matrix_matches_a_scan_per_entry(h):
+    assert incidence_matrix(h) == tuple(
+        tuple(1 if v in img else 0 for _, img in h.labels) for v in h.vertices
+    )
+
+
 def test_special_odd_cycle_found(load_ideal):
     tri = build_from_ideal(load_ideal("tri.ideal"))
     cycle = find_special_odd_cycle(tri)
@@ -401,6 +397,44 @@ def test_special_odd_cycle_found(load_ideal):
 
     four = build_from_ideal(load_ideal("fourcyc.ideal"))
     assert find_special_odd_cycle(four) is None
+
+
+def search_outcome(search, h, **kwargs):
+    """What a search returns, or the message of the BudgetExceeded it raises."""
+    try:
+        return search(h, **kwargs)
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    h=small_hypergraphs()
+    | separated_hypergraphs()
+    | odd_cycle_pair_hypergraphs()
+    | shared_vertex_cycle_pair_hypergraphs(),
+    budget=st.sampled_from((CYCLE_BUDGET, 5, 40)),
+)
+def test_special_odd_cycle_matches_the_recursive_search(h, budget):
+    # the same cycle, or the same budget message, at the same node count
+    assert search_outcome(find_special_odd_cycle, h, budget=budget) == search_outcome(
+        reference_search.find_special_odd_cycle, h, budget=budget
+    )
+
+
+def test_special_odd_cycle_search_is_not_bounded_by_recursion():
+    # the cycle of 1201 generators closes 1201 vertices deep, past the
+    # default recursion limit of 1000 frames
+    h = build_from_ideal(cycle_edge_ideal(1201))
+    cycle = find_special_odd_cycle(h)
+    assert len(cycle) == 1201 and cycle.vertices[:3] == (1, 2, 3)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(5000)
+    try:
+        assert cycle == reference_search.find_special_odd_cycle(h)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert not is_balanced(h)
 
 
 def test_is_balanced(load_ideal):
