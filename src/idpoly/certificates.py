@@ -8,17 +8,17 @@ rewriting, which the oracle can replay without trusting any of the
 structure theory here.  Remark 3.2's verdict also carries the
 TorsionCertificate its witness is derived from.  Every rule builds its
 witness on integers, numerators over one denominator with the point
-summed from them, through ``Witness.over``, and lift_witness carries it
-to a parent hypergraph the same way.  Theorem 4.8's search runs on the
-edge masks that the engine's minor guard reads; its sum-set test is the
-one check of its pair here, and the engine re-checks the witness.
+summed from them, through ``_witness_on``, and lift_witness carries it
+to a parent hypergraph the same way; no Fraction is made here.
+Theorem 4.8's search runs on the edge masks that the engine's minor
+guard reads; its sum-set test is the one check of its pair here, and the
+engine re-checks the witness.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from operator import le
@@ -36,7 +36,6 @@ from .hypergraph import (
 )
 from .intlinalg import (
     TorsionCertificate,
-    common_denominator,
     prime_factors,
     row_relations,
     torsion_check,
@@ -53,7 +52,7 @@ PAIR_BUDGET = 200_000
 ODD_CYCLE_BUDGET = 200_000
 
 
-@dataclass(frozen=True, init=False, slots=True)
+@dataclass(frozen=True, slots=True)
 class Witness:
     """A degree-t rational combination that blocks normality.
 
@@ -63,17 +62,15 @@ class Witness:
     the shape constraints are enforced here so a Witness is never
     structurally nonsensical.
 
-    A witness is held on integers: ``numerators`` over one
-    ``denominator``, the lcm of the coefficients' reduced denominators,
-    so equal coefficient vectors give equal fields, and equality and the
-    hash follow the coefficients.  ``coefficients`` gives them back as
-    Fractions.  ``Witness(coefficients, degree, point)`` takes any values
-    Fraction takes; ``Witness.over`` is the producers' builder, which
-    takes the numerators and the point scaled by the denominator and
-    never makes a Fraction.  Both check, in order and with the same
-    messages: each point entry is an integer, there is a coefficient,
-    each numerator lies in [0, denominator), the numerators sum to
-    degree·denominator, the degree and the point are nonnegative.
+    A witness is held on integers: coefficient i is numerators[i] over
+    ``denominator``.  ``Witness(denominator, numerators, degree, point)``
+    is its one constructor.  It checks, in this order, that there is a
+    coefficient, that each numerator lies in [0, denominator), that the
+    numerators sum to degree·denominator and that the degree and the
+    point are nonnegative.  It then divides out the gcd of the
+    denominator and the numerators, so the denominator is the lcm of the
+    coefficients' reduced denominators, equal coefficient vectors give
+    equal fields, and equality and the hash follow the coefficients.
     """
 
     denominator: int
@@ -81,88 +78,23 @@ class Witness:
     degree: int
     point: tuple[int, ...]
 
-    def __init__(self, coefficients, degree, point) -> None:
-        coeffs = tuple(Fraction(c) for c in coefficients)
-        degree = int(degree)
-        pt = []
-        for entry in point:
-            if type(entry) is not int:
-                value = Fraction(entry)
-                if value.denominator != 1:
-                    raise ValueError(f"point entry {value} is not an integer")
-                entry = int(value)
-            pt.append(entry)
-        if not coeffs:
-            raise ValueError("witness needs at least one coefficient")
-        denominator, numerators = common_denominator(coeffs)
-        _settle_witness(self, denominator, numerators, degree, pt)
-
-    @classmethod
-    def over(
-        cls, denominator: int, numerators: Sequence[int], degree: int, scaled: Sequence[int]
-    ) -> Witness:
-        """The witness numerators/denominator whose point is scaled/denominator.
-
-        ``scaled`` is the point times the denominator, as producers sum it
-        from the numerators; an entry the denominator does not divide is
-        a point entry that is not an integer.
-        """
-        point = []
-        for entry in scaled:
-            if entry % denominator:
-                raise ValueError(
-                    f"point entry {fraction_text(entry, denominator)} is not an integer"
-                )
-            point.append(entry // denominator)
+    def __post_init__(self) -> None:
+        denominator, numerators = self.denominator, self.numerators
         if not numerators:
             raise ValueError("witness needs at least one coefficient")
-        witness = object.__new__(cls)
-        _settle_witness(witness, denominator, numerators, degree, point)
-        return witness
-
-    @property
-    def coefficients(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(n, self.denominator) for n in self.numerators)
-
-
-def _settle_witness(
-    witness: Witness,
-    denominator: int,
-    numerators: Sequence[int],
-    degree: int,
-    point: Sequence[int],
-) -> None:
-    """Check the coefficient, degree and point clauses, then set the fields."""
-    reason = range_error(denominator, numerators)
-    if reason is not None:
-        raise ValueError(reason)
-    if sum(numerators) != degree * denominator:
-        raise ValueError("coefficients do not sum to the degree")
-    if degree < 0:
-        raise ValueError("degree cannot be negative")
-    if any(x < 0 for x in point):
-        raise ValueError("point must be nonnegative")
-    _fill_witness(witness, denominator, numerators, degree, point)
-
-
-def _fill_witness(
-    witness: Witness,
-    denominator: int,
-    numerators: Sequence[int],
-    degree: int,
-    point: Sequence[int],
-) -> Witness:
-    """Set the fields of checked data, numerators over the least denominator."""
-    common = gcd(denominator, *numerators)
-    if common > 1:
-        denominator //= common
-        numerators = [n // common for n in numerators]
-    fill = object.__setattr__
-    fill(witness, "denominator", denominator)
-    fill(witness, "numerators", tuple(numerators))
-    fill(witness, "degree", degree)
-    fill(witness, "point", tuple(point))
-    return witness
+        reason = range_error(denominator, numerators)
+        if reason is not None:
+            raise ValueError(reason)
+        if sum(numerators) != self.degree * denominator:
+            raise ValueError("coefficients do not sum to the degree")
+        if self.degree < 0:
+            raise ValueError("degree cannot be negative")
+        if any(x < 0 for x in self.point):
+            raise ValueError("point must be nonnegative")
+        common = gcd(denominator, *numerators)
+        object.__setattr__(self, "denominator", denominator // common)
+        object.__setattr__(self, "numerators", tuple(n // common for n in numerators))
+        object.__setattr__(self, "point", tuple(self.point))
 
 
 def range_error(denominator: int, numerators: Sequence[int]) -> str | None:
@@ -233,12 +165,17 @@ def _witness_on(
     """The witness numerators/denominator on the vertices, its point on the labels.
 
     Each label's power is the sum of the numerators of the vertices in its
-    image, over the same denominator; ``Witness.over`` rejects a power
-    the denominator does not divide.
+    image, over the same denominator; a power the denominator does not
+    divide is rejected before any check of the Witness constructor.
     """
     indexed = [0, *numerators]  # vertices count from 1
-    scaled = [sum(map(indexed.__getitem__, image)) for _, image in hypergraph.labels]
-    return Witness.over(denominator, numerators, degree, scaled)
+    point = []
+    for _, image in hypergraph.labels:
+        power = sum(map(indexed.__getitem__, image))
+        if power % denominator:
+            raise ValueError(f"point entry {fraction_text(power, denominator)} is not an integer")
+        point.append(power // denominator)
+    return Witness(denominator, numerators, degree, point)
 
 
 def connected_odd_fires(
@@ -693,5 +630,5 @@ def lift_witness(
     lifted = [0] * parent.num_vertices
     for numerator, original_vertex in zip(witness.numerators, surviving):
         lifted[original_vertex - 1] = numerator
-    # Witness.over rejects the recomputed point when it is not integral
+    # _witness_on rejects the recomputed point when it is not integral
     return _witness_on(parent, witness.denominator, lifted, witness.degree)

@@ -89,11 +89,6 @@ class SquarefreeIdeal:
     def num_generators(self) -> int:
         return len(self.generators)
 
-    def exponent_row(self, index: int) -> tuple[int, ...]:
-        """0-1 exponent vector of generator ``index`` (0-based)."""
-        gen = self.generators[index]
-        return tuple(1 if v in gen else 0 for v in self.variables)
-
     def exponent_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Every generator's exponent row, in generator order."""
         column = {name: j for j, name in enumerate(self.variables)}

@@ -4,8 +4,10 @@ Normality of a 0-1 polytope P says every integer point of every dilation
 tP is a sum of t vertices.  Because any fractional vertex combination
 with coefficients below 1 has degree at most s-1, and generation degrees
 beyond dim(P)-1 add nothing, scanning a finite range of dilations decides
-the question outright.  Everything here is exact rational arithmetic; a
-verdict from this module is a theorem about the input, not an estimate.
+the question outright.  Everything here is exact integer arithmetic,
+once verify_coefficients has put its rational input over one
+denominator; a verdict from this module is a theorem about the input,
+not an estimate.
 
 In degree k the polytopal ring is spanned by S_k, the distinct sums of k
 vertices, and the Ehrhart ring by the lattice points of kP; P is normal
@@ -26,7 +28,9 @@ membership rows (the all-ones row, then one row per coordinate, with one
 column per vertex): the range of one pivot coordinate over the all-ones
 row and the rows of the pivots already fixed, for the lattice-point
 descent, and one feasible vertex over all the rows, for a witness's
-coefficients.
+coefficients.  Both answers are integers: the range comes as the least
+and greatest integer in it, and the vertex as numerators over one
+denominator, which the Witness constructor takes as they are.
 
 The descent searches only the pivot coordinates, those whose rows are
 independent of the rows before them; it gets every other coordinate from
@@ -44,18 +48,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress
-from math import ceil, floor
 from operator import add, le, mul, or_
 from typing import Iterator, Sequence
 
-from .certificates import (
-    NORMAL,
-    NOT_NORMAL,
-    Witness,
-    _fill_witness,
-    fraction_text,
-    range_error,
-)
+from .certificates import NORMAL, NOT_NORMAL, Witness, fraction_text, range_error
 from .intlinalg import common_denominator
 from .model import ZeroOnePolytope
 from .simplex import objective_range, solve_lp
@@ -104,11 +100,12 @@ def completeness_bound(polytope: ZeroOnePolytope) -> int:
 
 def lp_membership(
     polytope: ZeroOnePolytope, point: Sequence[int], degree: int
-) -> tuple[Fraction, ...] | None:
+) -> tuple[int, tuple[int, ...]] | None:
     """Vertex multipliers that put point in degree·P, or None if there are none.
 
-    None means definitively infeasible.  The returned coefficients are
-    the basic solution the pivoting lands on, deterministic per input.
+    None means definitively infeasible.  The multipliers are the basic
+    solution the pivoting lands on, deterministic per input, as
+    solve_lp's (denominator, numerators).
     """
     if len(point) != polytope.ambient_dim:
         raise ValueError(
@@ -126,11 +123,12 @@ def enumerate_lattice_points(
     """All integer points of the dilation degree·P, lexicographically.
 
     Only the pivot coordinates of polytope.coordinate_relations are
-    searched.  Left to right, each pivot's admissible integers lie between
-    the exact minimum and maximum of that coordinate over the points of
-    degree·P that share the pivots already fixed, so no candidate box
-    scan and no rounding is involved.  Both bounds come from one
-    objective_range call over the all-ones row and the fixed pivots' rows.
+    searched.  Left to right, each pivot's admissible integers are those
+    between the exact minimum and maximum of that coordinate over the
+    points of degree·P that share the pivots already fixed, so no
+    candidate box scan is involved.  One objective_range call over the
+    all-ones row and the fixed pivots' rows gives the least and the
+    greatest of those integers.
     Each other coordinate is set, with no LP, as soon as the pivots
     before it are fixed: denominator · x_j must equal the relation's sum,
     and a branch where the denominator does not divide it ends.
@@ -173,7 +171,7 @@ def enumerate_lattice_points(
         bounds = objective_range(pivot_rows[:k], rhs, pivot_rows[k])
         assert bounds is not None, "each pivot value lies in its range"
         low, high = bounds
-        for value in range(ceil(low), floor(high) + 1):
+        for value in range(low, high + 1):
             descend(prefix + [value], rhs + [value])
 
     descend([], [degree])
@@ -320,9 +318,9 @@ def decide_normal_bruteforce(
         for point in enumerate_lattice_points(polytope, degree):
             points_examined += 1
             if point not in reachable:
-                coefficients = lp_membership(polytope, point, degree)
-                assert coefficients is not None, "failing point came from the dilation"
-                witness = Witness(coefficients, degree, point)
+                found = lp_membership(polytope, point, degree)
+                assert found is not None, "failing point came from the dilation"
+                witness = Witness(*found, degree, point)
                 return OracleVerdict(
                     NOT_NORMAL,
                     witness,
@@ -347,15 +345,15 @@ def verify_coefficients(
     the first four are themselves a combination putting the point in
     degree·P, so no membership LP is needed.  The first failure is
     reported; success returns the assembled Witness.  The coefficients
-    are put over one denominator once, and the clauses run on the
-    numerators, as verify_witness runs them.
+    are made Fractions and put over one denominator once, the oracle's
+    only Fractions, and the clauses run on the numerators, as
+    verify_witness runs them.
     """
     denominator, numerators = common_denominator(tuple(Fraction(c) for c in coefficients))
     reason, degree, point = _check_numerators(polytope, denominator, numerators)
     if reason is not None:
         return VerificationResult(False, reason)
-    # the clauses passed cover every check of a Witness
-    witness = _fill_witness(object.__new__(Witness), denominator, numerators, degree, point)
+    witness = Witness(denominator, numerators, degree, point)
     return VerificationResult(True, None, witness)
 
 

@@ -2,9 +2,10 @@
 
 The oracle asks two questions of a system rows · x = rhs, x ≥ 0 with
 integer entries: one feasible vertex (solve_lp, for a witness's
-coefficients) and the least and greatest value of one integer objective
-(objective_range, for the bounds of a coordinate in the lattice-point
-descent).  Nothing else is offered.
+coefficients) and the least and greatest integer that one integer
+objective reaches (objective_range, for the bounds of a coordinate in
+the lattice-point descent).  Nothing else is offered, and both answer in
+integers.
 
 Two-phase primal simplex on a fraction-free integer tableau (Bareiss,
 Math. Comp. 22, 1968).  Every row shares one positive denominator d, so
@@ -20,14 +21,15 @@ Phase one (find a feasible basis, pivot the artificials out, drop
 redundant rows) is one private routine with two callers: solve_lp reads
 the vertex off its basis, and objective_range runs two phase twos from
 it, one per direction of the objective, so a minimum and a maximum over
-the same rows cost a single phase one.  Only the answers are built as
-Fraction values.  Problem sizes here are tiny (dozens of columns at
-most); clarity wins over sparse cleverness.
+the same rows cost a single phase one.  The answers come off the tableau
+as they are: a vertex is its numerators over the tableau's denominator,
+and a bound is that quotient rounded inward by floor division.  Problem
+sizes here are tiny (dozens of columns at most); clarity wins over
+sparse cleverness.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 # _minimize's outcomes; phase one and a bounded objective always end OPTIMAL
@@ -157,11 +159,13 @@ def _feasible_basis(
 
 def solve_lp(
     rows: Sequence[Sequence[int]], rhs: Sequence[int]
-) -> tuple[Fraction, ...] | None:
+) -> tuple[int, tuple[int, ...]] | None:
     """A vertex of rows · x = rhs, x ≥ 0, or None when the system is infeasible.
 
     The vertex is the basic feasible solution phase one ends on, which
-    is deterministic for fixed input.
+    is deterministic for fixed input, given as (denominator, numerators):
+    x_j is numerators[j] / denominator, over the tableau's positive
+    denominator, which need not be the least.
     """
     n = _columns(rows, rhs)
     start = _feasible_basis(rows, rhs, n)
@@ -169,17 +173,19 @@ def solve_lp(
         return None
     tableau, basis, denom = start
     values = {b: tableau[i][-1] for i, b in enumerate(basis)}
-    return tuple(Fraction(values.get(j, 0), denom) for j in range(n))
+    return denom, tuple(values.get(j, 0) for j in range(n))
 
 
 def objective_range(
     rows: Sequence[Sequence[int]],
     rhs: Sequence[int],
     objective: Sequence[int],
-) -> tuple[Fraction, Fraction] | None:
-    """The least and greatest objective · x over rows · x = rhs, x ≥ 0.
+) -> tuple[int, int] | None:
+    """⌈min⌉ and ⌊max⌋ of objective · x over rows · x = rhs, x ≥ 0.
 
-    None means the system is infeasible.  One phase one finds a feasible
+    These are the least and greatest integers in the objective's range,
+    the first greater than the second when the range holds none.  None
+    means the system is infeasible.  One phase one finds a feasible
     basis; the minimization of objective starts from it, and the
     maximization (a minimization of -objective) starts from that
     minimum's optimal basis.  The feasible set must be bounded, as it is
@@ -192,11 +198,12 @@ def objective_range(
     if start is None:
         return None
     tableau, basis, denom = start
+    # ⌊-min(cost · x)⌋ for each cost, by floor division: -⌈min⌉, then ⌊max⌋
     bounds = []
     for cost in (list(objective), [-c for c in objective]):
         status, denom = _minimize(tableau, basis, cost + [0], n, denom)
         assert status == OPTIMAL, "the feasible set is bounded"
         value = sum(cost[b] * tableau[i][-1] for i, b in enumerate(basis))
-        bounds.append(Fraction(value, denom))
+        bounds.append(-value // denom)
     low, high = bounds
-    return low, -high
+    return -low, high

@@ -6,13 +6,16 @@ pivot divides the pivot row through.  It imports nothing from idpoly and
 keeps the general interface (an optional objective, unbounded reports),
 so the differential tests compare the integer tableau against an
 independent solver.  Its objective_range is two independent solves, with
-no shared phase one.
+no shared phase one.  integer_vertex and integer_range give its answers
+in idpoly.simplex's integer form, so the reference can stand in for the
+integer tableau wherever idpoly calls it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, floor, lcm
 from typing import Sequence
 
 OPTIMAL = "optimal"
@@ -155,3 +158,27 @@ def objective_range(
     high = solve_lp(rows, rhs, [-Fraction(c) for c in objective])
     assert low.status == high.status == OPTIMAL
     return low.objective, -high.objective
+
+
+def integer_vertex(
+    rows: Sequence[Sequence[object]], rhs: Sequence[object]
+) -> tuple[int, tuple[int, ...]] | None:
+    """solve_lp's vertex as (denominator, numerators) over the least denominator."""
+    vertex = solve_lp(rows, rhs).solution
+    if vertex is None:
+        return None
+    denominator = lcm(*(x.denominator for x in vertex))
+    return denominator, tuple(int(x * denominator) for x in vertex)
+
+
+def integer_range(
+    rows: Sequence[Sequence[object]],
+    rhs: Sequence[object],
+    objective: Sequence[object],
+) -> tuple[int, int] | None:
+    """(⌈min⌉, ⌊max⌋) of objective_range, None if infeasible."""
+    found = objective_range(rows, rhs, objective)
+    if found is None:
+        return None
+    low, high = found
+    return ceil(low), floor(high)

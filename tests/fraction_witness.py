@@ -1,21 +1,52 @@
-"""Reference witness checks by Fraction sums, for tests only.
+"""Reference witness checks by Fraction sums, and Witness from and to Fractions, for tests only.
 
-These are the textbook forms of the checks in idpoly.certificates.Witness,
-idpoly.oracle.verify_coefficients and the label powers lift_witness
-recomputes: every sum is a sum of Fraction values, with no common
-denominator.  They import nothing from idpoly, so the differential tests
-compare the integer checks against an independent implementation, clause
-by clause and message by message.
+witness_error, check_coefficients and label_powers are the textbook forms
+of the checks in idpoly.certificates.Witness, idpoly.oracle.verify_coefficients
+and the label powers lift_witness recomputes: every sum is a sum of
+Fraction values, with no common denominator.  They import nothing from
+idpoly, so the differential tests compare the integer checks against an
+independent implementation, clause by clause and message by message.
+
+idpoly holds a witness on integers only, numerators over one denominator,
+and its one constructor takes them so.  witness builds one from rational
+coefficients, and coefficients reads them back as Fractions, so the tests
+can state a witness as the paper does, as rationals in [0, 1).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 
+def witness(coefficients, degree, point):
+    """The idpoly Witness of rational coefficients, from any values Fraction takes.
+
+    The coefficients go over the lcm of their reduced denominators, the
+    canonical denominator.  A point entry that is not an integer raises
+    ValueError first, with witness_error's message, as lift_witness
+    raises it; every other check is the constructor's own.
+    """
+    from idpoly.certificates import Witness
+
+    coeffs = [Fraction(c) for c in coefficients]
+    entries = [Fraction(x) for x in point]
+    for value in entries:
+        if value.denominator != 1:
+            raise ValueError(f"point entry {value} is not an integer")
+    denominator = lcm(*(c.denominator for c in coeffs))
+    numerators = [c.numerator * (denominator // c.denominator) for c in coeffs]
+    return Witness(denominator, numerators, int(degree), [int(x) for x in entries])
+
+
+def coefficients(w) -> tuple[Fraction, ...]:
+    """A Witness's coefficients, numerators over its denominator, as Fractions."""
+    return tuple(Fraction(n, w.denominator) for n in w.numerators)
+
+
 def witness_error(coefficients, degree, point) -> str | None:
-    """The message Witness(coefficients, degree, point) raises, or None."""
+    """The message witness(coefficients, degree, point) raises, or None."""
     coeffs = [Fraction(c) for c in coefficients]
     degree = int(degree)
     values = [Fraction(entry) for entry in point]

@@ -23,6 +23,7 @@ from idpoly.intlinalg import torsion_check, verify_torsion_certificate
 from idpoly.model import polytope_from_ideal
 from idpoly.oracle import decide_normal_bruteforce, verify_witness
 
+import fraction_witness
 from randutil import random_minimal_ideal
 
 HALF = Fraction(1, 2)
@@ -71,7 +72,7 @@ def test_criterion_2_counterexample_witness_and_torsion():
 
     report = analyze(ideal)
     assert report.status == NOT_NORMAL
-    assert report.witness.coefficients == (HALF,) * 6
+    assert fraction_witness.coefficients(report.witness) == (HALF,) * 6
     assert report.witness.degree == 3
     assert report.witness.point == (1, 1, 1, 1, 1, 1, 1)
     assert report.verified
@@ -154,7 +155,7 @@ def test_criterion_6_prime_three_obstruction(load_ideal):
     assert found.status == NOT_NORMAL
     assert found.reason.startswith("p=3, ")
     witness = found.witness
-    assert set(witness.coefficients) <= {Fraction(1, 3), Fraction(2, 3)}
+    assert set(fraction_witness.coefficients(witness)) <= {Fraction(1, 3), Fraction(2, 3)}
     assert witness.degree == 3
     poly = polytope_from_ideal(ideal)
     assert verify_witness(poly, witness).valid

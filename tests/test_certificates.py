@@ -41,6 +41,7 @@ from idpoly.intlinalg import prime_factors, verify_torsion_certificate
 from idpoly.model import SquarefreeIdeal, polytope_from_ideal
 from idpoly.oracle import decide_normal_bruteforce, verify_witness
 
+import fraction_witness
 import reference_search
 from randutil import (
     chorded_cycle_pair_hypergraphs,
@@ -66,18 +67,18 @@ def test_smallest_prime_factor():
 
 def test_witness_validation():
     with pytest.raises(ValueError, match="at least one coefficient"):
-        Witness((), 0, (0,))
+        fraction_witness.witness((), 0, (0,))
     with pytest.raises(ValueError, match="out of range"):
-        Witness((Fraction(1),), 1, (1,))
+        fraction_witness.witness((Fraction(1),), 1, (1,))
     with pytest.raises(ValueError, match="out of range"):
-        Witness((Fraction(-1, 2), HALF), 0, (0,))
+        fraction_witness.witness((Fraction(-1, 2), HALF), 0, (0,))
     with pytest.raises(ValueError, match="do not sum to the degree"):
-        Witness((HALF, HALF), 2, (1,))
+        fraction_witness.witness((HALF, HALF), 2, (1,))
     with pytest.raises(ValueError, match="not an integer"):
-        Witness((HALF, HALF), 1, (Fraction(1, 2),))
+        fraction_witness.witness((HALF, HALF), 1, (Fraction(1, 2),))
     with pytest.raises(ValueError, match="nonnegative"):
-        Witness((HALF, HALF), 1, (-1,))
-    w = Witness((HALF, HALF), 1, (1, 0))
+        fraction_witness.witness((HALF, HALF), 1, (-1,))
+    w = fraction_witness.witness((HALF, HALF), 1, (1, 0))
     assert w.degree == 1
 
 
@@ -101,14 +102,17 @@ def test_witness_validation():
 )
 def test_witness_messages_verbatim(coefficients, degree, point, message):
     with pytest.raises(ValueError) as info:
-        Witness(coefficients, degree, point)
+        fraction_witness.witness(coefficients, degree, point)
     assert str(info.value) == message
 
 
 def test_witness_takes_int_and_str():
-    w = Witness(("1/2", 0, HALF, "0.5", "2/4"), "2", (1, "2", Fraction(3), True))
-    assert w == Witness((HALF, Fraction(0), HALF, HALF, HALF), 2, (1, 2, 3, 1))
-    assert all(type(c) is Fraction for c in w.coefficients)
+    w = fraction_witness.witness(
+        ("1/2", 0, HALF, "0.5", "2/4"), "2", (1, "2", Fraction(3), True)
+    )
+    assert w == fraction_witness.witness((HALF, 0, HALF, HALF, HALF), 2, (1, 2, 3, 1))
+    assert type(w.denominator) is int
+    assert all(type(n) is int for n in w.numerators)
     assert all(type(x) is int for x in w.point)
     assert type(w.degree) is int
 
@@ -135,17 +139,15 @@ def witness_fields(draw):
 @settings(max_examples=300, deadline=None)
 @given(fields=witness_fields())
 def test_witness_matches_fraction_reference(fields):
-    import fraction_witness
-
     coefficients, degree, point = fields
     message = fraction_witness.witness_error(coefficients, degree, point)
     if message is not None:
         with pytest.raises(ValueError) as info:
-            Witness(coefficients, degree, point)
+            fraction_witness.witness(coefficients, degree, point)
         assert str(info.value) == message
         return
-    w = Witness(coefficients, degree, point)
-    assert w.coefficients == tuple(Fraction(c) for c in coefficients)
+    w = fraction_witness.witness(coefficients, degree, point)
+    assert fraction_witness.coefficients(w) == tuple(Fraction(c) for c in coefficients)
     assert w.point == tuple(int(Fraction(x)) for x in point)
     assert w.degree == degree
 
@@ -153,27 +155,31 @@ def test_witness_matches_fraction_reference(fields):
 @settings(max_examples=300, deadline=None)
 @given(fields=witness_fields(), scale=st.integers(1, 3))
 def test_witness_over_matches_fraction_reference(fields, scale):
-    # the integer builder takes the numerators over a common denominator,
-    # here any multiple of the lcm of every denominator drawn, and the
-    # point times it; it raises the public constructor's messages, in the
-    # same order, and on success builds an equal witness
-    import fraction_witness
-
+    # the constructor takes the numerators over any common denominator,
+    # here a multiple of the lcm of every denominator drawn, and an integer
+    # point; it raises the reference's messages, in the same order, and on
+    # success builds the reference's witness over the least denominator.
+    # A point entry that is not an integer never reaches it: the reference
+    # names that entry first, and _witness_on raises it
     coefficients, degree, point = fields
     values = [Fraction(c) for c in coefficients]
     entries = [Fraction(x) for x in point]
-    denominator = scale * math.lcm(*(v.denominator for v in values + entries))
-    numerators = [int(v * denominator) for v in values]
-    scaled = [int(x * denominator) for x in entries]
     message = fraction_witness.witness_error(coefficients, degree, point)
+    if any(x.denominator != 1 for x in entries):
+        assert message.startswith("point entry ")
+        return
+    denominator = scale * math.lcm(*(v.denominator for v in values))
+    numerators = [int(v * denominator) for v in values]
+    entries = [int(x) for x in entries]
     if message is not None:
         with pytest.raises(ValueError) as info:
-            Witness.over(denominator, numerators, degree, scaled)
+            Witness(denominator, numerators, degree, entries)
         assert str(info.value) == message
         return
-    assert Witness.over(denominator, numerators, degree, scaled) == Witness(
-        coefficients, degree, point
-    )
+    w = Witness(denominator, numerators, degree, entries)
+    assert w == fraction_witness.witness(coefficients, degree, point)
+    assert w.denominator == denominator // scale
+    assert fraction_witness.coefficients(w) == tuple(values)
 
 
 @settings(max_examples=200, deadline=None)
@@ -184,24 +190,24 @@ def test_witness_over_matches_fraction_reference(fields, scale):
     point=st.lists(st.integers(0, 3), max_size=3),
 )
 def test_integer_and_fraction_witnesses_agree(d, numerators, scale, point):
-    # a witness built from Fractions and one built on integers, over a
-    # denominator that need not be the least, are equal, hash alike, give
-    # the same coefficients and keep the same canonical denominator: the
-    # lcm of the reduced denominators
+    # a witness built from Fractions by the reference and one built on
+    # integers, over a denominator that need not be the least, are equal,
+    # hash alike, give the same coefficients and keep the same canonical
+    # denominator: the lcm of the reduced denominators
     numerators = [a % d for a in numerators]
     numerators[-1] = (numerators[-1] - sum(numerators)) % d
     coefficients = [Fraction(a, d) for a in numerators]
     degree = sum(numerators) // d
-    by_fractions = Witness(coefficients, degree, point)
-    on_integers = Witness.over(
-        d * scale, [a * scale for a in numerators], degree, [x * d * scale for x in point]
-    )
+    by_fractions = fraction_witness.witness(coefficients, degree, point)
+    on_integers = Witness(d * scale, [a * scale for a in numerators], degree, point)
     assert by_fractions == on_integers
     assert hash(by_fractions) == hash(on_integers)
-    assert by_fractions.coefficients == on_integers.coefficients == tuple(coefficients)
+    assert fraction_witness.coefficients(on_integers) == tuple(coefficients)
+    assert fraction_witness.coefficients(by_fractions) == tuple(coefficients)
     least = math.lcm(*(c.denominator for c in coefficients))
     assert by_fractions.denominator == on_integers.denominator == least
     assert by_fractions.numerators == on_integers.numerators
+    assert on_integers.point == tuple(point)
 
 
 def test_connected_odd_normal_odd_count(load_ideal):
@@ -224,7 +230,7 @@ def test_connected_odd_not_normal(load_ideal):
     out = decide_connected_odd(h)
     assert out.status == NOT_NORMAL
     assert out.reason == "vertex count 6 is even and every edge has odd dimension"
-    assert out.witness == Witness(
+    assert out.witness == fraction_witness.witness(
         (HALF,) * 6, 3, (1, 1, 1, 1, 1, 1, 1)
     )
     poly = polytope_from_ideal(load_ideal("hex6.ideal"))
@@ -305,7 +311,7 @@ def test_two_solvable_certificate(load_ideal):
 def test_bicolor_obstruction_solv3(load_ideal):
     h = build_from_ideal(load_ideal("solv3.ideal"))
     witness = bicolor_obstruction(h).witness
-    assert witness.coefficients == (THIRD, 2 * THIRD) * 3
+    assert fraction_witness.coefficients(witness) == (THIRD, 2 * THIRD) * 3
     assert witness.degree == 3
     assert verify_witness(polytope_from_ideal(load_ideal("solv3.ideal")), witness).valid
 
@@ -349,7 +355,7 @@ WHEEL = ["ab", "bc", "cd", "de", "ea"] + [(r, "h") for r in "abcde"]
             RuleOutcome(
                 NOT_NORMAL,
                 "chordless odd cycles {u1,u2,u3} and {u5,u6,u7} are disjoint and not joined",
-                witness=Witness(
+                witness=fraction_witness.witness(
                     (HALF, HALF, HALF, 0, 0, HALF, HALF, HALF), 3, (1, 1, 1, 0, 1, 1, 1)
                 ),
             ),
@@ -369,7 +375,7 @@ def test_odd_cycle_rule_lists_only_chordless_cycles():
     assert odd_cycle_rule(graph_hypergraph("ab", "bc", "ca", "de", "ef", "fd")) == RuleOutcome(
         NOT_NORMAL,
         "chordless odd cycles {a,b,c} and {d,e,f} are disjoint and not joined",
-        witness=Witness((HALF,) * 6, 3, (1,) * 6),
+        witness=fraction_witness.witness((HALF,) * 6, 3, (1,) * 6),
     )
 
 
@@ -391,7 +397,9 @@ def test_odd_cycle_witness_is_the_two_cycles(edges, nonzero):
     outcome = odd_cycle_rule(h)
     assert outcome.status == NOT_NORMAL
     witness = outcome.witness
-    assert witness.coefficients == tuple(HALF if v in nonzero else 0 for v in h.vertices)
+    assert fraction_witness.coefficients(witness) == tuple(
+        HALF if v in nonzero else 0 for v in h.vertices
+    )
     assert witness.degree == len(nonzero) // 2
     ends = {name for v in nonzero for name in edges[v - 1]}
     assert witness.point == tuple(int(name in ends) for name, _ in h.labels)
@@ -445,7 +453,7 @@ def test_exceptional_pair_bowtie(load_ideal):
     assert tuple(sorted(pair.special_two)) == (5, 6, 7)
     assert pair.connection == ((4, 5),)
     witness = exceptional_pair_rule(h).witness
-    assert witness.coefficients == (HALF, HALF, HALF, 0, 0, HALF, HALF, HALF)
+    assert fraction_witness.coefficients(witness) == (HALF, HALF, HALF, 0, 0, HALF, HALF, HALF)
     assert witness.degree == 3
     assert verify_witness(polytope_from_ideal(load_ideal("bowtie.ideal")), witness).valid
     assert exceptional_pair_rule(h) == RuleOutcome(
@@ -688,7 +696,8 @@ def test_lift_witness_through_reduction():
     assert pair is not None
     small = exceptional_pair_rule(reduced).witness
     lifted = lift_witness(trace, small)
-    assert lifted.coefficients == small.coefficients + (Fraction(0),)
+    coefficients = fraction_witness.coefficients(small)
+    assert fraction_witness.coefficients(lifted) == coefficients + (Fraction(0),)
     assert lifted.degree == small.degree
     assert verify_witness(polytope_from_ideal(ideal), lifted).valid
 
@@ -705,9 +714,9 @@ def test_lift_witness_through_minor(load_ideal):
     # witness there and lift it back
     sub, trace = connector_deleted(h)
     assert trace.surviving == (1, 2, 3, 6, 7, 8)
-    small = Witness((HALF,) * 6, 3, (1, 1, 1, 0, 1, 1, 1))
+    small = fraction_witness.witness((HALF,) * 6, 3, (1, 1, 1, 0, 1, 1, 1))
     lifted = lift_witness(trace, small)
-    assert lifted.coefficients == (HALF, HALF, HALF, 0, 0, HALF, HALF, HALF)
+    assert fraction_witness.coefficients(lifted) == (HALF, HALF, HALF, 0, 0, HALF, HALF, HALF)
     assert lifted.point == (1, 1, 1, 0, 1, 1, 1)
 
 
@@ -715,7 +724,7 @@ def test_lift_witness_rejects_a_fractional_point(load_ideal):
     h = build_from_ideal(load_ideal("bowtie.ideal"))
     _, trace = connector_deleted(h)
     # halves on the bowtie's vertices 1 and 2 put 1/2 on label u2 = {1, 3}
-    small = Witness((HALF, HALF, 0, 0, 0, 0), 1, (1, 0, 0, 0, 0, 0, 0))
+    small = fraction_witness.witness((HALF, HALF, 0, 0, 0, 0), 1, (1, 0, 0, 0, 0, 0, 0))
     with pytest.raises(ValueError) as info:
         lift_witness(trace, small)
     assert str(info.value) == "point entry 1/2 is not an integer"
@@ -736,31 +745,30 @@ def identity_lifts(draw):
     )
     numerators.append(-sum(numerators) % d)
     coefficients = tuple(Fraction(a, d) for a in numerators)
-    return h, Witness(coefficients, sum(coefficients), (0,))
+    return h, fraction_witness.witness(coefficients, sum(coefficients), (0,))
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=identity_lifts())
 def test_lift_witness_matches_fraction_reference(case):
-    import fraction_witness
-
     h, small = case
     trace = ReductionTrace(h, (), tuple(h.vertices))
-    powers = fraction_witness.label_powers(h.labels, small.coefficients)
-    message = fraction_witness.witness_error(small.coefficients, small.degree, powers)
+    coefficients = fraction_witness.coefficients(small)
+    powers = fraction_witness.label_powers(h.labels, coefficients)
+    message = fraction_witness.witness_error(coefficients, small.degree, powers)
     if message is not None:
         with pytest.raises(ValueError) as info:
             lift_witness(trace, small)
         assert str(info.value) == message
         return
     lifted = lift_witness(trace, small)
-    assert lifted == Witness(small.coefficients, small.degree, tuple(map(int, powers)))
+    assert lifted == fraction_witness.witness(coefficients, small.degree, tuple(map(int, powers)))
 
 
 def test_lift_witness_validation(load_ideal):
     h = build_from_ideal(load_ideal("bowtie.ideal"))
     _, trace = connector_deleted(h)
     with pytest.raises(TypeError, match="cannot lift"):
-        lift_witness("not a trace", Witness((HALF, HALF), 1, (1,)))
+        lift_witness("not a trace", fraction_witness.witness((HALF, HALF), 1, (1,)))
     with pytest.raises(ValueError, match="witness has 2 coefficients"):
-        lift_witness(trace, Witness((HALF, HALF), 1, (1,)))
+        lift_witness(trace, fraction_witness.witness((HALF, HALF), 1, (1,)))

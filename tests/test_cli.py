@@ -329,7 +329,7 @@ def plant_wrong_oracle_point(monkeypatch):
     def bad_witness(polytope, **kwargs):
         verdict = real(polytope, **kwargs)
         w = verdict.witness
-        wrong_point = Witness(w.coefficients, w.degree, (0,) * len(w.point))
+        wrong_point = Witness(w.denominator, w.numerators, w.degree, (0,) * len(w.point))
         return replace(verdict, witness=wrong_point)
 
     monkeypatch.setattr(engine, "decide_normal_bruteforce", bad_witness)

@@ -14,7 +14,6 @@ from idpoly import certificates, engine
 from idpoly.certificates import (
     INAPPLICABLE,
     RuleOutcome,
-    Witness,
     bicolor_obstruction,
     decide_connected_odd,
     exceptional_pair_rule,
@@ -28,7 +27,6 @@ from idpoly.engine import (
     RULE_EMPTY,
     RULE_MINOR,
     RULE_ORACLE,
-    RULE_SINGLE,
     UNKNOWN,
     EngineConfig,
     _core_has_torsion,
@@ -56,6 +54,7 @@ from idpoly.intlinalg import (
 from idpoly.model import SquarefreeIdeal, ZeroOnePolytope, polytope_from_ideal
 from idpoly.oracle import decide_normal_bruteforce, vertex_sums, verify_witness
 
+import fraction_witness
 from randutil import (
     benchmark_edge_ideals,
     covered_ideals,
@@ -148,7 +147,7 @@ def test_rem32_full_report():
     assert report.paper_rule == (
         "Theorem 4.1: even vertex count, no even-dimensional edge"
     )
-    assert report.witness.coefficients == (HALF,) * 6
+    assert fraction_witness.coefficients(report.witness) == (HALF,) * 6
     assert report.witness.degree == 3
     assert report.witness.point == (1, 1, 1, 1, 1, 1, 1)
     assert report.torsion is None
@@ -214,7 +213,7 @@ def assert_odd_cycle_witness(ideal, report, nonzero, point):
     assert report.minor is None
     assert report.torsion is None
     assert report.verified
-    coefficients = report.witness.coefficients
+    coefficients = fraction_witness.coefficients(report.witness)
     assert tuple(i + 1 for i, c in enumerate(coefficients) if c) == nonzero
     assert set(coefficients) == {0, HALF}
     assert report.witness.degree == len(nonzero) // 2
@@ -255,7 +254,7 @@ def test_twin_d_relaxed_finds_pair_directly(load_ideal):
     assert report.status == NOT_NORMAL
     assert report.rule == RULE_PAIR
     assert report.minor is None
-    assert report.witness.coefficients == (
+    assert fraction_witness.coefficients(report.witness) == (
         HALF, HALF, HALF, 0, 0, HALF, HALF, HALF, 0,
     )
     assert report.witness.degree == 3
@@ -320,7 +319,7 @@ def test_veiled_pair_only_minor_search(load_ideal, monkeypatch):
     assert report.witness.degree == 5
     assert report.witness.point == (1, 1, 1, 0, 1, 1, 0, 1, 1, 0, 0, 1, 0, 1, 1)
     nonzero = tuple(
-        i + 1 for i, c in enumerate(report.witness.coefficients) if c
+        i + 1 for i, c in enumerate(fraction_witness.coefficients(report.witness)) if c
     )
     assert nonzero == (1, 2, 3, 6, 9, 10, 13, 15, 18, 20)
     assert report.stats["minors_examined"] == 455
@@ -372,7 +371,7 @@ def test_closed_vertex_then_minor_witness_lift(monkeypatch):
     assert report.reduction.rounds == (((9, "z"),),)
     assert report.minor.deleted_edges == ()
     assert report.minor.surviving == (1, 2, 3, 4, 5, 6, 7, 8)
-    assert report.witness.coefficients == (
+    assert fraction_witness.coefficients(report.witness) == (
         HALF, HALF, HALF, 0, 0, HALF, HALF, HALF, 0,
     )
     assert report.witness.degree == 3
@@ -1034,7 +1033,7 @@ def test_odd_cycle_budget_exhaustion_keeps_the_verdict(load_ideal, monkeypatch):
 
 def zero_witness(num_vertices, num_labels):
     """Well-formed but invalid: the zero point at degree 0 decomposes trivially."""
-    return Witness((Fraction(0),) * num_vertices, 0, (0,) * num_labels)
+    return fraction_witness.witness((Fraction(0),) * num_vertices, 0, (0,) * num_labels)
 
 
 def test_demoted_structural_candidate_falls_through(monkeypatch):

@@ -26,7 +26,7 @@ from idpoly.hypergraph import (
     reduce_closed_fixpoint,
     skeleton_components,
 )
-from idpoly.model import SquarefreeIdeal, polytope_from_ideal
+from idpoly.model import polytope_from_ideal
 
 import reference_hypergraph as reference
 import reference_search

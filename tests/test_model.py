@@ -26,7 +26,7 @@ def test_basic_ideal():
     ideal = SquarefreeIdeal(("u", "v", "w"), ({"u", "v"}, {"u", "w"}, {"v", "w"}))
     assert ideal.num_variables == 3
     assert ideal.num_generators == 3
-    assert ideal.exponent_row(0) == (1, 1, 0)
+    assert ideal.exponent_matrix()[0] == (1, 1, 0)
     assert ideal.exponent_matrix() == ((1, 1, 0), (1, 0, 1), (0, 1, 1))
     assert ideal.monomial_string(2) == "v*w"
     assert generator_degrees(ideal) == (2, 2, 2)

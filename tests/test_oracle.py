@@ -29,6 +29,9 @@ from idpoly.oracle import (
 )
 from idpoly.simplex import objective_range
 
+import fraction_simplex
+import fraction_witness
+
 
 def poly(load_ideal, name):
     if name.endswith(".mat"):
@@ -209,7 +212,8 @@ def test_simplex_relation_has_denominator_two():
 
 def test_membership_unique_combination(load_ideal):
     p = poly(load_ideal, "rem32.mat")
-    assert lp_membership(p, (1, 1, 1, 1, 1, 1, 1), 3) == (Fraction(1, 2),) * 6
+    denominator, numerators = lp_membership(p, (1, 1, 1, 1, 1, 1, 1), 3)
+    assert tuple(Fraction(n, denominator) for n in numerators) == (Fraction(1, 2),) * 6
 
 
 def test_membership_infeasible(load_ideal):
@@ -372,7 +376,7 @@ def test_first_failure_is_least(load_ideal):
     assert verdict.degrees_checked == (2, 3)
     assert verdict.witness.degree == 3
     assert verdict.witness.point == (1, 1, 1, 1, 1, 1, 1)
-    assert verdict.witness.coefficients == (Fraction(1, 2),) * 6
+    assert fraction_witness.coefficients(verdict.witness) == (Fraction(1, 2),) * 6
     assert verdict.bound == 4
 
 
@@ -380,7 +384,8 @@ def test_solv3_witness_uses_thirds(load_ideal):
     verdict = decide_normal_bruteforce(poly(load_ideal, "solv3.ideal"))
     assert verdict.status == NOT_NORMAL
     assert verdict.witness.degree == 3
-    assert set(verdict.witness.coefficients) <= {Fraction(1, 3), Fraction(2, 3)}
+    thirds = {Fraction(1, 3), Fraction(2, 3)}
+    assert set(fraction_witness.coefficients(verdict.witness)) <= thirds
 
 
 def test_truncated_scan_is_inconclusive(load_ideal):
@@ -434,7 +439,7 @@ def test_verify_coefficients_clause_order(load_ideal):
     res = verify_coefficients(p, [half] * 6)
     assert res.valid
     assert res.reason is None
-    assert res.witness == Witness((half,) * 6, 3, (1, 1, 1, 1, 1, 1, 1))
+    assert res.witness == fraction_witness.witness((half,) * 6, 3, (1, 1, 1, 1, 1, 1, 1))
 
 
 HALF = Fraction(1, 2)
@@ -468,11 +473,11 @@ def test_verify_coefficients_reasons_verbatim(polytope, coefficients, reason):
 
 def test_verify_coefficients_takes_int_and_str(load_ideal):
     p = poly(load_ideal, "rem32.mat")
-    witness = Witness((HALF,) * 6, 3, (1, 1, 1, 1, 1, 1, 1))
+    witness = fraction_witness.witness((HALF,) * 6, 3, (1, 1, 1, 1, 1, 1, 1))
     for coefficients in (["1/2"] * 6, ["1/2", "0.5", HALF, "2/4", HALF, "1/2"]):
         res = verify_coefficients(p, coefficients)
         assert (res.valid, res.reason, res.witness) == (True, None, witness)
-        assert all(type(c) is Fraction for c in res.witness.coefficients)
+        assert fraction_witness.coefficients(res.witness) == (HALF,) * 6
     res = verify_coefficients(p, [0, "0", 0, 0, Fraction(0), 0])
     assert res.reason == "point admits the integer decomposition (0, 0, 0, 0, 0, 0)"
     res = verify_coefficients(p, ["3/4"] + [0] * 5)
@@ -517,15 +522,13 @@ def coefficient_cases(draw):
 @given(case=coefficient_cases())
 @example(case=(REM32, ["1/2", HALF, "1/2", HALF, "1/2", HALF]))
 def test_verify_coefficients_matches_fraction_reference(case):
-    import fraction_witness
-
     polytope, coefficients = case
     reason, degree, point = fraction_witness.check_coefficients(polytope.vertices, coefficients)
     res = verify_coefficients(polytope, coefficients)
     if reason is not None:
         assert (res.valid, res.reason) == (False, reason)
     elif res.valid:
-        assert res.witness == Witness(tuple(coefficients), degree, point)
+        assert res.witness == fraction_witness.witness(coefficients, degree, point)
     else:
         found = integer_decomposition(polytope, point, degree)
         assert found is not None
@@ -547,16 +550,17 @@ def test_verify_coefficients_runs_no_lp(load_ideal, monkeypatch):
     assert verify_coefficients(p, [half] * 6).valid
     res = verify_coefficients(p, [Fraction(0)] * 6)
     assert "integer decomposition" in res.reason
-    assert verify_witness(p, Witness((half,) * 6, 3, (1, 1, 1, 1, 1, 1, 1))).valid
+    witness = fraction_witness.witness((half,) * 6, 3, (1, 1, 1, 1, 1, 1, 1))
+    assert verify_witness(p, witness).valid
 
 
 def test_verify_witness_checks_declared_fields(load_ideal):
     p = poly(load_ideal, "rem32.mat")
     half = Fraction(1, 2)
-    good = Witness((half,) * 6, 3, (1, 1, 1, 1, 1, 1, 1))
+    good = fraction_witness.witness((half,) * 6, 3, (1, 1, 1, 1, 1, 1, 1))
     assert verify_witness(p, good).valid
 
-    wrong_point = Witness((half,) * 6, 3, (1, 1, 1, 1, 1, 1, 3))
+    wrong_point = fraction_witness.witness((half,) * 6, 3, (1, 1, 1, 1, 1, 1, 3))
     res = verify_witness(p, wrong_point)
     assert not res.valid
     assert "declared point" in res.reason
@@ -567,7 +571,7 @@ def test_verify_witness_degree_mismatch_unreachable_via_witness(load_ideal):
     # fire for a hand-built inconsistent object; bypass the constructor
     p = poly(load_ideal, "rem32.mat")
     half = Fraction(1, 2)
-    good = Witness((half,) * 6, 3, (1, 1, 1, 1, 1, 1, 1))
+    good = fraction_witness.witness((half,) * 6, 3, (1, 1, 1, 1, 1, 1, 1))
     bad = object.__new__(Witness)
     object.__setattr__(bad, "denominator", good.denominator)
     object.__setattr__(bad, "numerators", good.numerators)
@@ -579,17 +583,15 @@ def test_verify_witness_degree_mismatch_unreachable_via_witness(load_ideal):
 
 
 def test_oracle_matches_fraction_reference(load_ideal, monkeypatch):
-    import fraction_simplex
     import idpoly.oracle
 
     p = poly(load_ideal, "hex6.ideal")
     ours = decide_normal_bruteforce(p)
     # the descent bounds coordinates with objective_range and the witness
-    # comes from solve_lp: both are replaced by the reference
-    monkeypatch.setattr(
-        idpoly.oracle, "solve_lp", lambda *a: fraction_simplex.solve_lp(*a).solution
-    )
-    monkeypatch.setattr(idpoly.oracle, "objective_range", fraction_simplex.objective_range)
+    # comes from solve_lp: both are replaced by the reference, its answers
+    # put in the integer form
+    monkeypatch.setattr(idpoly.oracle, "solve_lp", fraction_simplex.integer_vertex)
+    monkeypatch.setattr(idpoly.oracle, "objective_range", fraction_simplex.integer_range)
     ref = decide_normal_bruteforce(p)
     assert ours.status == ref.status == NOT_NORMAL
     assert ours == ref

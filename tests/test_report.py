@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from idpoly.report import (
     to_json,
     verification_payload,
 )
+from idpoly.simplex import objective_range
 
 from test_golden_reports import DATA, INPUTS, ORACLE_TRUNCATED
 
@@ -86,6 +88,20 @@ def test_writer_rejects_what_the_schema_never_holds(payload):
         to_json(payload)
 
 
+def _forbid_fraction(monkeypatch) -> None:
+    """Replace Fraction by a stub that raises, in every module that held it.
+
+    report no longer imports it, and neither do simplex and certificates.
+    """
+    from idpoly import certificates, oracle, report, simplex
+
+    def no_fraction(*args, **kwargs):
+        raise AssertionError("a Fraction was made")
+
+    for module in (certificates, oracle, report, simplex):
+        monkeypatch.setattr(module, "Fraction", no_fraction, raising=False)
+
+
 @pytest.mark.parametrize(
     "name", ["twin_d.ideal", "mix41.ideal", "hex6.ideal", "bowtie.ideal", "k24.ideal"]
 )
@@ -94,16 +110,11 @@ def test_a_witness_verdict_makes_no_fraction(name, monkeypatch):
     # hit lifted through the minor and the reduction, and the witnesses of
     # Theorems 4.1 and 4.8 and of k24's torsion are built, lifted, verified
     # and written on integers: analyze and render_json run with Fraction
-    # replaced by a stub that raises, in every module that held it (report
-    # no longer imports it), and write the golden report
-    from idpoly import certificates, oracle, report
-
-    def no_fraction(*args, **kwargs):
-        raise AssertionError("a Fraction was made")
+    # stubbed out and write the golden report
+    from idpoly import report
 
     ideal = _load_ideal(DATA / name)
-    for module in (certificates, oracle, report):
-        monkeypatch.setattr(module, "Fraction", no_fraction, raising=False)
+    _forbid_fraction(monkeypatch)
     result = analyze(ideal)
     rendered = report.render_json(result)
     monkeypatch.undo()
@@ -111,3 +122,45 @@ def test_a_witness_verdict_makes_no_fraction(name, monkeypatch):
     payload = json.loads(rendered)
     del payload["stats"]
     assert json.dumps(payload, indent=2) + "\n" == (DATA / "golden" / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name", ["rem32.mat", "hex6.ideal", "solv3.ideal", "k24.ideal"])
+def test_an_oracle_witness_makes_no_fraction(name, monkeypatch):
+    # the oracle's descent bounds its coordinates and solves its witness's
+    # coefficients on the integer tableau, and the witness is built, checked
+    # and written on integers: `idpoly oracle` runs with Fraction stubbed out
+    # and writes the golden report
+    from test_golden_reports import GOLDEN_ORACLE, oracle_report_without_stats
+
+    _forbid_fraction(monkeypatch)
+    rendered = oracle_report_without_stats(name)
+    monkeypatch.undo()
+    assert rendered == (GOLDEN_ORACLE / f"{name}.json").read_text()
+
+
+def test_an_oracle_normal_verdict_makes_no_fraction(monkeypatch):
+    # analyze settles this random ideal by the oracle, normal, after the
+    # descent's range LPs; with Fraction stubbed out it writes the report
+    # it writes without the stub
+    from idpoly import oracle, report
+    from randutil import random_minimal_ideal
+
+    ideal = random_minimal_ideal(random.Random(5))
+    expected = analyze(ideal)
+    assert (expected.status, expected.rule) == ("normal", "oracle")
+    ranges = []
+
+    def counted(*args):
+        ranges.append(args)
+        return objective_range(*args)
+
+    _forbid_fraction(monkeypatch)
+    monkeypatch.setattr(oracle, "objective_range", counted)
+    result = analyze(ideal)
+    rendered = report.render_json(result)
+    monkeypatch.undo()
+    assert ranges
+    assert result == expected
+    payload, golden = json.loads(rendered), json.loads(report.render_json(expected))
+    del payload["stats"], golden["stats"]
+    assert payload == golden

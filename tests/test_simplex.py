@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_simplex
-from idpoly import simplex
 from idpoly.simplex import objective_range, solve_lp
 
 
@@ -17,16 +16,39 @@ def _reference_vertex(rows, rhs):
     return fraction_simplex.solve_lp(rows, rhs).solution
 
 
+def _vertex(rows, rhs):
+    """solve_lp's (denominator, numerators) as Fractions, or None when infeasible.
+
+    The answer must be all ints over a positive denominator.
+    """
+    found = solve_lp(rows, rhs)
+    if found is None:
+        return None
+    denominator, numerators = found
+    assert type(denominator) is int and denominator > 0
+    assert all(type(n) is int for n in numerators)
+    return tuple(Fraction(n, denominator) for n in numerators)
+
+
+def _range(rows, rhs, objective):
+    """objective_range's answer, after checking that its bounds are ints."""
+    found = objective_range(rows, rhs, objective)
+    assert found is None or all(type(bound) is int for bound in found)
+    return found
+
+
+GIVEN = SimpleNamespace(solve_lp=_vertex, objective_range=_range)
 REFERENCE = SimpleNamespace(
-    solve_lp=_reference_vertex, objective_range=fraction_simplex.objective_range
+    solve_lp=_reference_vertex, objective_range=fraction_simplex.integer_range
 )
 
 
-@pytest.fixture(params=[simplex, REFERENCE], ids=["given", "fractions"])
+@pytest.fixture(params=[GIVEN, REFERENCE], ids=["given", "fractions"])
 def solver(request):
     """The integer tableau of idpoly.simplex, or the Fraction-tableau reference.
 
-    Every hand-worked case below must come out the same on both, so the
+    Both give a vertex as Fractions, and a range as (⌈min⌉, ⌊max⌋).  Every
+    hand-worked case below must come out the same on both, so the
     reference that the differential tests trust is itself checked.
     """
     return request.param
@@ -69,6 +91,18 @@ def test_optimal_value_and_solution(solver):
     # phase one ends on (2, 0), the least entering column
     assert solver.objective_range([[1, 2]], [2], [1, 1]) == (1, 2)
     assert solver.solve_lp([[1, 2]], [2]) == (Fraction(2), Fraction(0))
+
+
+def test_fractional_range_rounds_inward(solver):
+    # x1 + x2 over 2*x1 + 3*x2 = 5 runs from 5/3 at (0, 5/3) to 5/2 at
+    # (5/2, 0): the only integer in between is 2
+    assert solver.objective_range([[2, 3]], [5], [1, 1]) == (2, 2)
+    # -x1 - x2 runs from -5/2 to -5/3: the integers -2 only
+    assert solver.objective_range([[2, 3]], [5], [-1, -1]) == (-2, -2)
+    # 3x = 1 pins x to 1/3 and -x to -1/3, which holds no integer: the
+    # lower bound passes the upper
+    assert solver.objective_range([[3]], [1], [1]) == (1, 0)
+    assert solver.objective_range([[3]], [1], [-1]) == (0, -1)
 
 
 def test_solution_satisfies_constraints_exactly(solver):
@@ -121,7 +155,7 @@ def test_feasible_by_construction_stays_feasible(data, m, n):
     )
     x = data.draw(st.lists(st.integers(min_value=0, max_value=4), min_size=n, max_size=n))
     rhs = [sum(a * v for a, v in zip(row, x)) for row in rows]
-    vertex = solve_lp(rows, rhs)
+    vertex = _vertex(rows, rhs)
     assert vertex is not None
     assert _satisfies(rows, rhs, vertex)
 
@@ -158,12 +192,14 @@ def lp_systems(draw):
 @settings(max_examples=300, deadline=None)
 @given(system=lp_systems())
 def test_integer_tableau_matches_fraction_reference(system):
-    # the pivot sequence is the same, so feasibility and the vertex agree
+    # the pivot sequence is the same, so feasibility and the vertex agree;
+    # the numerators satisfy the rows scaled by the denominator, on ints
     rows, rhs = system
-    vertex = solve_lp(rows, rhs)
+    vertex = _vertex(rows, rhs)
     assert vertex == _reference_vertex(rows, rhs)
     if vertex is not None:
-        assert _satisfies(rows, rhs, vertex)
+        denominator, numerators = solve_lp(rows, rhs)
+        assert _satisfies(rows, [b * denominator for b in rhs], numerators)
 
 
 def test_infeasible_despite_objective():
@@ -187,7 +223,7 @@ def test_degenerate_tie_break_matches_reference():
         [3, 0, 4, 0, -4],
     ]
     rhs = [-8, -8, -4, -4]
-    vertex = solve_lp(rows, rhs)
+    vertex = _vertex(rows, rhs)
     assert vertex == _reference_vertex(rows, rhs)
     assert vertex == (6, 12, 0, 2, Fraction(11, 2))
 
@@ -239,8 +275,8 @@ def bounded_systems(draw):
 @example(system=([[1, 1], [1, 0]], [2, 0], [0, 1]))  # degenerate, min == max
 def test_objective_range_matches_two_solves(system):
     # one phase one for both directions gives the optima of the
-    # reference's two independent full solves
+    # reference's two independent full solves, rounded inward
     rows, rhs, objective = system
-    assert objective_range(rows, rhs, objective) == fraction_simplex.objective_range(
+    assert _range(rows, rhs, objective) == fraction_simplex.integer_range(
         rows, rhs, objective
     )
