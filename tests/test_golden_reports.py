@@ -1,4 +1,4 @@
-"""Golden `idpoly analyze`, `oracle` and `hypergraph` reports for every tests/data input.
+"""Golden `idpoly analyze`, `oracle`, `hypergraph` and `verify` reports for every tests/data input.
 
 Five kinds of golden file, one per input under each:
 
@@ -13,6 +13,10 @@ Five kinds of golden file, one per input under each:
   ORACLE_TRUNCATED, whose full scan takes far too long for a test;
 - tests/data/golden/hypergraph/<name>.txt and <name>.json: `hypergraph`
   in text and `--format json`, whole, since neither holds a timing.
+
+tests/data/golden/verify/reports.json holds, for every input and each witness
+file in WITNESSES, the exit code of `verify` and its text and
+`--format json` output.
 
 One more golden file pins the minor walk where it does the most work:
 tests/data/golden/walks/edge11.json holds, for the edge ideals of
@@ -53,16 +57,22 @@ INPUTS = sorted(p.name for p in DATA.iterdir() if p.suffix in (".ideal", ".mat")
 ORACLE_TRUNCATED = frozenset(
     ("edge65.ideal", "ih1.ideal", "ih2.ideal", "veiled.ideal", "veiled_minor10.ideal")
 )
+GOLDEN_VERIFY = GOLDEN / "verify" / "reports.json"
+WITNESSES = ("rem32_good.w", "bad.w", "fourcyc_halves.w")
 GOLDEN_WALKS = GOLDEN / "walks" / "edge11.json"
 WALK_GRAPHS = 40
 WALK_CONFIGS = {"defaults": EngineConfig(), "relaxed": EngineConfig(relaxed_connection=True)}
 
 
-def _stdout(*argv: str) -> str:
+def _run(*argv: str) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli.main(list(argv))
-    return out.getvalue()
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
+def _stdout(*argv: str) -> str:
+    return _run(*argv)[1]
 
 
 def _json_without_stats(text: str) -> str:
@@ -95,6 +105,21 @@ def hypergraph_text(name: str) -> str:
 
 def hypergraph_json(name: str) -> str:
     return _stdout("hypergraph", "--format", "json", str(DATA / name))
+
+
+def verify_reports() -> str:
+    reports = {}
+    for name in INPUTS:
+        for witness in WITNESSES:
+            argv = ("verify", str(DATA / name), "--witness", str(DATA / witness))
+            code, text = _run(*argv)
+            json_code, json_text = _run(*argv, "--format", "json")
+            reports[f"{name} {witness}"] = {
+                "exit": [code, json_code],
+                "text": text,
+                "json": json_text,
+            }
+    return json.dumps(reports, indent=1) + "\n"
 
 
 def random_edge_ideal(rng, nodes=11, edges=14):
@@ -179,6 +204,10 @@ def test_hypergraph_report_matches_golden(name, suffix, render):
     assert render(name) == expected
 
 
+def test_verify_reports_match_golden():
+    assert verify_reports() == GOLDEN_VERIFY.read_text(encoding="utf-8")
+
+
 def test_minor_walks_match_golden(monkeypatch):
     assert walk_reports(monkeypatch) == GOLDEN_WALKS.read_text(encoding="utf-8")
 
@@ -188,6 +217,8 @@ if __name__ == "__main__":
         folder.mkdir(exist_ok=True)
         for name in INPUTS:
             (folder / f"{name}{suffix}").write_text(render(name), encoding="utf-8")
+    GOLDEN_VERIFY.parent.mkdir(exist_ok=True)
+    GOLDEN_VERIFY.write_text(verify_reports(), encoding="utf-8")
     GOLDEN_WALKS.parent.mkdir(exist_ok=True)
     with pytest.MonkeyPatch.context() as patch:
         GOLDEN_WALKS.write_text(walk_reports(patch), encoding="utf-8")
