@@ -66,11 +66,12 @@ class Witness:
     ``denominator``.  ``Witness(denominator, numerators, degree, point)``
     is its one constructor.  It checks, in this order, that there is a
     coefficient, that each numerator lies in [0, denominator), that the
-    numerators sum to degree·denominator and that the degree and the
-    point are nonnegative.  It then divides out the gcd of the
-    denominator and the numerators, so the denominator is the lcm of the
-    coefficients' reduced denominators, equal coefficient vectors give
-    equal fields, and equality and the hash follow the coefficients.
+    numerators sum to degree·denominator, which leaves the degree
+    nonnegative, and that the point is nonnegative.  It then divides out
+    the gcd of the denominator and the numerators, so the denominator is
+    the lcm of the coefficients' reduced denominators, equal coefficient
+    vectors give equal fields, and equality and the hash follow the
+    coefficients.
     """
 
     denominator: int
@@ -87,8 +88,6 @@ class Witness:
             raise ValueError(reason)
         if sum(numerators) != self.degree * denominator:
             raise ValueError("coefficients do not sum to the degree")
-        if self.degree < 0:
-            raise ValueError("degree cannot be negative")
         if any(x < 0 for x in self.point):
             raise ValueError("point must be nonnegative")
         common = gcd(denominator, *numerators)

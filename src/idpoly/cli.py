@@ -123,8 +123,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     ideal = _load_ideal(Path(args.file))
     polytope = polytope_from_ideal(ideal)
-    coefficients = parse_witness_text(_read_text(Path(args.witness)))
-    result = verify_coefficients(polytope, coefficients)
+    denominator, numerators = parse_witness_text(_read_text(Path(args.witness)))
+    result = verify_coefficients(polytope, denominator, numerators)
     if args.format == "json":
         print(report.to_json(report.verification_payload(result)))
     else:

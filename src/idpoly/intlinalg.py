@@ -21,8 +21,7 @@ certificates are reproducible byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterator, Sequence
 
 IntMatrix = list[list[int]]
@@ -36,12 +35,6 @@ def transpose(rows: Sequence[Sequence[int]]) -> IntMatrix:
     if not rows:
         return []
     return [[row[j] for row in rows] for j in range(len(rows[0]))]
-
-
-def common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """D, the lcm of the values' denominators, and each value times D."""
-    denominator = lcm(*(v.denominator for v in values))
-    return denominator, [v.numerator * (denominator // v.denominator) for v in values]
 
 
 def bareiss_rank(rows: Sequence[Sequence[int]]) -> tuple[int, int]:

@@ -82,10 +82,6 @@ class SquarefreeIdeal:
                     )
 
     @property
-    def num_variables(self) -> int:
-        return len(self.variables)
-
-    @property
     def num_generators(self) -> int:
         return len(self.generators)
 

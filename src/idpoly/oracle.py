@@ -4,10 +4,8 @@ Normality of a 0-1 polytope P says every integer point of every dilation
 tP is a sum of t vertices.  Because any fractional vertex combination
 with coefficients below 1 has degree at most s-1, and generation degrees
 beyond dim(P)-1 add nothing, scanning a finite range of dilations decides
-the question outright.  Everything here is exact integer arithmetic,
-once verify_coefficients has put its rational input over one
-denominator; a verdict from this module is a theorem about the input,
-not an estimate.
+the question outright.  Everything here is exact integer arithmetic; a
+verdict from this module is a theorem about the input, not an estimate.
 
 In degree k the polytopal ring is spanned by S_k, the distinct sums of k
 vertices, and the Ehrhart ring by the lattice points of kP; P is normal
@@ -15,10 +13,11 @@ exactly when the two agree.  The scan builds S_k from S_(k-1) as the
 degrees advance and tests each lattice point of kP against it.  The
 backtracking integer_decomposition decides the same question for one
 point; only the checker calls it, so a certificate is re-checked by a
-search the prover does not share.  The checker runs on integers:
-verify_witness takes a witness's numerators over its denominator as they
-are, verify_coefficients puts its rationals over one denominator once,
-and both then run one integer check, whose last clause is the search.
+search the prover does not share.  The checker runs on integers, on
+numerators over one denominator: verify_witness takes a witness's as
+they are, and verify_coefficients takes the pair parse_witness_text
+reads from a file.  Both run one integer check, whose last clause is the
+search.
 The search packs the point into one int and prunes before it branches,
 and it keeps the plain backtracking's answer, the lexicographically
 least decomposition.
@@ -46,13 +45,11 @@ witness, solved over all the rows, do not depend on the pivots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, compress
 from operator import add, le, mul, or_
 from typing import Iterator, Sequence
 
 from .certificates import NORMAL, NOT_NORMAL, Witness, fraction_text, range_error
-from .intlinalg import common_denominator
 from .model import ZeroOnePolytope
 from .simplex import objective_range, solve_lp
 
@@ -336,20 +333,17 @@ def decide_normal_bruteforce(
 
 
 def verify_coefficients(
-    polytope: ZeroOnePolytope, coefficients: Sequence[Fraction]
+    polytope: ZeroOnePolytope, denominator: int, numerators: Sequence[int]
 ) -> VerificationResult:
-    """Check a raw coefficient vector against every witness requirement.
+    """Check coefficients numerators[i]/denominator against every witness requirement.
 
-    Clauses, in order: count, range [0,1), integral sum, integral point,
-    and absence of any integer decomposition.  The coefficients that pass
-    the first four are themselves a combination putting the point in
+    The denominator is positive, and need not be the least one.  Clauses,
+    in order: count, range [0,1), integral sum, integral point, and
+    absence of any integer decomposition.  The coefficients that pass the
+    first four are themselves a combination putting the point in
     degree·P, so no membership LP is needed.  The first failure is
-    reported; success returns the assembled Witness.  The coefficients
-    are made Fractions and put over one denominator once, the oracle's
-    only Fractions, and the clauses run on the numerators, as
-    verify_witness runs them.
+    reported; success returns the assembled Witness.
     """
-    denominator, numerators = common_denominator(tuple(Fraction(c) for c in coefficients))
     reason, degree, point = _check_numerators(polytope, denominator, numerators)
     if reason is not None:
         return VerificationResult(False, reason)

@@ -2,14 +2,14 @@
 
 Three small formats live here: ideal files (a generator list with an
 optional alphabet declaration), matrix files (one 0-1 vertex per row),
-and witness files (one rational coefficient per line).  Parsers report
+and witness files (one rational coefficient per line, read on integers).  Parsers report
 line and column on failure so a typo in a long file stays findable.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
+from math import gcd, lcm
 
 from .model import (
     InputError,
@@ -20,6 +20,9 @@ from .model import (
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _VARS_PREFIX = "vars:"
+# a witness value: an optional sign, then an integer, n/d with d > 0, or a
+# decimal such as 5., .5 or 0.25
+_RATIONAL = re.compile(r"([-+]?)(?=\.?[0-9])([0-9]*)(?:/(0*[1-9][0-9]*)|\.([0-9]*))?")
 
 
 def _strip_comment(line: str) -> str:
@@ -185,15 +188,17 @@ def parse_matrix_text(text: str) -> ZeroOnePolytope:
     return ZeroOnePolytope(tuple(rows))
 
 
-def parse_witness_text(text: str) -> tuple[Fraction, ...]:
+def parse_witness_text(text: str) -> tuple[int, tuple[int, ...]]:
     """Parse a witness file: one rational per line, aligned with generators.
 
-    A rational is written in ASCII without digit separators or an
-    exponent: ``Fraction`` alone would also take ``1_0``, non-ASCII digits
-    such as ``١/٢``, and ``1e999999999``, whose power of ten it would
-    build in full.
+    A rational is written in ASCII as an optional sign, then an integer,
+    ``n/d`` with d > 0, or a decimal (``5.``, ``.5``, ``0.25``), with no
+    digit separator and no exponent; each run of digits must fit the
+    interpreter's limit on digits per int.  The values come back as
+    (D, numerators): D is the lcm of their reduced denominators, and value
+    i is numerators[i] / D.
     """
-    values: list[Fraction] = []
+    values: list[tuple[int, int]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
         if not line:
@@ -202,12 +207,21 @@ def parse_witness_text(text: str) -> tuple[Fraction, ...]:
             raise InputError(
                 f"line {line_no}: expected one rational per line, got {raw.strip()!r}"
             )
+        match = _RATIONAL.fullmatch(line)
         try:
-            if not line.isascii() or "_" in line or "e" in line.lower():
+            if match is None:
                 raise ValueError(line)
-            values.append(Fraction(line))
-        except (ValueError, ZeroDivisionError):
+            sign, whole, over, decimals = match.groups(default="")
+            numerator, denominator = int(whole or "0"), int(over or "1")
+            if decimals:
+                denominator = 10 ** len(decimals)
+                numerator = numerator * denominator + int(decimals)
+        except ValueError:
             raise InputError(f"line {line_no}: cannot parse rational {line!r}") from None
+        common = gcd(numerator, denominator)
+        numerator = -numerator if sign == "-" else numerator
+        values.append((numerator // common, denominator // common))
     if not values:
         raise InputError("witness file has no coefficients")
-    return tuple(values)
+    denominator = lcm(*(d for _, d in values))
+    return denominator, tuple(n * (denominator // d) for n, d in values)

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from idpoly import cli, parsing
 
 DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).resolve().parents[1]
 
 ACCEPTANCE_LABELS = {
     1: "hypergraph construction and reduction on the worked example",
@@ -43,6 +47,19 @@ def run_cli(capsys):
 
 def data_path(name: str) -> str:
     return str(DATA / name)
+
+
+def run_python(script: str) -> subprocess.CompletedProcess:
+    """Run script in a new interpreter at the repo root, with src first on its path."""
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 _CRITERION = re.compile(r"test_criterion_(\d+)")

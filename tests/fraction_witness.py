@@ -10,7 +10,10 @@ independent implementation, clause by clause and message by message.
 idpoly holds a witness on integers only, numerators over one denominator,
 and its one constructor takes them so.  witness builds one from rational
 coefficients, and coefficients reads them back as Fractions, so the tests
-can state a witness as the paper does, as rationals in [0, 1).
+can state a witness as the paper does, as rationals in [0, 1).  over_lcm
+puts rationals in the (denominator, numerators) form that
+verify_coefficients takes, and parse_witness_text is the witness-file
+parser as it read on Fractions, the reference for the integer parser.
 """
 
 from __future__ import annotations
@@ -18,6 +21,41 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
+
+
+def over_lcm(values) -> tuple[int, tuple[int, ...]]:
+    """Values Fraction takes, as numerators over the lcm of their reduced denominators."""
+    fractions = [Fraction(v) for v in values]
+    denominator = lcm(*(f.denominator for f in fractions))
+    return denominator, tuple(f.numerator * (denominator // f.denominator) for f in fractions)
+
+
+def parse_witness_text(text: str) -> tuple[int, tuple[int, ...]]:
+    """idpoly.parsing.parse_witness_text by its old path: a guard, Fraction, then over_lcm.
+
+    The guard narrows what Fraction takes to ASCII with no digit separator
+    and no exponent.  Errors are idpoly's InputError, with its messages.
+    """
+    from idpoly.model import InputError
+
+    values: list[Fraction] = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if len(line.split()) != 1:
+            raise InputError(
+                f"line {line_no}: expected one rational per line, got {raw.strip()!r}"
+            )
+        try:
+            if not line.isascii() or "_" in line or "e" in line.lower():
+                raise ValueError(line)
+            values.append(Fraction(line))
+        except (ValueError, ZeroDivisionError):
+            raise InputError(f"line {line_no}: cannot parse rational {line!r}") from None
+    if not values:
+        raise InputError("witness file has no coefficients")
+    return over_lcm(values)
 
 
 def witness(coefficients, degree, point):
@@ -30,13 +68,11 @@ def witness(coefficients, degree, point):
     """
     from idpoly.certificates import Witness
 
-    coeffs = [Fraction(c) for c in coefficients]
+    denominator, numerators = over_lcm(coefficients)
     entries = [Fraction(x) for x in point]
     for value in entries:
         if value.denominator != 1:
             raise ValueError(f"point entry {value} is not an integer")
-    denominator = lcm(*(c.denominator for c in coeffs))
-    numerators = [c.numerator * (denominator // c.denominator) for c in coeffs]
     return Witness(denominator, numerators, int(degree), [int(x) for x in entries])
 
 
@@ -60,8 +96,6 @@ def witness_error(coefficients, degree, point) -> str | None:
             return f"coefficient {c} out of range [0, 1)"
     if sum(coeffs, Fraction(0)) != degree:
         return "coefficients do not sum to the degree"
-    if degree < 0:
-        return "degree cannot be negative"
     if any(value < 0 for value in values):
         return "point must be nonnegative"
     return None

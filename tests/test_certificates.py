@@ -82,6 +82,14 @@ def test_witness_validation():
     assert w.degree == 1
 
 
+def test_a_negative_degree_fails_the_sum_clause():
+    # numerators in [0, denominator) have a nonnegative sum, which the sum
+    # clause equates to degree·denominator, so no negative degree passes it
+    with pytest.raises(ValueError) as info:
+        Witness(1, (0,), -1, (0,))
+    assert str(info.value) == "coefficients do not sum to the degree"
+
+
 @pytest.mark.parametrize(
     "coefficients,degree,point,message",
     [

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import json
+import textwrap
 
 import pytest
 
-from conftest import DATA, data_path
+from conftest import DATA, ROOT, data_path, run_python
 from randutil import cycle_edge_ideal, ideal_text, linked_cycles_ideal
 
 
@@ -524,3 +525,19 @@ def test_no_minors_is_minor_budget_zero(run_cli, name):
         code_b, out_b, err_b = run_cli(*argv, "--minor-budget", "0")
         assert (code_a, err_a) == (code_b, err_b)
         assert _without_elapsed(fmt, out_a) == _without_elapsed(fmt, out_b)
+
+
+def _cli_step_script() -> str:
+    """The script of the tier-1 workflow's step that runs the CLI without the test dependencies."""
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    step = workflow.split("- name: The CLI runs without the test dependencies\n", 1)[1]
+    return textwrap.dedent(step.split("<<'EOF'\n", 1)[1].split("\n          EOF\n", 1)[0])
+
+
+def test_the_cli_step_runs_with_fractions_blocked():
+    # the step blocks fractions with the test dependencies, and each of its
+    # argv exits with the code it expects, and verify prints what it expects
+    script = _cli_step_script()
+    assert '"fractions"):\n    sys.modules[name] = None\n' in script
+    result = run_python(script)
+    assert (result.returncode, result.stderr) == (0, "")

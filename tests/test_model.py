@@ -24,7 +24,7 @@ from randutil import random_minimal_ideal
 
 def test_basic_ideal():
     ideal = SquarefreeIdeal(("u", "v", "w"), ({"u", "v"}, {"u", "w"}, {"v", "w"}))
-    assert ideal.num_variables == 3
+    assert len(ideal.variables) == 3
     assert ideal.num_generators == 3
     assert ideal.exponent_matrix()[0] == (1, 1, 0)
     assert ideal.exponent_matrix() == ((1, 1, 0), (1, 0, 1), (0, 1, 1))
@@ -181,7 +181,7 @@ def test_random_ideals_are_valid():
         ideal = random_minimal_ideal(rng)
         # construction re-runs the antichain check; also verify exponents
         matrix = ideal.exponent_matrix()
-        assert all(len(row) == ideal.num_variables for row in matrix)
+        assert all(len(row) == len(ideal.variables) for row in matrix)
         for i, gen in enumerate(ideal.generators):
             assert sum(matrix[i]) == len(gen)
         assert polytope_from_ideal(ideal).num_vertices == ideal.num_generators

@@ -27,6 +27,7 @@ from idpoly.oracle import (
     verify_witness,
     vertex_sums,
 )
+from idpoly.parsing import parse_witness_text
 from idpoly.simplex import objective_range
 
 import fraction_simplex
@@ -411,32 +412,31 @@ def test_verify_coefficients_clause_order(load_ideal):
     p = poly(load_ideal, "rem32.mat")
     half = Fraction(1, 2)
 
-    res = verify_coefficients(p, [half] * 5)
+    res = verify_coefficients(p, *fraction_witness.over_lcm([half] * 5))
     assert not res.valid
     assert "count mismatch" in res.reason
 
-    res = verify_coefficients(p, [Fraction(3, 2)] + [half] * 5)
+    res = verify_coefficients(p, *fraction_witness.over_lcm([Fraction(3, 2)] + [half] * 5))
     assert not res.valid
     assert "out of range" in res.reason
 
-    res = verify_coefficients(p, [half] * 5 + [Fraction(1, 3)])
+    res = verify_coefficients(p, *fraction_witness.over_lcm([half] * 5 + [Fraction(1, 3)]))
     assert not res.valid
     assert "not an integer" in res.reason
 
     # integral sum but a fractional coordinate: push mass onto one triangle
-    res = verify_coefficients(
-        p, [half, half, Fraction(0), half, Fraction(1, 4), Fraction(1, 4)]
-    )
+    quarters = [half, half, Fraction(0), half, Fraction(1, 4), Fraction(1, 4)]
+    res = verify_coefficients(p, *fraction_witness.over_lcm(quarters))
     assert not res.valid
     assert res.reason == "point not integral"
 
     # decomposable point: the all-halves witness is valid, but scaling one
     # triangle to integers gives a decomposable combination
-    res = verify_coefficients(p, [Fraction(0)] * 6)
+    res = verify_coefficients(p, *fraction_witness.over_lcm([Fraction(0)] * 6))
     assert not res.valid
     assert "integer decomposition" in res.reason
 
-    res = verify_coefficients(p, [half] * 6)
+    res = verify_coefficients(p, *fraction_witness.over_lcm([half] * 6))
     assert res.valid
     assert res.reason is None
     assert res.witness == fraction_witness.witness((half,) * 6, 3, (1, 1, 1, 1, 1, 1, 1))
@@ -467,20 +467,21 @@ SQUARE = ZeroOnePolytope(((0, 0), (1, 0), (0, 1), (1, 1)))
     ],
 )
 def test_verify_coefficients_reasons_verbatim(polytope, coefficients, reason):
-    res = verify_coefficients(polytope, coefficients)
+    res = verify_coefficients(polytope, *fraction_witness.over_lcm(coefficients))
     assert (res.valid, res.reason, res.witness) == (False, reason, None)
 
 
 def test_verify_coefficients_takes_int_and_str(load_ideal):
+    # the int and str forms of a witness file, read by parse_witness_text
     p = poly(load_ideal, "rem32.mat")
     witness = fraction_witness.witness((HALF,) * 6, 3, (1, 1, 1, 1, 1, 1, 1))
-    for coefficients in (["1/2"] * 6, ["1/2", "0.5", HALF, "2/4", HALF, "1/2"]):
-        res = verify_coefficients(p, coefficients)
+    for text in ("1/2\n" * 6, "1/2\n0.5\n1/2\n2/4\n1/2\n1/2\n"):
+        res = verify_coefficients(p, *parse_witness_text(text))
         assert (res.valid, res.reason, res.witness) == (True, None, witness)
         assert fraction_witness.coefficients(res.witness) == (HALF,) * 6
-    res = verify_coefficients(p, [0, "0", 0, 0, Fraction(0), 0])
+    res = verify_coefficients(p, *parse_witness_text("0\n0\n0\n0\n0\n0\n"))
     assert res.reason == "point admits the integer decomposition (0, 0, 0, 0, 0, 0)"
-    res = verify_coefficients(p, ["3/4"] + [0] * 5)
+    res = verify_coefficients(p, *parse_witness_text("3/4\n" + "0\n" * 5))
     assert res.reason == "coefficient sum 3/4 is not an integer"
 
 
@@ -492,7 +493,8 @@ def coefficient_cases(draw):
     witness.  The count is sometimes off by one; each coefficient is a
     multiple of 1/d for one d in 1..4, from -1/d to 1, or a half or a
     zero, so valid lists, decomposable points and every failing clause all
-    occur.  Some entries are passed as int or str.
+    occur.  The list comes with a scale, 1 to 3, by which its least common
+    denominator is multiplied when it is given to verify_coefficients.
     """
     n = draw(st.integers(1, 5))
     vertices = draw(
@@ -508,23 +510,19 @@ def coefficient_cases(draw):
         | st.just(HALF)
     )
     coefficients = draw(st.lists(value, min_size=count, max_size=count))
-    forms = draw(
-        st.lists(st.sampled_from([Fraction, str, "int"]), min_size=count, max_size=count)
-    )
-    mixed = [
-        int(c) if form == "int" and c.denominator == 1 else str(c) if form is str else c
-        for c, form in zip(coefficients, forms)
-    ]
-    return ZeroOnePolytope(vertices), mixed
+    return ZeroOnePolytope(vertices), coefficients, draw(st.integers(1, 3))
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=coefficient_cases())
-@example(case=(REM32, ["1/2", HALF, "1/2", HALF, "1/2", HALF]))
+@example(case=(REM32, [HALF] * 6, 2))
 def test_verify_coefficients_matches_fraction_reference(case):
-    polytope, coefficients = case
+    # the clauses read the same on any positive denominator, the least or
+    # a multiple of it
+    polytope, coefficients, scale = case
     reason, degree, point = fraction_witness.check_coefficients(polytope.vertices, coefficients)
-    res = verify_coefficients(polytope, coefficients)
+    denominator, numerators = fraction_witness.over_lcm(coefficients)
+    res = verify_coefficients(polytope, denominator * scale, [n * scale for n in numerators])
     if reason is not None:
         assert (res.valid, res.reason) == (False, reason)
     elif res.valid:
@@ -547,8 +545,8 @@ def test_verify_coefficients_runs_no_lp(load_ideal, monkeypatch):
         monkeypatch.setattr(idpoly.oracle, name, forbidden)
     p = poly(load_ideal, "rem32.mat")
     half = Fraction(1, 2)
-    assert verify_coefficients(p, [half] * 6).valid
-    res = verify_coefficients(p, [Fraction(0)] * 6)
+    assert verify_coefficients(p, *fraction_witness.over_lcm([half] * 6)).valid
+    res = verify_coefficients(p, *fraction_witness.over_lcm([Fraction(0)] * 6))
     assert "integer decomposition" in res.reason
     witness = fraction_witness.witness((half,) * 6, 3, (1, 1, 1, 1, 1, 1, 1))
     assert verify_witness(p, witness).valid

@@ -1,8 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
 import warnings
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +21,7 @@ from idpoly.parsing import (
     print_ideal,
 )
 
+import fraction_witness
 import reference_parsing
 from randutil import random_minimal_ideal
 
@@ -331,12 +332,10 @@ def test_matrix_header_errors():
 
 
 def test_witness_files():
-    assert parse_witness_text("1/2\n1/2\n0\n") == (
-        Fraction(1, 2),
-        Fraction(1, 2),
-        Fraction(0),
-    )
-    assert parse_witness_text("# note\n2/3\n") == (Fraction(2, 3),)
+    # the values come as numerators over the lcm of their denominators
+    assert parse_witness_text("1/2\n1/2\n0\n") == (2, (1, 1, 0))
+    assert parse_witness_text("# note\n2/3\n") == (3, (2,))
+    assert parse_witness_text("1/2\n1/3\n2/4\n") == (6, (3, 2, 3))
     with pytest.raises(InputError, match="line 2: cannot parse rational 'bad'"):
         parse_witness_text("1/2\nbad\n")
     with pytest.raises(InputError, match="line 1: cannot parse rational '1/0'"):
@@ -354,11 +353,60 @@ def test_witness_rationals_are_ascii(text):
 
 
 def test_witness_ascii_forms_still_parse():
-    assert parse_witness_text("-1/2\n+3\n0.25\n") == (
-        Fraction(-1, 2),
-        Fraction(3),
-        Fraction(1, 4),
-    )
+    assert parse_witness_text("-1/2\n+3\n0.25\n") == (4, (-2, 12, 1))
+    assert parse_witness_text("5.\n.5\n-.50\n007/014\n") == (2, (10, 1, -1, 1))
+
+
+@pytest.mark.parametrize("text", ["4/0", "0/0", "-3/00", "1.d", ".", "/2", "1/", "1.5/2"])
+def test_witness_rationals_outside_the_grammar(text):
+    # gcd(4, 0) == 4, so a zero denominator is refused before any reduction
+    with pytest.raises(InputError, match=f"line 1: cannot parse rational {text!r}"):
+        parse_witness_text(text + "\n")
+
+
+# the int digit limit; 0 would mean none, so 4,300, CPython's default, stands in
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+_WITNESS_ALPHABET = "0123456789+-./_eEd\u0661\uff11 \t#"
+_DIGITS = st.text("0123456789", max_size=4)
+_NEAR_RATIONALS = st.builds(
+    "".join,
+    st.tuples(
+        st.sampled_from(["", "+", "-"]),
+        _DIGITS,
+        st.sampled_from(["", "/", "."]),
+        _DIGITS,
+    ),
+)
+# runs of one digit around the limit, in each form a rational takes
+_LONG_TOKENS = st.builds(
+    lambda form, digit, n, m: form.format(digit * n, digit * m),
+    st.sampled_from(["{}", "-{}", "{}/{}", "1/{}", "{}.{}", ".{}", "{}/7"]),
+    st.sampled_from("0179"),
+    st.integers(_DIGIT_LIMIT - 2, _DIGIT_LIMIT + 2),
+    st.integers(_DIGIT_LIMIT - 2, _DIGIT_LIMIT + 2),
+)
+_WITNESS_LINES = _NEAR_RATIONALS | st.text(_WITNESS_ALPHABET, max_size=12) | _LONG_TOKENS
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.lists(_WITNESS_LINES, max_size=5).map("\n".join))
+@example(text="4/0")
+@example(text="1/2\n0/0\n")
+@example(text="1.d\n")
+@example(text="١/٢\n")
+@example(text="1" * (_DIGIT_LIMIT + 1))
+@example(text="1" * _DIGIT_LIMIT + "." + "1" * _DIGIT_LIMIT)
+def test_witness_parser_matches_fraction_reference(text):
+    # the integer grammar gives the pair, or the InputError, that the old
+    # path (an ASCII guard, Fraction, then the lcm) gives
+    try:
+        expected = fraction_witness.parse_witness_text(text)
+    except InputError as error:
+        with pytest.raises(InputError) as raised:
+            parse_witness_text(text)
+        assert str(raised.value) == str(error)
+    else:
+        assert parse_witness_text(text) == expected
 
 
 @pytest.mark.parametrize("text", ["5e-1", "1E999999999999"])

@@ -43,8 +43,8 @@ def _payloads(name: str):
     yield reduction_report_payload(trace, reduced)
     polytope = polytope_from_ideal(ideal)
     for witness in WITNESSES:
-        coefficients = parse_witness_text((DATA / witness).read_text())
-        yield verification_payload(verify_coefficients(polytope, coefficients))
+        denominator, numerators = parse_witness_text((DATA / witness).read_text())
+        yield verification_payload(verify_coefficients(polytope, denominator, numerators))
 
 
 @pytest.mark.parametrize("name", INPUTS)
@@ -89,16 +89,18 @@ def test_writer_rejects_what_the_schema_never_holds(payload):
 
 
 def _forbid_fraction(monkeypatch) -> None:
-    """Replace Fraction by a stub that raises, in every module that held it.
+    """Replace Fraction by a stub that raises, in every module a witness passes.
 
-    report no longer imports it, and neither do simplex and certificates.
+    No idpoly module imports fractions any more (test_structure.py checks
+    the imports), so the stub stands guard against one that brings the
+    name Fraction back.
     """
-    from idpoly import certificates, oracle, report, simplex
+    from idpoly import certificates, intlinalg, oracle, parsing, report, simplex
 
     def no_fraction(*args, **kwargs):
         raise AssertionError("a Fraction was made")
 
-    for module in (certificates, oracle, report, simplex):
+    for module in (certificates, intlinalg, oracle, parsing, report, simplex):
         monkeypatch.setattr(module, "Fraction", no_fraction, raising=False)
 
 
