@@ -2,7 +2,7 @@
 
 Three small formats live here: ideal files (a generator list with an
 optional alphabet declaration), matrix files (one 0-1 vertex per row),
-and witness files (one rational coefficient per line, read on integers).  Parsers report
+and witness files (one rational coefficient per line).  Parsers report
 line and column on failure so a typo in a long file stays findable.
 """
 

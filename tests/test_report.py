@@ -25,9 +25,7 @@ from idpoly.report import (
 )
 from idpoly.simplex import objective_range
 
-from test_golden_reports import DATA, INPUTS, ORACLE_TRUNCATED
-
-WITNESSES = ("rem32_good.w", "bad.w")
+from test_golden_reports import DATA, INPUTS, ORACLE_TRUNCATED, WITNESSES
 
 
 def _payloads(name: str):

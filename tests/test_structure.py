@@ -21,11 +21,12 @@ PROVER_STEPS = frozenset(("vertex_sums", "lp_membership", "solve_lp", "objective
 
 
 def _trees() -> dict[str, ast.Module]:
-    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    paths = sorted(SRC.glob("*.py"))
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
 
 
 def _names_used() -> dict[str, set[str]]:
-    """The names each function, method and module body loads or reads as attributes.
+    """The names that each function, method and module body uses, bare or as attributes.
 
     Keys are ``module.function``, ``module.Class.method`` and ``module``
     for the statements outside any function.
