@@ -15,7 +15,6 @@ from .model import (
     InputError,
     SquarefreeIdeal,
     ZeroOnePolytope,
-    generator_degrees,
     minimalize_generators,
     polytope_from_ideal,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "analyze",
     "build_from_ideal",
     "decide_normal_bruteforce",
-    "generator_degrees",
     "ideal_of",
     "minimalize_generators",
     "oracle_report",

@@ -12,12 +12,13 @@ summed from them, through ``_witness_on``, and lift_witness carries it
 to a parent hypergraph the same way; no Fraction is made here.
 Theorem 4.8's search runs on the edge masks that the engine's minor
 guard reads; its sum-set test is the one check of its pair here, and the
-engine re-checks the witness.
+engine re-checks the witness.  Proposition 3.5's and Theorem 4.8's
+searches answer with the vertex tuples of the cycles they find, in path
+order, which is all their reasons print.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
@@ -26,7 +27,6 @@ from typing import Callable, Collection, Iterable, Sequence
 
 from .hypergraph import (
     BudgetExceeded,
-    Cycle,
     LabeledHypergraph,
     MinorTrace,
     NotSeparatedError,
@@ -65,9 +65,10 @@ class Witness:
     A witness is held on integers: coefficient i is numerators[i] over
     ``denominator``.  ``Witness(denominator, numerators, degree, point)``
     is its one constructor.  It checks, in this order, that there is a
-    coefficient, that each numerator lies in [0, denominator), that the
-    numerators sum to degree·denominator, which leaves the degree
-    nonnegative, and that the point is nonnegative.  It then divides out
+    coefficient, that the denominator is positive and each numerator lies
+    in [0, denominator), that the numerators sum to degree·denominator,
+    which leaves the degree nonnegative, and that the point is
+    nonnegative.  It then divides out
     the gcd of the denominator and the numerators, so the denominator is
     the lcm of the coefficients' reduced denominators, equal coefficient
     vectors give equal fields, and equality and the hash follow the
@@ -97,7 +98,12 @@ class Witness:
 
 
 def range_error(denominator: int, numerators: Sequence[int]) -> str | None:
-    """Why a coefficient numerator/denominator is outside [0, 1), or None."""
+    """Why a coefficient numerator/denominator is outside [0, 1), or None.
+
+    A denominator below 1 is named before any coefficient is formatted.
+    """
+    if denominator < 1:
+        return f"denominator {denominator} is not positive"
     for n in numerators:
         if n < 0 or n >= denominator:
             return f"coefficient {fraction_text(n, denominator)} out of range [0, 1)"
@@ -131,25 +137,6 @@ class RuleOutcome:
     @property
     def is_conclusive(self) -> bool:
         return self.status in (NORMAL, NOT_NORMAL)
-
-
-@dataclass(frozen=True)
-class ExceptionalPair:
-    """Two disjoint odd cycles, one fat simple edge each, and a connector.
-
-    Cycle edges are ordinary 2-vertex edges except the designated simple
-    edges, which meet the cycle vertices in exactly two vertices apiece.
-    The connection is a chain of edges avoiding all cycle vertices that
-    starts on special_one's off-cycle part and ends on special_two's.
-    The designated edges may share a vertex off the cycles.  A plain
-    record: ``find_exceptional_pair`` builds it only after every check.
-    """
-
-    cycle_one: Cycle
-    cycle_two: Cycle
-    special_one: tuple[int, ...]
-    special_two: tuple[int, ...]
-    connection: tuple[tuple[int, ...], ...]
 
 
 def _require_separated(hypergraph: LabeledHypergraph) -> None:
@@ -253,7 +240,7 @@ def balanced_uniform_rule(hypergraph: LabeledHypergraph) -> RuleOutcome:
     if cycle is not None:
         return RuleOutcome(
             INAPPLICABLE,
-            f"special odd cycle on vertices {cycle.vertices}",
+            f"special odd cycle on vertices {cycle}",
         )
     return RuleOutcome(
         NORMAL,
@@ -447,29 +434,31 @@ def fat_simple_edges(edges: Collection[int]) -> list[int]:
 
 def _odd_cycle_candidates(
     hypergraph: LabeledHypergraph, spend: Callable[[int], None]
-) -> list[tuple[int, int, Cycle]]:
-    """(vertex mask, closing edge mask, cycle) for each candidate cycle.
+) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(vertex mask, closing edge mask, vertex tuple) for each candidate cycle.
 
     For each fat simple edge g and each vertex pair x < y in g, a
     depth-first search, spending a node per path it pops, lists the
     even-length skeleton paths from x to y whose interior avoids g; g
-    closes each into an odd cycle.  The first path found per (vertex
-    mask, g) is kept.  Sorting by (size, -vertex mask, -g) is sorting by
-    (size, vertex tuple, g tuple): on masks of one size, and on simple
-    edges, which never hold each other, integer order reverses tuple order.
+    closes each into an odd cycle, whose vertex tuple is the path.  The
+    first path found per (vertex mask, g) is kept.  Sorting by (size,
+    -vertex mask, -g) is sorting by (size, vertex tuple, g tuple): on
+    masks of one size, and on simple edges, which never hold each other,
+    integer order reverses tuple order.
     """
     n = hypergraph.num_vertices
-    masks = hypergraph.edge_masks
     bits = [1 << (n - v) for v in range(n + 1)]
     # each vertex's skeleton neighbours descending, so the stack pops them ascending
     neighbours: list[list[int]] = [[] for _ in bits]
     for v, w in reversed([edge for edge in hypergraph.edges if len(edge) == 2]):
         neighbours[v].append(w)
         neighbours[w].append(v)
-    vertices_of = dict(zip(masks, hypergraph.edges))
-    found: dict[tuple[int, int], Cycle] = {}
-    for g in fat_simple_edges(masks):
-        closing = vertices_of[g]
+    masks = hypergraph.edge_masks
+    fat = set(fat_simple_edges(masks))
+    found: dict[tuple[int, int], tuple[int, ...]] = {}
+    for g, closing in zip(masks, hypergraph.edges):
+        if g not in fat:
+            continue
         for x, y in combinations(closing, 2):
             stack = [((x,), bits[x])]
             while stack:
@@ -479,36 +468,31 @@ def _odd_cycle_candidates(
                     if w == y:
                         key = (mask | bits[y], g)
                         if len(path) % 2 == 0 and key not in found:
-                            cycle = path + (y,)
-                            edges = tuple(tuple(sorted(step)) for step in zip(cycle, cycle[1:]))
-                            found[key] = Cycle(cycle, edges + (closing,))
+                            found[key] = path + (y,)
                     elif not bits[w] & (g | mask):
                         stack.append((path + (w,), mask | bits[w]))
     ordered = sorted(found, key=lambda key: (key[0].bit_count(), -key[0], -key[1]))
     return [(vertices, g, found[vertices, g]) for vertices, g in ordered]
 
 
-def _connection_between(
-    outside: Sequence[int], source: int, target: int, relaxed: bool
-) -> tuple[int, ...] | None:
-    """A chain of edge masks of ``outside`` from ``source`` to ``target``.
+def _connected(outside: Sequence[int], source: int, target: int, relaxed: bool) -> bool:
+    """Whether edge masks of ``outside`` connect ``source`` to ``target``.
 
-    Strict: the first edge meeting both.  Relaxed: the first chain a
-    breadth-first search over edges finds, expanding in order.
+    Strict: one edge meets both.  Relaxed: a chain of edges does, each
+    meeting the next, which holds when the edges reached from ``source``,
+    grown round by round, come to meet ``target``.
     """
-    if not relaxed:
-        return next(((e,) for e in outside if e & source and e & target), None)
-    queue = deque((e,) for e in outside if e & source)
-    seen = {chain[-1] for chain in queue}
-    while queue:
-        chain = queue.popleft()
-        if chain[-1] & target:
-            return chain
+    reached = source
+    while True:
+        grown = reached
         for e in outside:
-            if e not in seen and chain[-1] & e:
-                seen.add(e)
-                queue.append(chain + (e,))
-    return None
+            if e & reached:
+                if e & target:
+                    return True
+                grown |= e
+        if not relaxed or grown == reached:
+            return False
+        reached = grown
 
 
 def _halves_decompose(
@@ -534,19 +518,21 @@ def _halves_decompose(
 
 def find_exceptional_pair(
     hypergraph: LabeledHypergraph, relaxed: bool = False, budget: int = PAIR_BUDGET
-) -> ExceptionalPair | None:
-    """Search for two connected odd cycles forming an obstruction pattern.
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The vertex tuples of two connected odd cycles forming an obstruction pattern.
 
     Candidate cycles consist of skeleton edges closed by one simple edge
-    of 3+ vertices; pairs are tried smallest-first, on vertex masks.  A
-    pair qualifies when the cycles are fully disjoint, neither closing
-    edge meets the other cycle, every edge meets their union evenly, a
-    connector chain of edges missing the union exists (a single edge by
-    default, an edge path when relaxed), and no sum of |union|/2 vertices
-    of this hypergraph's own polytope reaches the all-halves point, so
-    the witness is valid by construction.  The budget caps path-search
-    nodes and sum-set additions together, and BudgetExceeded is raised
-    when it runs out, so None always means "none exists".
+    of 3+ vertices, each in path order from its least vertex on that
+    edge; pairs are tried smallest-first, on vertex masks.  A pair
+    qualifies when the cycles are fully disjoint, neither closing edge
+    meets the other cycle, every edge meets their union evenly, a
+    connector chain of edges missing the union joins the closing edges'
+    parts off it (a single edge by default, an edge path when relaxed),
+    and no sum of |union|/2 vertices of this hypergraph's own polytope
+    reaches the all-halves point, so the witness is valid by
+    construction.  The budget caps path-search nodes and sum-set
+    additions together, and BudgetExceeded is raised when it runs out,
+    so None always means "none exists".
     """
     nodes = budget
 
@@ -568,17 +554,10 @@ def find_exceptional_pair(
             if any((e & union).bit_count() % 2 for e in masks):
                 continue
             outside = [e for e in masks if not e & union]
-            connection = _connection_between(outside, g_one & ~union, g_two & ~union, relaxed)
-            if connection is None or _halves_decompose(hypergraph, union, spend):
+            if not _connected(outside, g_one & ~union, g_two & ~union, relaxed):
                 continue
-            vertices_of = dict(zip(masks, hypergraph.edges))
-            return ExceptionalPair(
-                cycle_one,
-                cycle_two,
-                vertices_of[g_one],
-                vertices_of[g_two],
-                tuple(map(vertices_of.__getitem__, connection)),
-            )
+            if not _halves_decompose(hypergraph, union, spend):
+                return cycle_one, cycle_two
     return None
 
 
@@ -596,11 +575,12 @@ def exceptional_pair_rule(
         return RuleOutcome(BUDGET_EXCEEDED, str(exc))
     if pair is None:
         return RuleOutcome(INAPPLICABLE, "no exceptional pair found")
-    union = {*pair.cycle_one.vertices, *pair.cycle_two.vertices}
+    one, two = pair
+    union = {*one, *two}
     numerators = [int(v in union) for v in hypergraph.vertices]
     return RuleOutcome(
         NOT_NORMAL,
-        f"cycles {pair.cycle_one.vertices} and {pair.cycle_two.vertices}",
+        f"cycles {one} and {two}",
         witness=_witness_on(hypergraph, 2, numerators, len(union) // 2),
     )
 

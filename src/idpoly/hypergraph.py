@@ -42,6 +42,9 @@ vertex mask, each with its 2-coloring, or None for one with an odd
 cycle.  The minor screen calls it on a minor's masks, and
 ``LabeledHypergraph.skeleton`` keeps its answer for the whole vertex
 set, in the same bit layout, for the rules and the reports.
+
+``find_special_odd_cycle`` answers with the vertex tuple of the cycle it
+finds, in path order, which is all a report prints of it.
 """
 
 from __future__ import annotations
@@ -89,28 +92,6 @@ class Edge:
 
     vertices: tuple[int, ...]
     labels: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class Cycle:
-    """An alternating vertex/edge cycle: v_i and v_{i+1} lie on edge i."""
-
-    vertices: tuple[int, ...]
-    edges: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        m = len(self.vertices)
-        if m < 2 or len(self.edges) != m:
-            raise ValueError("cycle needs equally many vertices and edges, at least 2")
-        if len(set(self.vertices)) != m or len(set(self.edges)) != m:
-            raise ValueError("cycle vertices and edges must be distinct")
-        for i, edge in enumerate(self.edges):
-            v, w = self.vertices[i], self.vertices[(i + 1) % m]
-            if v not in edge or w not in edge:
-                raise ValueError(f"edge {i} misses an endpoint of the cycle")
-
-    def __len__(self) -> int:
-        return len(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -633,15 +614,20 @@ def skeleton_components(
 
 def find_special_odd_cycle(
     hypergraph: LabeledHypergraph, budget: int = CYCLE_BUDGET
-) -> Cycle | None:
-    """Search for an odd cycle whose edges each meet it in exactly 2 vertices.
+) -> tuple[int, ...] | None:
+    """The vertices of an odd cycle whose edges each meet it in exactly 2 vertices.
 
+    The cycle comes in path order: consecutive vertices, and the last and
+    the first, lie on one edge that meets the cycle in just those two.
     Exact backtracking in canonical order: smallest start vertex first,
-    then edges in canonical order and next vertices ascending.  Each path
-    on the search's stack keeps a generator of its moves, so no path
-    length reaches the interpreter's recursion limit.  Raises
-    BudgetExceeded when the node budget runs out before the search space
-    is exhausted, in which case absence has not been established.
+    then edges in canonical order and next vertices ascending.  A path
+    grows only by an edge that meets it in its tip alone, and only to
+    vertices on no edge it has used.  So its tip lies on no used edge but
+    the last, which meets the path in two vertices, and no edge is taken
+    twice.  Each path on the search's stack keeps a generator of its
+    moves, so no path length reaches the interpreter's recursion limit.
+    Raises BudgetExceeded when the node budget runs out before the search
+    space is exhausted, in which case absence has not been established.
     """
     edges = hypergraph.edges
     if not edges:
@@ -651,39 +637,37 @@ def find_special_odd_cycle(
         for v in e:
             by_vertex[v].append(e)
 
-    def moves(path: list[int], used: tuple[tuple[int, ...], ...], covered: set[int]) -> Iterator:
-        # the cycle an edge closes, or each path one edge longer, in search order
+    def moves(path: list[int], covered: set[int]) -> Iterator:
+        # each path one edge longer, with the vertices on its edges, in
+        # search order; a path that an edge closes into a cycle comes with None
         tip = path[-1]
         start = path[0]
         path_set = set(path)
         for edge in by_vertex[tip]:
-            if edge in used:
-                continue
             overlap = path_set.intersection(edge)
             if len(path) >= 3 and len(path) % 2 == 1 and overlap == {tip, start}:
-                yield Cycle(tuple(path), used + (edge,))
+                yield path, None
             if overlap != {tip}:
                 continue
             grown = covered.union(edge)
             for w in sorted(set(edge) - covered):
                 if w > start:
-                    yield path + [w], used + (edge,), grown
+                    yield path + [w], grown
 
     nodes_left = budget
-    stack = [(([v], (), {v}) for v in hypergraph.vertices)]  # the one-vertex paths at the bottom
+    stack = [(([v], {v}) for v in hypergraph.vertices)]  # the one-vertex paths at the bottom
     while stack:
         step = next(stack[-1], None)
         if step is None:
             stack.pop()
-        elif isinstance(step, Cycle):
-            return step
-        else:
-            if nodes_left <= 0:
-                raise BudgetExceeded(
-                    f"special-cycle search exceeded its budget of {budget} nodes"
-                )
-            nodes_left -= 1
-            stack.append(moves(*step))
+            continue
+        path, covered = step
+        if covered is None:
+            return tuple(path)
+        if nodes_left <= 0:
+            raise BudgetExceeded(f"special-cycle search exceeded its budget of {budget} nodes")
+        nodes_left -= 1
+        stack.append(moves(path, covered))
     return None
 
 

@@ -185,10 +185,6 @@ def _minimal_ideal(
     return ideal
 
 
-def generator_degrees(ideal: SquarefreeIdeal) -> tuple[int, ...]:
-    return tuple(len(g) for g in ideal.generators)
-
-
 class CoordinateRelation(NamedTuple):
     """denominator · x_j = constant · degree + Σ c · x_i over (i, c) in terms.
 

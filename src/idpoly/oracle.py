@@ -337,9 +337,9 @@ def verify_coefficients(
 ) -> VerificationResult:
     """Check coefficients numerators[i]/denominator against every witness requirement.
 
-    The denominator is positive, and need not be the least one.  Clauses,
-    in order: count, range [0,1), integral sum, integral point, and
-    absence of any integer decomposition.  The coefficients that pass the
+    The denominator need not be the least one.  Clauses, in order: count,
+    a positive denominator and range [0,1), integral sum, integral point,
+    and absence of any integer decomposition.  The coefficients that pass the
     first four are themselves a combination putting the point in
     degree·P, so no membership LP is needed.  The first failure is
     reported; success returns the assembled Witness.

@@ -32,11 +32,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-# _minimize's outcomes; phase one and a bounded objective always end OPTIMAL
-OPTIMAL = "optimal"
-UNBOUNDED = "unbounded"
-
-
 def _pivot(
     tableau: list[list[int]], basis: list[int], row: int, col: int, denom: int
 ) -> int:
@@ -63,10 +58,12 @@ def _pivot(
 
 def _minimize(
     tableau: list[list[int]], basis: list[int], cost: list[int], ncols: int, denom: int
-) -> tuple[str, int]:
+) -> int:
     """Run simplex iterations in place; cost has one entry per column.
 
-    Returns the status and the denominator the tableau ends with.
+    Returns the denominator the tableau ends with.  The objective must be
+    bounded below on the feasible set, as phase one's always is and as
+    every objective is when one row fixes the sum of the variables.
     """
     m = len(basis)
     reduced = [denom * c for c in cost]
@@ -79,7 +76,6 @@ def _minimize(
         reduced = tableau[m]
         enter = next((j for j in range(ncols) if reduced[j] < 0), None)
         if enter is None:
-            status = OPTIMAL
             break
         # least ratio rhs / coeff over positive coefficients, compared by
         # cross-multiplying; ties go to the least basic index
@@ -94,12 +90,10 @@ def _minimize(
                 lhs, best = rhs * best_coeff, best_rhs * coeff
                 if lhs < best or (lhs == best and basis[i] < basis[leave]):
                     leave, best_rhs, best_coeff = i, rhs, coeff
-        if leave is None:
-            status = UNBOUNDED
-            break
+        assert leave is not None, "the objective is bounded below"
         denom = _pivot(tableau, basis, leave, enter, denom)
     tableau.pop()
-    return status, denom
+    return denom
 
 
 def _columns(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> int:
@@ -132,8 +126,7 @@ def _feasible_basis(
         tableau.append([*row, *(int(j == i) for j in range(m)), beta])
     basis = list(range(n, n + m))
     phase1_cost = [0] * n + [1] * m + [0]
-    status, denom = _minimize(tableau, basis, phase1_cost, n + m, 1)
-    assert status == OPTIMAL, "phase one is always bounded below by zero"
+    denom = _minimize(tableau, basis, phase1_cost, n + m, 1)
     if any(tableau[i][-1] for i in range(m) if basis[i] >= n):
         return None
 
@@ -201,8 +194,7 @@ def objective_range(
     # ⌊-min(cost · x)⌋ for each cost, by floor division: -⌈min⌉, then ⌊max⌋
     bounds = []
     for cost in (list(objective), [-c for c in objective]):
-        status, denom = _minimize(tableau, basis, cost + [0], n, denom)
-        assert status == OPTIMAL, "the feasible set is bounded"
+        denom = _minimize(tableau, basis, cost + [0], n, denom)
         value = sum(cost[b] * tableau[i][-1] for i, b in enumerate(basis))
         bounds.append(-value // denom)
     low, high = bounds

@@ -1,19 +1,23 @@
 """Reference searches on vertex tuples and sets, for tests only.
 
-These are the tuple forms of idpoly's mask searches:
+These are the tuple forms of idpoly's mask searches, and like them they
+answer with vertex tuples in path order:
 - ``find_exceptional_pair`` lists its candidate cycles as vertex tuples,
   tests pairs on frozensets and connects them by a breadth-first search
-  over edge tuples.  It tests the all-halves point with
+  over edge tuples, which builds each chain it tries; it returns the two
+  cycles' vertex tuples.  It tests the all-halves point with
   ``oracle.vertex_sums`` over the full incidence matrix, and spends the
   same budget as the mask search: one node per path popped, and before
   each sum-set step |S_(k-1)| times the number of vertices under the
   point.
 - ``find_special_odd_cycle`` is the recursive backtracking search, one
-  interpreter frame per path vertex.
+  interpreter frame per path vertex, which keeps the edges it has used;
+  it returns the cycle's vertex tuple.
 - ``quadratic_simple_edges`` finds the simple edges by a scan of every
   edge pair.
 
-The differential tests hold idpoly's searches to them.
+The differential tests hold idpoly's searches to them, and hold every
+cycle either side returns to ``cycle_shape_error``.
 """
 
 from __future__ import annotations
@@ -22,16 +26,38 @@ from itertools import combinations
 from operator import le
 from typing import Iterable
 
-from idpoly.certificates import PAIR_BUDGET, ExceptionalPair
+from idpoly.certificates import PAIR_BUDGET
 from idpoly.hypergraph import (
     CYCLE_BUDGET,
     BudgetExceeded,
-    Cycle,
     Edge,
     LabeledHypergraph,
     incidence_matrix,
 )
 from idpoly.oracle import vertex_sums
+
+
+def cycle_shape_error(hypergraph: LabeledHypergraph, cycle: tuple[int, ...]) -> str | None:
+    """Why ``cycle`` is not an odd cycle of the hypergraph in path order, or None.
+
+    It must hold at least 3 distinct vertices, an odd number of them, and
+    each consecutive pair, the last and the first included, must lie on
+    an edge that meets the cycle in that pair alone.  Such edges are
+    distinct, one per pair.  Both searches' cycles have this shape: every
+    edge of a special odd cycle meets it so, and a pair search's cycle is
+    a skeleton path closed by a fat edge that its interior avoids.
+    """
+    m = len(cycle)
+    if m < 3 or m % 2 == 0:
+        return f"cycle {cycle} has {m} vertices, not an odd number of at least 3"
+    if len(set(cycle)) != m:
+        return f"cycle {cycle} repeats a vertex"
+    on_cycle = set(cycle)
+    for i, v in enumerate(cycle):
+        pair = {v, cycle[(i + 1) % m]}
+        if not any(on_cycle.intersection(e) == pair for e in hypergraph.edges):
+            return f"no edge meets cycle {cycle} in {tuple(sorted(pair))} alone"
+    return None
 
 
 def quadratic_simple_edges(h: LabeledHypergraph) -> tuple[Edge, ...]:
@@ -60,14 +86,14 @@ class _Budget:
 
 def odd_cycle_candidates(
     hypergraph: LabeledHypergraph, budget: _Budget
-) -> list[tuple[tuple[int, ...], Cycle, tuple[int, ...]]]:
+) -> list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
     """Odd cycles made of skeleton edges plus one fat simple edge.
 
     For each simple edge G with at least 3 vertices and each vertex pair
     x < y in G, enumerate even-length skeleton paths from x to y whose
     interior avoids G; the path closed by G is an odd cycle meeting G in
     exactly two vertices.  Deduplicated on (vertex set, G) and sorted by
-    (size, vertex tuple, G).
+    (size, vertex tuple, G).  Each comes as (sorted vertices, the path, G).
     """
     # canonical edge order lists each vertex's neighbours ascending
     adjacency: dict[int, list[int]] = {v: [] for v in hypergraph.vertices}
@@ -76,7 +102,7 @@ def odd_cycle_candidates(
             v, w = edge
             adjacency[v].append(w)
             adjacency[w].append(v)
-    found: dict[tuple[tuple[int, ...], tuple[int, ...]], Cycle] = {}
+    found: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
 
     def paths(x: int, y: int, forbidden: set[int]) -> Iterable[tuple[int, ...]]:
         stack: list[tuple[int, ...]] = [(x,)]
@@ -100,13 +126,7 @@ def odd_cycle_candidates(
         g_set = set(g)
         for x, y in combinations(g, 2):
             for path in paths(x, y, g_set):
-                key = (tuple(sorted(path)), g)
-                if key in found:
-                    continue
-                skeleton_edges = tuple(
-                    tuple(sorted((path[i], path[i + 1]))) for i in range(len(path) - 1)
-                )
-                found[key] = Cycle(path, skeleton_edges + (g,))
+                found.setdefault((tuple(sorted(path)), g), path)
     items = [(vertices, cycle, g) for (vertices, g), cycle in sorted(found.items())]
     items.sort(key=lambda item: (len(item[0]), item[0], item[2]))
     return items
@@ -159,7 +179,7 @@ def halves_decompose(
 
 def find_exceptional_pair(
     hypergraph: LabeledHypergraph, relaxed: bool = False, budget: int = PAIR_BUDGET
-) -> ExceptionalPair | None:
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Two connected odd cycles forming an obstruction pattern, smallest pair first."""
     pool = _Budget(budget)
     candidates = odd_cycle_candidates(hypergraph, pool)
@@ -184,13 +204,13 @@ def find_exceptional_pair(
                 continue
             if halves_decompose(hypergraph, union, pool):
                 continue
-            return ExceptionalPair(cycle_one, cycle_two, g_one, g_two, connection)
+            return cycle_one, cycle_two
     return None
 
 
 def find_special_odd_cycle(
     hypergraph: LabeledHypergraph, budget: int = CYCLE_BUDGET
-) -> Cycle | None:
+) -> tuple[int, ...] | None:
     """An odd cycle whose edges each meet it in exactly 2 vertices, by recursion."""
     edges = hypergraph.edges
     if not edges:
@@ -205,7 +225,7 @@ def find_special_odd_cycle(
         path: list[int],
         used: list[tuple[int, ...]],
         covered: set[int],
-    ) -> Cycle | None:
+    ) -> tuple[int, ...] | None:
         nonlocal nodes_left
         if nodes_left <= 0:
             raise BudgetExceeded(f"special-cycle search exceeded its budget of {budget} nodes")
@@ -218,7 +238,7 @@ def find_special_odd_cycle(
                 continue
             overlap = path_set.intersection(edge)
             if len(path) >= 3 and len(path) % 2 == 1 and overlap == {tip, start}:
-                return Cycle(tuple(path), tuple(used) + (edge,))
+                return tuple(path)
             if overlap != {tip}:
                 continue
             for w in sorted(set(edge) - covered):

@@ -14,7 +14,6 @@ from idpoly.certificates import (
     NORMAL,
     NOT_NORMAL,
     PAIR_BUDGET,
-    ExceptionalPair,
     RuleOutcome,
     Witness,
     balanced_uniform_rule,
@@ -26,6 +25,7 @@ from idpoly.certificates import (
     odd_cycle_rule,
     torsion_obstruction,
 )
+from idpoly.engine import analyze
 from idpoly.hypergraph import (
     BudgetExceeded,
     LabeledHypergraph,
@@ -33,6 +33,7 @@ from idpoly.hypergraph import (
     ReductionTrace,
     build_from_ideal,
     enumerate_minors,
+    find_special_odd_cycle,
     ideal_of,
     induced_subhypergraph,
     reduce_closed_fixpoint,
@@ -80,6 +81,16 @@ def test_witness_validation():
         fraction_witness.witness((HALF, HALF), 1, (-1,))
     w = fraction_witness.witness((HALF, HALF), 1, (1, 0))
     assert w.degree == 1
+
+
+@pytest.mark.parametrize(
+    "denominator,numerators", [(0, (0,)), (-1, (0,)), (-2, (1,)), (0, (1, 2))]
+)
+def test_a_denominator_below_one_is_named(denominator, numerators):
+    # named before any coefficient over it is formatted or divided
+    with pytest.raises(ValueError) as info:
+        Witness(denominator, numerators, 0, ())
+    assert str(info.value) == f"denominator {denominator} is not positive"
 
 
 def test_a_negative_degree_fails_the_sum_clause():
@@ -307,6 +318,24 @@ def test_balanced_uniform_rule(load_ideal):
     assert out.reason == "generator degrees not uniform: (2,2,3,2,2,3)"
 
 
+def test_special_cycle_budget_exhaustion_is_reported(load_ideal, monkeypatch):
+    # a search cut short has not shown that the hypergraph is balanced
+    h = build_from_ideal(load_ideal("bowtie.ideal"))
+    with pytest.raises(BudgetExceeded) as exhausted:
+        find_special_odd_cycle(h, budget=1)
+    message = "special-cycle search exceeded its budget of 1 nodes"
+    assert str(exhausted.value) == message
+    assert balanced_uniform_rule(h).status == INAPPLICABLE
+
+    def exhausting(hypergraph):
+        raise exhausted.value
+
+    monkeypatch.setattr(certificates, "find_special_odd_cycle", exhausting)
+    assert balanced_uniform_rule(h) == RuleOutcome(BUDGET_EXCEEDED, message)
+    diagnostics = dict(analyze(load_ideal("bowtie.ideal")).diagnostics)
+    assert diagnostics["prop-3.5"] == f"budget_exceeded: {message}"
+
+
 def test_two_solvable_certificate(load_ideal):
     # solv3 is 2-solvable for 3 with red vertices 1, 3, 5: red carries 1/3
     # and blue 2/3, and the simple edge (1, 3, 5) is all red
@@ -451,15 +480,25 @@ def test_torsion_obstruction(load_ideal):
     assert out == RuleOutcome(INAPPLICABLE, "lattice quotient torsion-free")
 
 
+def designated_edges(h, pair):
+    """Each cycle's closing edge: the edge of 3+ vertices through its last and first vertex.
+
+    The search starts each cycle at one vertex of its closing edge and
+    ends it at another, and no other cycle vertex lies on that edge.
+    """
+    return tuple(
+        next(e for e in h.edges if len(e) > 2 and set(e) & set(cycle) == {cycle[0], cycle[-1]})
+        for cycle in pair
+    )
+
+
 def test_exceptional_pair_bowtie(load_ideal):
     h = build_from_ideal(load_ideal("bowtie.ideal"))
     pair = find_exceptional_pair(h)
-    assert pair is not None
-    assert set(pair.cycle_one.vertices) == {1, 2, 3}
-    assert set(pair.cycle_two.vertices) == {6, 7, 8}
-    assert tuple(sorted(pair.special_one)) == (2, 3, 4)
-    assert tuple(sorted(pair.special_two)) == (5, 6, 7)
-    assert pair.connection == ((4, 5),)
+    assert pair == ((2, 1, 3), (6, 8, 7))
+    assert designated_edges(h, pair) == ((2, 3, 4), (5, 6, 7))
+    # the connector (4, 5) joins the closing edges off the cycles
+    assert (4, 5) in h.edges
     witness = exceptional_pair_rule(h).witness
     assert fraction_witness.coefficients(witness) == (HALF, HALF, HALF, 0, 0, HALF, HALF, HALF)
     assert witness.degree == 3
@@ -507,9 +546,12 @@ def test_exceptional_pair_relaxed_connection(load_ideal):
     h = build_from_ideal(load_ideal("twin_d.ideal"))
     assert find_exceptional_pair(h) is None
     assert exceptional_pair_rule(h) == RuleOutcome(INAPPLICABLE, "no exceptional pair found")
+    # no edge joins the closing edges off the cycles, but the chain
+    # (4, 9), (5, 9) does
     pair = find_exceptional_pair(h, relaxed=True)
-    assert pair is not None
-    assert pair.connection == ((4, 9), (5, 9))
+    assert pair == ((2, 1, 3), (6, 8, 7))
+    assert designated_edges(h, pair) == ((2, 3, 4), (5, 6, 7))
+    assert {(4, 9), (5, 9)} <= set(h.edges)
     witness = exceptional_pair_rule(h, relaxed=True).witness
     assert witness.degree == 3
     assert witness.point == (1, 1, 1, 1, 1, 1, 0, 0)
@@ -579,9 +621,8 @@ def test_exceptional_pair_keeps_a_shared_vertex_on_a_third_edge(relaxed):
         9, ((1, 2), (2, 3), (1, 3, 7, 8), (4, 5), (5, 6), (4, 6, 7), (7, 9), (8, 9))
     )
     pair = find_exceptional_pair(h, relaxed=relaxed)
-    assert pair is not None
-    assert (pair.special_one, pair.special_two) == ((1, 3, 7, 8), (4, 6, 7))
-    assert pair.connection == ((7, 9),)
+    assert pair == ((1, 2, 3), (4, 5, 6))
+    assert designated_edges(h, pair) == ((1, 3, 7, 8), (4, 6, 7))
     polytope = polytope_from_ideal(ideal_of(h))
     assert verify_witness(polytope, exceptional_pair_rule(h, relaxed=relaxed).witness).valid
 
@@ -594,21 +635,32 @@ def test_every_pair_is_checked_for_a_decomposition(load_ideal, monkeypatch, rela
     # a planted decomposition is what shows the check runs on such pairs.
     h = build_from_ideal(load_ideal("bowtie.ideal"))
     pair = find_exceptional_pair(h, relaxed=relaxed)
-    assert not set(pair.special_one) & set(pair.special_two)
+    one, two = designated_edges(h, pair)
+    assert not set(one) & set(two)
     monkeypatch.setattr(certificates, "_halves_decompose", lambda hypergraph, union, spend: True)
     assert find_exceptional_pair(h, relaxed=relaxed) is None
 
 
 def pair_search_outcomes(h):
-    """Each (relaxed, budget) pair's search result, or its budget message, by both searches."""
+    """Each (relaxed, budget) pair's search result, or its budget message, by both searches.
+
+    Every cycle either search returns must pass ``cycle_shape_error``, and
+    the two cycles of a pair must be disjoint.
+    """
     for relaxed in (False, True):
         for budget in (PAIR_BUDGET, 5, 40):
             found = []
             for search in (find_exceptional_pair, reference_search.find_exceptional_pair):
                 try:
-                    found.append(search(h, relaxed=relaxed, budget=budget))
+                    pair = search(h, relaxed=relaxed, budget=budget)
                 except BudgetExceeded as exc:
                     found.append(str(exc))
+                    continue
+                if pair is not None:
+                    for cycle in pair:
+                        assert reference_search.cycle_shape_error(h, cycle) is None, pair
+                    assert not set(pair[0]) & set(pair[1]), pair
+                found.append(pair)
             yield (relaxed, budget), *found
 
 
@@ -638,18 +690,16 @@ FORKED_CONNECTION = edge_hypergraph(
 @example(h=CHORDED_PENTAGON)
 @example(h=FORKED_CONNECTION)
 def test_exceptional_pair_matches_the_tuple_search(h):
-    # the same cycles, vertex order, designated edges and connection, or
-    # the same budget message
+    # the same cycles in the same vertex order, or the same budget message
     for setting, found, expected in pair_search_outcomes(h):
         assert found == expected, setting
 
 
-def test_exceptional_pair_keeps_the_first_path_and_chain():
-    pair = find_exceptional_pair(CHORDED_PENTAGON)
-    assert pair.cycle_two.vertices == (1, 2, 3, 4, 5)
+def test_exceptional_pair_keeps_the_first_path():
+    assert find_exceptional_pair(CHORDED_PENTAGON) == ((7, 8, 9), (1, 2, 3, 4, 5))
+    # only a chain of three edges joins FORKED_CONNECTION's closing edges
     assert find_exceptional_pair(FORKED_CONNECTION) is None
-    pair = find_exceptional_pair(FORKED_CONNECTION, relaxed=True)
-    assert pair.connection == ((4, 9), (9, 10), (8, 10))
+    assert find_exceptional_pair(FORKED_CONNECTION, relaxed=True) == ((1, 2, 3), (5, 6, 7))
 
 
 def test_exceptional_pair_matches_the_tuple_search_on_fixture_minors(load_ideal):
@@ -665,7 +715,7 @@ def test_exceptional_pair_matches_the_tuple_search_on_fixture_minors(load_ideal)
                 assert found == expected, (path.name, setting)
                 kinds.add(type(found))
     # pairs, their absence and exhausted budgets are all compared
-    assert kinds == {ExceptionalPair, type(None), str}
+    assert kinds == {tuple, type(None), str}
 
 
 @pytest.mark.parametrize("length", [15, 51])

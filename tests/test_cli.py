@@ -541,3 +541,18 @@ def test_the_cli_step_runs_with_fractions_blocked():
     assert '"fractions"):\n    sys.modules[name] = None\n' in script
     result = run_python(script)
     assert (result.returncode, result.stderr) == (0, "")
+
+
+def test_the_cli_step_requires_the_bowtie_golden_lines():
+    # the reasons the step requires of analyze on the bowtie are lines of
+    # its golden report
+    script = _cli_step_script()
+    golden = (ROOT / "tests" / "data" / "golden" / "text" / "bowtie.ideal.txt").read_text(
+        encoding="utf-8"
+    )
+    for line in (
+        "prop-3.5: inapplicable: special odd cycle on vertices (1, 2, 3)",
+        "thm-4.8: not_normal: cycles (2, 1, 3) and (6, 8, 7)",
+    ):
+        assert f'"{line}"' in script
+        assert f"  {line}\n" in golden

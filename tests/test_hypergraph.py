@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from idpoly.hypergraph import (
     CYCLE_BUDGET,
     BudgetExceeded,
-    Cycle,
     LabeledHypergraph,
     NotSeparatedError,
     build_from_ideal,
@@ -390,21 +389,24 @@ def test_incidence_matrix_matches_a_scan_per_entry(h):
 
 def test_special_odd_cycle_found(load_ideal):
     tri = build_from_ideal(load_ideal("tri.ideal"))
-    cycle = find_special_odd_cycle(tri)
-    assert cycle is not None
-    assert cycle.vertices == (1, 2, 3)
-    assert len(cycle) == 3
+    assert search_outcome(find_special_odd_cycle, tri) == (1, 2, 3)
 
     four = build_from_ideal(load_ideal("fourcyc.ideal"))
     assert find_special_odd_cycle(four) is None
 
 
 def search_outcome(search, h, **kwargs):
-    """What a search returns, or the message of the BudgetExceeded it raises."""
+    """What a search returns, or the message of the BudgetExceeded it raises.
+
+    A cycle it returns must pass ``cycle_shape_error``.
+    """
     try:
-        return search(h, **kwargs)
+        cycle = search(h, **kwargs)
     except BudgetExceeded as exc:
         return str(exc)
+    if cycle is not None:
+        assert reference_search.cycle_shape_error(h, cycle) is None, cycle
+    return cycle
 
 
 @settings(max_examples=300, deadline=None)
@@ -416,7 +418,8 @@ def search_outcome(search, h, **kwargs):
     budget=st.sampled_from((CYCLE_BUDGET, 5, 40)),
 )
 def test_special_odd_cycle_matches_the_recursive_search(h, budget):
-    # the same cycle, or the same budget message, at the same node count
+    # the same cycle, or the same budget message, at the same node count;
+    # each cycle returned passes the shape check
     assert search_outcome(find_special_odd_cycle, h, budget=budget) == search_outcome(
         reference_search.find_special_odd_cycle, h, budget=budget
     )
@@ -426,12 +429,12 @@ def test_special_odd_cycle_search_is_not_bounded_by_recursion():
     # the cycle of 1201 generators closes 1201 vertices deep, past the
     # default recursion limit of 1000 frames
     h = build_from_ideal(cycle_edge_ideal(1201))
-    cycle = find_special_odd_cycle(h)
-    assert len(cycle) == 1201 and cycle.vertices[:3] == (1, 2, 3)
+    cycle = search_outcome(find_special_odd_cycle, h)
+    assert len(cycle) == 1201 and cycle[:3] == (1, 2, 3)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(5000)
     try:
-        assert cycle == reference_search.find_special_odd_cycle(h)
+        assert cycle == search_outcome(reference_search.find_special_odd_cycle, h)
     finally:
         sys.setrecursionlimit(limit)
     assert not is_balanced(h)
@@ -450,11 +453,28 @@ def test_cycle_search_budget_exhausts(load_ideal):
         find_special_odd_cycle(h, budget=1)
 
 
-def test_cycle_validation():
-    with pytest.raises(ValueError, match="edge 1 misses an endpoint"):
-        Cycle((1, 2, 3), ((1, 2), (2, 4), (1, 3)))
-    with pytest.raises(ValueError, match="distinct"):
-        Cycle((1, 1), ((1, 2), (1, 2)))
+def test_cycle_shape_check_rejects_broken_cycles():
+    def hypergraph(*edges):
+        n = max(max(e) for e in edges)
+        return LabeledHypergraph(n, tuple((f"e{i}", frozenset(e)) for i, e in enumerate(edges)))
+
+    shape = reference_search.cycle_shape_error
+    triangle = hypergraph((1, 2), (2, 3), (1, 3))
+    assert shape(triangle, (1, 2, 3)) is None
+    assert shape(triangle, (2, 1, 3)) is None
+    assert shape(triangle, (1, 2)) == "cycle (1, 2) has 2 vertices, not an odd number of at least 3"
+    assert shape(triangle, (1, 2, 1)) == "cycle (1, 2, 1) repeats a vertex"
+    square = hypergraph((1, 2), (2, 3), (3, 4), (1, 4))
+    assert shape(square, (1, 2, 3, 4)) == (
+        "cycle (1, 2, 3, 4) has 4 vertices, not an odd number of at least 3"
+    )
+    # (2, 3) lies on no edge, and (1, 2, 3) meets all three vertices
+    assert shape(hypergraph((1, 2), (2, 4), (1, 3)), (1, 2, 3)) == (
+        "no edge meets cycle (1, 2, 3) in (2, 3) alone"
+    )
+    assert shape(hypergraph((1, 2), (2, 3), (1, 2, 3)), (1, 2, 3)) == (
+        "no edge meets cycle (1, 2, 3) in (1, 3) alone"
+    )
 
 
 def test_induced_preserves_separatedness():

@@ -13,7 +13,6 @@ from idpoly.model import (
     InputError,
     SquarefreeIdeal,
     ZeroOnePolytope,
-    generator_degrees,
     minimalize_generators,
     polytope_from_ideal,
 )
@@ -29,8 +28,6 @@ def test_basic_ideal():
     assert ideal.exponent_matrix()[0] == (1, 1, 0)
     assert ideal.exponent_matrix() == ((1, 1, 0), (1, 0, 1), (0, 1, 1))
     assert ideal.monomial_string(2) == "v*w"
-    assert generator_degrees(ideal) == (2, 2, 2)
-    assert len(set(generator_degrees(ideal))) == 1
 
 
 def test_unused_variable_is_kept():

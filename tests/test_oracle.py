@@ -471,6 +471,14 @@ def test_verify_coefficients_reasons_verbatim(polytope, coefficients, reason):
     assert (res.valid, res.reason, res.witness) == (False, reason, None)
 
 
+@pytest.mark.parametrize("denominator", [0, -1])
+def test_verify_coefficients_names_a_denominator_below_one(denominator):
+    # named before any coefficient over it is formatted or divided
+    res = verify_coefficients(ZeroOnePolytope(((1, 0), (0, 1))), denominator, (0, 0))
+    message = f"denominator {denominator} is not positive"
+    assert (res.valid, res.reason, res.witness) == (False, message, None)
+
+
 def test_verify_coefficients_takes_int_and_str(load_ideal):
     # the int and str forms of a witness file, read by parse_witness_text
     p = poly(load_ideal, "rem32.mat")
